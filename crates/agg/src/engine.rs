@@ -3,30 +3,39 @@
 //!
 //! ## Shard layout
 //!
-//! Each [`Aggregate`] owns `K` mutex-guarded [`ShardState`]s. A client is
-//! pinned to shard `client_id mod K` — deterministic, so contention is
-//! spread without any routing state — and every batch lands via one lock
-//! acquisition and one batched `add_slice` (the SIMD hot path). Two
-//! clients on different shards never contend; two on the same shard
-//! serialize only against each other.
+//! Each [`Aggregate`] owns `K` mutex-guarded [`Superaccumulator`]s. A
+//! client is pinned to shard `client_id mod K` — deterministic, so
+//! contention is spread without any routing state — and every batch lands
+//! via one lock acquisition and one batched `add_slice` (the SIMD hot
+//! path). Two clients on different shards never contend; two on the same
+//! shard serialize only against each other.
 //!
 //! ## Why finalize is bitwise-invariant
 //!
-//! Both operators' `add`/`merge` are commutative and associative on the
-//! partial-state level (integer addition for the exact register,
-//! pre-rounded bin addition for PR). Therefore the map from the *multiset
-//! of ingested values* to the merged state is independent of: which shard
-//! each value landed in (shard count / client assignment), the order
-//! values arrived (client interleaving, worker count), and the shape of
-//! the merge tree over shards. [`merge_tree`] fixes stride-doubling order
-//! anyway — the same schedule the runtime's plan merge uses — so even a
-//! hypothetical order-sensitive operator would fail loudly in tests, not
-//! silently drift. Rounding to `f64` happens once, in `finalize`, after
+//! A superaccumulator's `add`/`merge` is integer addition, commutative
+//! and associative. Therefore the map from the *multiset of ingested
+//! values* to the merged state is independent of: which shard each value
+//! landed in (shard count / client assignment), the order values arrived
+//! (client interleaving, worker count), and the shape of the merge tree
+//! over shards. Finalize still folds shards in the fixed stride-doubling
+//! order of [`repro_sum::lanes::merge_in_lane_order`], the workspace's one
+//! merge schedule. Rounding to `f64` happens once, in `finalize`, after
 //! the last merge.
+//!
+//! ## Consistent snapshots
+//!
+//! Ingest bumps an aggregate's `updates`/`batches` counters inside the
+//! shard's critical section, and every multi-shard path
+//! ([`Aggregate::serialize`], [`Aggregate::finalize`],
+//! [`Aggregate::merge_parsed`]) holds *all* shard locks at once, taken in
+//! index order. So a snapshot taken while clients are ingesting is a cut
+//! between whole batches: its counters always describe exactly the
+//! batches its shard contents hold, with no "quiesce ingest first"
+//! convention for callers to remember.
 
-use crate::state::{self, valid_name, AggStateError, OperatorKind, ParsedAggregate, ShardState};
-use repro_select::{DecisionCache, Fingerprint, HeuristicSelector, Selector, Tolerance};
-use repro_sum::{Accumulator, Algorithm};
+use crate::state::{self, valid_name, AggStateError, OperatorKind, ParsedAggregate};
+use repro_fp::Superaccumulator;
+use repro_sum::lanes::merge_in_lane_order;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -35,91 +44,38 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Engine-wide configuration: the shard count for new aggregates, the PR
-/// fold, and the accuracy budget the selector chooses operators under.
+/// Engine-wide configuration: the shard count for new aggregates.
 #[derive(Clone, Copy, Debug)]
 pub struct AggConfig {
     /// Shards per newly declared aggregate (≥ 1).
     pub shards: usize,
-    /// PR fold (1..=4) used when the selector lands on the binned operator.
-    pub fold: usize,
-    /// Accuracy budget each aggregate's operator must meet.
-    pub budget: Tolerance,
 }
 
 impl Default for AggConfig {
     fn default() -> Self {
-        AggConfig {
-            shards: 4,
-            fold: 3,
-            budget: Tolerance::Bitwise,
-        }
+        AggConfig { shards: 4 }
     }
-}
-
-/// Map the selector's choice onto a shard-safe operator.
-///
-/// Sharded ingest only works with operators whose partials merge
-/// bitwise-invariantly, so the engine clamps the selector's ladder to the
-/// two that qualify:
-///
-/// * PR (`binned`) stays PR — compact state, cheap snapshots.
-/// * A **non-reproducible** choice (ST/K/CP/…) means the budget is loose
-///   enough that even the cheapest rung met it; PR's run-to-run spread is
-///   zero, so substituting PR keeps the budget trivially while restoring
-///   mergeability.
-/// * Anything stronger (exact/distillation) becomes the superaccumulator —
-///   which is also the fastest *batched* ingest path in the workspace
-///   (the PR 6 SIMD kernel: ~0.7 ns/elem vs ~15 for PR).
-pub fn operator_for(algorithm: Algorithm, fold: usize) -> OperatorKind {
-    match algorithm {
-        Algorithm::Binned { fold } => OperatorKind::Binned {
-            fold: fold as usize,
-        },
-        a if a.is_reproducible() => OperatorKind::Exact,
-        _ => OperatorKind::Binned { fold },
-    }
-}
-
-/// Merge shard states with the stride-doubling schedule (partner
-/// `i + stride` folds into `i`, stride doubling each round) and return
-/// the root state. Returns `None` for an empty input.
-pub fn merge_tree(mut states: Vec<ShardState>) -> Option<ShardState> {
-    if states.is_empty() {
-        return None;
-    }
-    let mut stride = 1;
-    while stride < states.len() {
-        let mut i = 0;
-        while i + stride < states.len() {
-            let (left, right) = states.split_at_mut(i + stride);
-            left[i].merge(&right[0]);
-            i += 2 * stride;
-        }
-        stride *= 2;
-    }
-    states.truncate(1);
-    states.pop()
 }
 
 /// One named aggregate: `K` sharded partial states plus ingest counters.
 #[derive(Debug)]
 pub struct Aggregate {
     name: String,
-    op: OperatorKind,
-    shards: Vec<Mutex<ShardState>>,
+    shards: Vec<Mutex<Superaccumulator>>,
+    /// Written only while holding a shard lock, and read for a snapshot
+    /// under every shard lock, so the mutexes order the counters against
+    /// the shard contents and `Relaxed` suffices (see the module docs).
     updates: AtomicU64,
     batches: AtomicU64,
 }
 
 impl Aggregate {
-    fn new(name: String, op: OperatorKind, shard_count: usize) -> Self {
+    fn new(name: String, shard_count: usize) -> Self {
         let shards = (0..shard_count.max(1))
-            .map(|_| Mutex::new(op.new_state()))
+            .map(|_| Mutex::new(Superaccumulator::new()))
             .collect();
         Aggregate {
             name,
-            op,
             shards,
             updates: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -129,7 +85,6 @@ impl Aggregate {
     fn from_parsed(parsed: ParsedAggregate) -> Self {
         Aggregate {
             name: parsed.name,
-            op: parsed.op,
             shards: parsed.shards.into_iter().map(Mutex::new).collect(),
             updates: AtomicU64::new(parsed.updates),
             batches: AtomicU64::new(parsed.batches),
@@ -141,9 +96,9 @@ impl Aggregate {
         &self.name
     }
 
-    /// The operator every shard runs.
+    /// The operator every shard runs (always [`OperatorKind::Exact`]).
     pub fn op(&self) -> OperatorKind {
-        self.op
+        OperatorKind::Exact
     }
 
     /// Number of shards.
@@ -167,39 +122,37 @@ impl Aggregate {
     }
 
     /// Ingest one batch from `client_id`: one lock, one batched
-    /// `add_slice` on the operator's hot path.
+    /// `add_slice`, and the counter bumps inside the same critical section.
     pub fn ingest(&self, client_id: u64, values: &[f64]) {
-        lock(&self.shards[self.shard_of(client_id)]).add_slice(values);
+        let mut shard = lock(&self.shards[self.shard_of(client_id)]);
+        shard.add_slice(values);
         self.updates
             .fetch_add(values.len() as u64, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Clone every shard's current state into a
-    /// [`repro_runtime::CheckpointStore`], one slot per shard. Each slot
-    /// is internally consistent; for a cross-shard-consistent snapshot,
-    /// quiesce ingest first (the load generator stops at an event
-    /// boundary before snapshotting).
-    pub fn snapshot_store(&self) -> repro_runtime::CheckpointStore<ShardState> {
-        let mut store = repro_runtime::CheckpointStore::with_slots(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            store.save(i, lock(shard).clone());
-        }
-        store
+    /// Every shard's lock, taken in index order (the one order every
+    /// multi-shard path uses, so they cannot deadlock).
+    fn lock_all(&self) -> Vec<MutexGuard<'_, Superaccumulator>> {
+        self.shards.iter().map(lock).collect()
     }
 
-    /// The merged root state (stride-doubling over shard clones).
-    pub fn merged_state(&self) -> ShardState {
-        let store = self.snapshot_store();
-        let states: Vec<ShardState> = (0..store.slots())
-            .map(|i| store.get(i).expect("snapshot fills every slot").clone())
-            .collect();
-        merge_tree(states).expect("aggregates have at least one shard")
+    /// A consistent cut: every shard's state plus the `(updates, batches)`
+    /// counters, all read under every shard lock.
+    fn cut(&self) -> (Vec<Superaccumulator>, u64, u64) {
+        let guards = self.lock_all();
+        let states = guards.iter().map(|shard| (**shard).clone()).collect();
+        (states, self.updates(), self.batches())
+    }
+
+    /// The merged root state (stride-doubling over a consistent cut).
+    pub fn merged_state(&self) -> Superaccumulator {
+        merge_in_lane_order(self.cut().0).expect("aggregates have at least one shard")
     }
 
     /// Finalize: merge all shards, round once.
     pub fn finalize(&self) -> f64 {
-        let result = self.merged_state().finalize();
+        let result = self.merged_state().to_f64();
         repro_obs::flight::record_with("agg", "finalize", || {
             vec![
                 repro_obs::f("name", self.name.as_str()),
@@ -216,45 +169,44 @@ impl Aggregate {
         self.finalize().to_bits()
     }
 
-    /// Serialize this aggregate as one `repro-agg-state-v1` document.
+    /// Serialize this aggregate as one `repro-agg-state-v2` document, a
+    /// consistent cut even while other threads ingest.
     pub fn serialize(&self) -> String {
-        let store = self.snapshot_store();
-        let states: Vec<ShardState> = (0..store.slots())
-            .map(|i| store.get(i).expect("snapshot fills every slot").clone())
-            .collect();
-        state::render_aggregate(&self.name, self.op, self.updates(), self.batches(), &states)
+        let (states, updates, batches) = self.cut();
+        state::render_aggregate(&self.name, updates, batches, &states)
     }
 
-    /// Merge a shipped aggregate state into this one. The operator must
-    /// match; the remote's shard `i` folds into local shard
-    /// `i mod K_local` (any assignment yields the same bits — the
-    /// operators are merge-invariant — this one keeps locks short).
+    /// Merge a shipped aggregate state into this one: the remote's shard
+    /// `i` folds into local shard `i mod K_local` (any assignment yields
+    /// the same bits; this one keeps the shard count). All-or-nothing
+    /// under every shard lock; a counter that would overflow is an error
+    /// and merges nothing.
     pub fn merge_parsed(&self, remote: &ParsedAggregate) -> Result<(), AggStateError> {
-        if remote.op != self.op {
+        let mut guards = self.lock_all();
+        let (Some(updates), Some(batches)) = (
+            self.updates().checked_add(remote.updates),
+            self.batches().checked_add(remote.batches),
+        ) else {
             return Err(AggStateError(format!(
-                "operator mismatch for {:?}: local {} remote {}",
-                self.name,
-                self.op.label(),
-                remote.op.label()
+                "counter overflow merging {:?}",
+                self.name
             )));
-        }
+        };
+        let k = guards.len();
         for (i, shard) in remote.shards.iter().enumerate() {
-            lock(&self.shards[i % self.shards.len()]).merge(shard);
+            guards[i % k].merge(shard);
         }
-        self.updates.fetch_add(remote.updates, Ordering::Relaxed);
-        self.batches.fetch_add(remote.batches, Ordering::Relaxed);
+        self.updates.store(updates, Ordering::Relaxed);
+        self.batches.store(batches, Ordering::Relaxed);
         Ok(())
     }
 }
 
-/// The engine: a registry of named aggregates sharing one configuration
-/// and one selector decision cache.
+/// The engine: a registry of named aggregates sharing one configuration.
 #[derive(Debug)]
 pub struct AggEngine {
     config: AggConfig,
     aggregates: RwLock<BTreeMap<String, Arc<Aggregate>>>,
-    cache: DecisionCache,
-    selector: HeuristicSelector,
 }
 
 impl AggEngine {
@@ -263,19 +215,12 @@ impl AggEngine {
         AggEngine {
             config,
             aggregates: RwLock::new(BTreeMap::new()),
-            cache: DecisionCache::new(),
-            selector: HeuristicSelector::default(),
         }
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &AggConfig {
         &self.config
-    }
-
-    /// The shared selector decision cache (hit-rate observability).
-    pub fn cache(&self) -> &DecisionCache {
-        &self.cache
     }
 
     fn read(&self) -> std::sync::RwLockReadGuard<'_, BTreeMap<String, Arc<Aggregate>>> {
@@ -290,39 +235,28 @@ impl AggEngine {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Declare (or fetch) an aggregate. On first declaration the selector
-    /// profiles `sample` — a *representative* batch the caller derives
-    /// deterministically, **not** whichever batch happens to arrive first,
-    /// so the chosen operator is independent of arrival order — and the
-    /// decision is cached by workload fingerprint. Redeclaration returns
-    /// the existing aggregate untouched (restored state wins).
+    /// Declare (or fetch) an aggregate with the engine's shard count.
+    /// Redeclaration returns the existing aggregate untouched (restored
+    /// state wins). `_sample` is unused: every aggregate runs the exact
+    /// superaccumulator, so there is no operator to choose. The parameter
+    /// remains only so existing callers keep compiling.
     ///
     /// # Panics
     /// If `name` is not a legal wire name (`[A-Za-z0-9_.:-]+`).
-    pub fn declare(&self, name: &str, sample: &[f64]) -> Arc<Aggregate> {
+    pub fn declare(&self, name: &str, _sample: &[f64]) -> Arc<Aggregate> {
         assert!(valid_name(name), "invalid aggregate name {name:?}");
         if let Some(existing) = self.read().get(name) {
             return existing.clone();
         }
-        let profile = repro_select::profile(sample);
-        let fingerprint = Fingerprint::of(&profile, self.config.budget);
-        let algorithm = self.cache.lookup(&fingerprint).unwrap_or_else(|| {
-            let chosen = self.selector.choose(&profile, self.config.budget);
-            self.cache.insert(fingerprint, chosen);
-            chosen
-        });
-        let op = operator_for(algorithm, self.config.fold);
         let mut map = self.write();
         let entry = map.entry(name.to_string()).or_insert_with(|| {
             repro_obs::flight::record_with("agg", "declare", || {
                 vec![
                     repro_obs::f("name", name),
-                    repro_obs::f("alg", algorithm.abbrev()),
-                    repro_obs::f("op", op.label()),
                     repro_obs::f("shards", self.config.shards as u64),
                 ]
             });
-            Arc::new(Aggregate::new(name.to_string(), op, self.config.shards))
+            Arc::new(Aggregate::new(name.to_string(), self.config.shards))
         });
         entry.clone()
     }
@@ -342,7 +276,7 @@ impl AggEngine {
         self.read().values().map(|a| a.updates()).sum()
     }
 
-    /// Serialize the whole engine as a `repro-agg-snapshot-v1` document.
+    /// Serialize the whole engine as a `repro-agg-snapshot-v2` document.
     pub fn serialize(&self) -> String {
         let aggregates = self.aggregates();
         let docs: Vec<String> = aggregates.iter().map(|a| a.serialize()).collect();
@@ -355,9 +289,9 @@ impl AggEngine {
         state::render_snapshot(&docs)
     }
 
-    /// Rebuild an engine from a serialized snapshot. Shard counts and
-    /// operators come from the wire (they are part of the state), not
-    /// from `config`; `config` governs aggregates declared later.
+    /// Rebuild an engine from a serialized snapshot. Shard counts come
+    /// from the wire (they are part of the state), not from `config`;
+    /// `config` governs aggregates declared later.
     pub fn restore(text: &str, config: AggConfig) -> Result<Self, AggStateError> {
         let parsed = state::parse_snapshot(text)?;
         let engine = AggEngine::new(config);
@@ -371,7 +305,7 @@ impl AggEngine {
     }
 
     /// Merge a shipped snapshot into this engine: unknown aggregates are
-    /// adopted wholesale, known ones shard-merge (operators must match).
+    /// adopted wholesale, known ones shard-merge.
     pub fn merge_serialized(&self, text: &str) -> Result<(), AggStateError> {
         let parsed = state::parse_snapshot(text)?;
         for p in parsed {
@@ -401,7 +335,7 @@ impl AggEngine {
     }
 
     /// Publish `agg.*` gauges (engine totals and per-aggregate updates)
-    /// plus the decision cache's `select.cache.*` traffic into `registry`.
+    /// into `registry`.
     pub fn publish(&self, registry: &repro_obs::Registry) {
         let aggregates = self.aggregates();
         registry.gauge_set("agg.aggregates", aggregates.len() as f64);
@@ -412,7 +346,6 @@ impl AggEngine {
             registry.gauge_set(&format!("agg.updates.{}", agg.name()), agg.updates() as f64);
             registry.gauge_set(&format!("agg.batches.{}", agg.name()), agg.batches() as f64);
         }
-        self.cache.publish(registry);
     }
 }
 
@@ -432,35 +365,15 @@ mod tests {
     }
 
     #[test]
-    fn operator_mapping_clamps_to_shard_safe_operators() {
-        assert_eq!(
-            operator_for(Algorithm::PR, 3),
-            OperatorKind::Binned { fold: 3 }
-        );
-        assert_eq!(
-            operator_for(Algorithm::Standard, 2),
-            OperatorKind::Binned { fold: 2 }
-        );
-        assert_eq!(operator_for(Algorithm::Distill, 3), OperatorKind::Exact);
-    }
-
-    #[test]
     fn sharded_ingest_matches_serial_sum_exactly_under_bitwise_budget() {
         let engine = AggEngine::new(AggConfig::default());
-        let agg = engine.declare("t", &hostile(1, 64));
+        let agg = engine.declare("t", &[]);
         let values = hostile(2, 4096);
         for (i, chunk) in values.chunks(64).enumerate() {
             agg.ingest(i as u64, chunk);
         }
-        let mut serial = OperatorKind::Exact.new_state();
-        if agg.op() == OperatorKind::Exact {
-            serial.add_slice(&values);
-        } else {
-            let mut s = agg.op().new_state();
-            s.add_slice(&values);
-            serial = s;
-        }
-        assert_eq!(agg.finalize().to_bits(), serial.finalize().to_bits());
+        let serial = Superaccumulator::from_values(values.iter().copied());
+        assert_eq!(agg.finalize().to_bits(), serial.to_f64().to_bits());
         assert_eq!(agg.updates(), 4096);
         assert_eq!(agg.batches(), 64);
     }
@@ -471,11 +384,8 @@ mod tests {
         let mut reference: Option<u64> = None;
         for shards in [1usize, 4, 16] {
             for shuffle in [0u64, 9, 42] {
-                let engine = AggEngine::new(AggConfig {
-                    shards,
-                    ..AggConfig::default()
-                });
-                let agg = engine.declare("t", &hostile(1, 64));
+                let engine = AggEngine::new(AggConfig { shards });
+                let agg = engine.declare("t", &[]);
                 let mut batches: Vec<(u64, &[f64])> = values
                     .chunks(32)
                     .enumerate()
@@ -497,23 +407,22 @@ mod tests {
     #[test]
     fn merge_tree_shape_does_not_matter() {
         let values = hostile(11, 1000);
-        let build = |k: usize| -> Vec<ShardState> {
-            let mut states: Vec<ShardState> =
-                (0..k).map(|_| OperatorKind::Exact.new_state()).collect();
+        let build = |k: usize| -> Vec<Superaccumulator> {
+            let mut states: Vec<Superaccumulator> =
+                (0..k).map(|_| Superaccumulator::new()).collect();
             for (i, chunk) in values.chunks(50).enumerate() {
                 states[i % k].add_slice(chunk);
             }
             states
         };
-        let stride = merge_tree(build(7)).unwrap().finalize().to_bits();
+        let stride = merge_in_lane_order(build(7)).unwrap().to_f64().to_bits();
         // Sequential left fold — a maximally unbalanced "tree".
         let mut seq = build(7);
         let mut acc = seq.remove(0);
         for s in &seq {
             acc.merge(s);
         }
-        assert_eq!(acc.finalize().to_bits(), stride);
-        assert!(merge_tree(Vec::new()).is_none());
+        assert_eq!(acc.to_f64().to_bits(), stride);
     }
 
     #[test]
@@ -522,20 +431,20 @@ mod tests {
         let (first, second) = values.split_at(1200);
 
         let full = AggEngine::new(AggConfig::default());
-        let agg = full.declare("t", &hostile(1, 64));
+        let agg = full.declare("t", &[]);
         for (i, c) in values.chunks(40).enumerate() {
             agg.ingest(i as u64, c);
         }
 
         let partial = AggEngine::new(AggConfig::default());
-        let agg_p = partial.declare("t", &hostile(1, 64));
+        let agg_p = partial.declare("t", &[]);
         for (i, c) in first.chunks(40).enumerate() {
             agg_p.ingest(i as u64, c);
         }
         let snap = partial.serialize();
         let resumed = AggEngine::restore(&snap, AggConfig::default()).expect("restores");
         // Redeclaration after restore keeps the restored state.
-        let agg_r = resumed.declare("t", &hostile(1, 64));
+        let agg_r = resumed.declare("t", &[]);
         for (i, c) in second.chunks(40).enumerate() {
             agg_r.ingest((30 + i) as u64, c);
         }
@@ -549,11 +458,8 @@ mod tests {
         let values = hostile(5, 3000);
         let (left, right) = values.split_at(1000);
         let make = |vals: &[f64], shards: usize| {
-            let engine = AggEngine::new(AggConfig {
-                shards,
-                ..AggConfig::default()
-            });
-            let agg = engine.declare("t", &hostile(1, 64));
+            let engine = AggEngine::new(AggConfig { shards });
+            let agg = engine.declare("t", &[]);
             for (i, c) in vals.chunks(100).enumerate() {
                 agg.ingest(i as u64, c);
             }
@@ -571,18 +477,53 @@ mod tests {
         let fresh = AggEngine::new(AggConfig::default());
         fresh.merge_serialized(&whole.serialize()).expect("adopts");
         assert_eq!(fresh.digest_bits(), whole.digest_bits());
+
+        // A merge whose counters would overflow is refused and changes
+        // nothing.
+        let before = a.serialize();
+        let hostile_counts =
+            b.serialize()
+                .replacen("updates=2000", &format!("updates={}", u64::MAX), 1);
+        assert!(a.merge_serialized(&hostile_counts).is_err());
+        assert_eq!(a.serialize(), before);
     }
 
     #[test]
-    fn declare_caches_selector_decisions_per_fingerprint() {
+    fn concurrent_snapshots_are_consistent_cuts() {
+        const WORKERS: u64 = 4;
+        const BATCHES: u64 = 5000;
+        const LEN: usize = 16;
         let engine = AggEngine::new(AggConfig::default());
-        let sample = hostile(1, 256);
-        engine.declare("a", &sample);
-        engine.declare("b", &sample); // same shape → cache hit
-        let counters = engine.cache().counters();
-        assert_eq!(counters.inserts, 1);
-        assert!(counters.hits >= 1, "{counters:?}");
-        assert_eq!(engine.aggregates().len(), 2);
+        let agg = engine.declare("t", &[]);
+        let ones = [1.0; LEN];
+        let running = std::sync::atomic::AtomicUsize::new(WORKERS as usize);
+        // Workers and the snapshotting thread start together, so
+        // snapshots land while batches are in flight.
+        let start = std::sync::Barrier::new(WORKERS as usize + 1);
+        let check = |text: &str| {
+            let restored = AggEngine::restore(text, AggConfig::default()).expect("restores");
+            let a = restored.get("t").expect("aggregate present");
+            assert_eq!(a.finalize(), a.updates() as f64, "{text}");
+            assert_eq!(a.updates(), a.batches() * LEN as u64, "{text}");
+        };
+        std::thread::scope(|s| {
+            for w in 0..WORKERS {
+                let (agg, running, start) = (&agg, &running, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for b in 0..BATCHES {
+                        agg.ingest(w + WORKERS * b, &ones);
+                    }
+                    running.fetch_sub(1, Ordering::Relaxed);
+                });
+            }
+            start.wait();
+            while running.load(Ordering::Relaxed) > 0 {
+                check(&engine.serialize());
+            }
+        });
+        check(&engine.serialize());
+        assert_eq!(agg.updates(), WORKERS * BATCHES * LEN as u64);
     }
 
     #[test]
@@ -595,5 +536,6 @@ mod tests {
         let rendered = registry.snapshot().render();
         assert!(rendered.contains("agg.updates"), "{rendered}");
         assert!(rendered.contains("agg.aggregates"), "{rendered}");
+        assert!(!rendered.contains("select.cache"), "{rendered}");
     }
 }

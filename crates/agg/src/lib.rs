@@ -11,39 +11,42 @@
 //!   format, finish the run).
 //!
 //! Grounded in *Reproducible Floating-Point Aggregation in RDBMSs*
-//! (Müller et al.): their one-pass binned aggregation is exactly
-//! [`repro_sum::BinnedSum`], and this crate adds the concurrent serving
-//! layer around it — sharding, a versioned wire format, merge trees over
-//! shards, and a deterministic load generator.
+//! (Müller et al.), which asks for reproducible aggregation at
+//! conventional speed, and *Parallel Algorithms for Summing
+//! Floating-Point Numbers* (Goodrich & Eldawy), whose order-independent
+//! exact sums deliver it: every shard is an exact
+//! [`repro_fp::Superaccumulator`], whose batched SIMD ingest is faster
+//! than the paper's PR operator (pre-rounded bins) and exact rather than
+//! merely reproducible. This crate adds the concurrent serving layer
+//! around it — sharding, a versioned wire format, merges over shards,
+//! and a deterministic load generator.
 //!
 //! ## Why the invariance holds
 //!
-//! Every shard holds a [`ShardState`]: either a [`repro_sum::BinnedSum`]
-//! (the paper's PR operator — pre-rounded bins, add/merge commutative and
-//! associative by construction) or a [`repro_fp::Superaccumulator`] (an
-//! exact Kulisch register — a *true* integer sum, for which commutativity
-//! and associativity are inherited from integer addition). For both,
-//! `add`/`merge` schedules form a free commutative monoid on the multiset
-//! of deposited values: **any** partition of the input into shards, any
-//! per-shard arrival order, and any merge-tree shape over the shards
-//! reaches the same state, hence the same finalized bits. Rounding to
-//! `f64` happens exactly once, after the final merge.
+//! A superaccumulator is an exact Kulisch register — a *true* integer
+//! sum, for which commutativity and associativity are inherited from
+//! integer addition. So `add`/`merge` schedules form a free commutative
+//! monoid on the multiset of deposited values: **any** partition of the
+//! input into shards, any per-shard arrival order, and any merge-tree
+//! shape over the shards reaches the same state, hence the same finalized
+//! bits. Rounding to `f64` happens exactly once, after the final merge.
 //!
 //! ## The moving parts
 //!
-//! * [`ShardState`] / [`OperatorKind`] — the per-shard partial state and
-//!   its `checkpoint`/`restore` text form ([`state`]).
 //! * [`Aggregate`] — one named aggregate: `K` mutex-guarded shards,
 //!   deterministic `client → shard` assignment, batched
-//!   [`repro_sum::Accumulator::add_slice`] ingest on the SIMD hot path,
-//!   stride-doubling [`merge_tree`] finalize ([`engine`]).
-//! * [`AggEngine`] — the named-aggregate registry, with per-aggregate
-//!   operators chosen by the `repro-select` selector under the engine's
-//!   accuracy budget and cached in a [`repro_select::DecisionCache`].
-//! * `repro-agg-state-v1` — the versioned wire format: serialize an
-//!   engine (or one aggregate), ship it, [`AggEngine::merge_serialized`]
-//!   it into a peer — and the strict parser that rejects anything
-//!   malformed ([`state::parse_snapshot`]).
+//!   [`repro_fp::Superaccumulator::add_slice`] ingest on the SIMD hot
+//!   path, stride-doubling finalize through
+//!   [`repro_sum::lanes::merge_in_lane_order`], and snapshots that are
+//!   consistent cuts between whole batches even during ingest
+//!   ([`engine`]).
+//! * [`AggEngine`] — the named-aggregate registry.
+//! * `repro-agg-state-v2` — the versioned wire format ([`state`]): one
+//!   canonical `sa2;` checkpoint line per shard, which writes only the
+//!   digits a shard's sum spans. Serialize an engine (or one aggregate),
+//!   ship it, [`AggEngine::merge_serialized`] it into a peer — and the
+//!   strict parser rejects anything malformed, v1 included
+//!   ([`state::parse_snapshot`]).
 //! * [`loadgen`] — the seeded load generator: a deterministic schedule of
 //!   `(aggregate, client, batch)` events, shuffled by a seed, drained by
 //!   any number of worker threads.
@@ -72,9 +75,9 @@ pub mod engine;
 pub mod loadgen;
 pub mod state;
 
-pub use engine::{merge_tree, operator_for, AggConfig, AggEngine, Aggregate};
+pub use engine::{AggConfig, AggEngine, Aggregate};
 pub use loadgen::{aggregate_name, batch_values, batch_values_into, schedule, LoadEvent, LoadSpec};
 pub use state::{
-    parse_aggregate, parse_snapshot, AggStateError, OperatorKind, ParsedAggregate, ShardState,
+    document_lines, parse_aggregate, parse_snapshot, AggStateError, OperatorKind, ParsedAggregate,
     SNAPSHOT_SCHEMA, STATE_SCHEMA,
 };

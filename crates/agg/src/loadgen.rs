@@ -150,12 +150,7 @@ pub fn schedule(spec: &LoadSpec) -> Vec<LoadEvent> {
 /// index — the CI gate asserts the digest matches an uninterrupted run.
 pub fn run(engine: &AggEngine, spec: &LoadSpec, start_at: usize, stop_at: Option<usize>) -> u64 {
     let aggregates: Vec<_> = (0..spec.aggregates)
-        .map(|a| {
-            // The selection probe is the canonical first batch — a fixed
-            // function of the spec, never of arrival order.
-            let probe = batch_values(spec.seed, a as u32, 0, 0, spec.batch_len.max(1));
-            engine.declare(&aggregate_name(a), &probe)
-        })
+        .map(|a| engine.declare(&aggregate_name(a), &[]))
         .collect();
     let events = schedule(spec);
     let stop = stop_at.unwrap_or(events.len()).min(events.len());
@@ -203,10 +198,7 @@ mod tests {
     }
 
     fn digest(spec: &LoadSpec, shards: usize) -> u64 {
-        let engine = AggEngine::new(AggConfig {
-            shards,
-            ..AggConfig::default()
-        });
+        let engine = AggEngine::new(AggConfig { shards });
         let n = run(&engine, spec, 0, None);
         assert_eq!(n, spec.total_updates());
         engine.digest_bits()

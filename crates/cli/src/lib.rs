@@ -60,17 +60,18 @@
 //! metrics registry of one telemetried run as Prometheus text exposition
 //! or as a self-contained zero-dependency HTML page.
 //!
-//! The `agg` family drives the sharded aggregation engine (`repro-agg`):
-//! `loadgen` runs the deterministic client swarm and prints one
-//! byte-comparable `agg <name> <bits> …` line per aggregate plus a
-//! `digest <bits>` line — identical for any `--shuffle`, `--shards`, or
-//! `--workers`. `serve` adds snapshot/restore (`repro-agg-snapshot-v1`)
-//! and kill-point control, and ends a *finished* run with the same
-//! `# manifest: {…}` trailer the traced commands emit, so `replay`
-//! re-executes the aggregation and verifies the digest bitwise. `agg
-//! bench` sweeps shard counts and fails (exit 1) on any digest
-//! divergence; `agg check` strict-parses a saved state document (exit 2
-//! on schema violations).
+//! The `agg` family drives the sharded aggregation engine (`repro-agg`),
+//! whose every shard is an exact superaccumulator: `loadgen` runs the
+//! deterministic client swarm and prints one byte-comparable
+//! `agg <name> <bits> …` line per aggregate plus a `digest <bits>` line —
+//! identical for any `--shuffle`, `--shards`, or `--workers`. `serve`
+//! adds snapshot/restore (`repro-agg-snapshot-v2`) and kill-point
+//! control, and ends a *finished* run with the same `# manifest: {…}`
+//! trailer the traced commands emit, so `replay` re-executes the
+//! aggregation and verifies the digest bitwise. `agg bench` sweeps shard
+//! counts and fails (exit 1) on any digest divergence; `agg check`
+//! strict-parses a saved state document (exit 2 on schema violations,
+//! v1 documents included).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -197,12 +198,14 @@ line of a saved trace) and succeeds only on bitwise-identical results.
 accounting; --dump writes a postmortem.jsonl. REPRO_FLIGHT=off disables
 the recorder; REPRO_POSTMORTEM=DIR enables incident dumps.
 
-'agg' drives the sharded aggregation engine: 'loadgen' runs the seeded
-client swarm and prints byte-comparable 'agg'/'digest' lines (identical
-for any --shuffle/--shards/--workers); 'serve' adds snapshot/restore +
-kill-point control and ends finished runs with a replayable manifest;
-'agg bench' sweeps shards 1/4/16 and exits 1 on digest divergence;
-'agg check' strict-parses a saved state document (exit 2 when invalid).
+'agg' drives the sharded aggregation engine, which sums every aggregate
+exactly: 'loadgen' runs the seeded client swarm and prints
+byte-comparable 'agg'/'digest' lines (identical for any
+--shuffle/--shards/--workers); 'serve' adds snapshot/restore
+(repro-agg-snapshot-v2) + kill-point control and ends finished runs with
+a replayable manifest; 'agg bench' sweeps shards 1/4/16 and exits 1 on
+digest divergence; 'agg check' strict-parses a saved state document
+(exit 2 when invalid, v1 included).
 Defaults scale with REPRO_SCALE.
 
 Exit codes: 0 = success; 1 = failure or numerical divergence ('trace
@@ -1762,10 +1765,9 @@ fn render_agg_lines(engine: &repro_core::agg::AggEngine) -> String {
     for agg in engine.aggregates() {
         let bits = agg.finalize_bits();
         out.push_str(&format!(
-            "agg {} {bits:016x} {:.17e} op={} updates={}\n",
+            "agg {} {bits:016x} {:.17e} updates={}\n",
             agg.name(),
             f64::from_bits(bits),
-            agg.op().label(),
             agg.updates(),
         ));
     }
@@ -1806,10 +1808,7 @@ fn run_agg_load(
     read_file: &dyn Fn(&str) -> Result<String, CliError>,
 ) -> Result<String, CliError> {
     use repro_core::agg::{loadgen, AggConfig, AggEngine};
-    let config = AggConfig {
-        shards: o.shards,
-        ..AggConfig::default()
-    };
+    let config = AggConfig { shards: o.shards };
     let engine = match &o.restore {
         Some(path) => AggEngine::restore(&read_file(path)?, config)
             .map_err(|e| err_schema(format!("agg serve --restore {path}: {e}")))?,
@@ -1878,10 +1877,7 @@ fn run_agg_bench(o: &AggOpts) -> Result<String, CliError> {
     let mut digests: Vec<(usize, u64)> = Vec::new();
     let mut last: Option<AggEngine> = None;
     for shards in [1usize, 4, 16] {
-        let engine = AggEngine::new(AggConfig {
-            shards,
-            ..AggConfig::default()
-        });
+        let engine = AggEngine::new(AggConfig { shards });
         let started = std::time::Instant::now();
         let deposited = loadgen::run(&engine, &o.spec, 0, None);
         let elapsed = started.elapsed().as_secs_f64();
@@ -1907,24 +1903,26 @@ fn run_agg_bench(o: &AggOpts) -> Result<String, CliError> {
     Ok(format!("{}{}", out, render_agg_lines(&engine)))
 }
 
-/// `agg check`: strict-parse a saved `repro-agg-snapshot-v1` (or a single
-/// `repro-agg-state-v1` document) and summarize it. Any malformed,
+/// `agg check`: strict-parse a saved `repro-agg-snapshot-v2` (or a single
+/// `repro-agg-state-v2` document) and summarize it. Any malformed,
 /// truncated, or unknown-schema input exits 2 — the same contract as
 /// `trace check` and `replay`.
 fn run_agg_check(
     o: &AggOpts,
     read_file: &dyn Fn(&str) -> Result<String, CliError>,
 ) -> Result<String, CliError> {
-    use repro_core::agg::{parse_aggregate, parse_snapshot, ParsedAggregate, STATE_SCHEMA};
+    use repro_core::agg::{
+        document_lines, parse_aggregate, parse_snapshot, ParsedAggregate, STATE_SCHEMA,
+    };
     let path = o
         .file
         .as_ref()
         .ok_or_else(|| err("agg check requires --file"))?;
     let text = read_file(path)?;
+    let invalid = |e| err_schema(format!("invalid agg state: {e}"));
     let parsed: Vec<ParsedAggregate> = if text.starts_with(STATE_SCHEMA) {
-        let mut lines = text.lines();
-        let one = parse_aggregate(&mut lines)
-            .map_err(|e| err_schema(format!("invalid agg state: {e}")))?;
+        let mut lines = document_lines(&text).map_err(invalid)?;
+        let one = parse_aggregate(&mut lines).map_err(invalid)?;
         if lines.next().is_some() {
             return Err(err_schema(
                 "invalid agg state: trailing lines after end marker",
@@ -1932,7 +1930,7 @@ fn run_agg_check(
         }
         vec![one]
     } else {
-        parse_snapshot(&text).map_err(|e| err_schema(format!("invalid agg state: {e}")))?
+        parse_snapshot(&text).map_err(invalid)?
     };
     let updates: u64 = parsed.iter().map(|a| a.updates).sum();
     let mut out = format!(
@@ -1941,9 +1939,8 @@ fn run_agg_check(
     );
     for a in &parsed {
         out.push_str(&format!(
-            "\n# {} op={} shards={} updates={} batches={}",
+            "\n# {} shards={} updates={} batches={}",
             a.name,
-            a.op.label(),
             a.shards.len(),
             a.updates,
             a.batches,
@@ -2172,10 +2169,25 @@ mod tests {
             .ingest(0, &[1.0, 2.0, 3.0]);
         let good = engine.serialize();
         let truncated: String = good.lines().take(2).collect::<Vec<_>>().join("\n");
+        let v1 = good.replacen("-v2 ", "-v1 ", 1);
+        // A single state document is checked on its own too.
+        let doc = engine.get("demo").unwrap().serialize();
+        let doc_unterminated = doc.trim_end().to_string();
+        let doc_trailing = format!("{doc}end\n");
         let fs = move |path: &str| match path {
             "good" => Ok(good.clone()),
+            "doc" => Ok(doc.clone()),
+            "doc_unterminated" => Ok(doc_unterminated.clone()),
+            "doc_trailing" => Ok(doc_trailing.clone()),
             "trunc" => Ok(truncated.clone()),
             "garbage" => Ok("repro-agg-snapshot-v9 aggregates=1".to_string()),
+            "v1" => Ok(v1.clone()),
+            // Hostile header counts: rejected, never used to size an
+            // allocation.
+            "aggregates" => Ok(format!("repro-agg-snapshot-v2 aggregates={}\n", u64::MAX)),
+            "shards" => Ok("repro-agg-snapshot-v2 aggregates=1\n\
+                 repro-agg-state-v2 name=a shards=4000000000000 updates=0 batches=0\n"
+                .to_string()),
             _ => Err(err("unknown file")),
         };
         let args = |f: &str| {
@@ -2188,7 +2200,17 @@ mod tests {
         };
         let ok = run(&args("good"), &fs).unwrap();
         assert!(ok.contains("agg state OK: aggregates=1 updates=3"), "{ok}");
-        for bad in ["trunc", "garbage"] {
+        let one = run(&args("doc"), &fs).unwrap();
+        assert!(one.contains("# demo shards=4 updates=3 batches=1"), "{one}");
+        for bad in [
+            "trunc",
+            "garbage",
+            "v1",
+            "aggregates",
+            "shards",
+            "doc_unterminated",
+            "doc_trailing",
+        ] {
             let e = run(&args(bad), &fs).unwrap_err();
             assert_eq!(e.code, 2, "{bad}: {}", e.msg);
         }

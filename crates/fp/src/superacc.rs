@@ -423,14 +423,7 @@ impl Superaccumulator {
     /// Propagate carries so every digit lies in `[0, 2³²)` and the overflow
     /// lands in the sign-extension word.
     pub fn normalize(&mut self) {
-        let mut carry: i64 = 0;
-        for d in self.digits.iter_mut() {
-            let t = *d + carry;
-            let low = t & DIGIT_MASK;
-            carry = (t - low) >> 32;
-            *d = low;
-        }
-        self.sign_ext += carry;
+        self.sign_ext += carry_sweep(&mut self.digits);
         self.pending = 0;
         debug_assert!(
             self.sign_ext == 0 || self.sign_ext == -1,
@@ -555,62 +548,106 @@ impl Superaccumulator {
         DoubleDouble { hi, lo }
     }
 
-    /// Serialize the accumulator state to a compact text checkpoint.
+    /// Serialize the accumulator state to a compact, canonical text
+    /// checkpoint.
     ///
     /// The register is exact, so checkpoint/restore commutes with any split
     /// of the deposit stream: restoring and adding the rest of the values
     /// is **bitwise identical** to an uninterrupted accumulation. This is
-    /// the state the aggregation engine's `repro-agg-state-v1` wire format
+    /// the state the aggregation engine's `repro-agg-state-v2` wire format
     /// ships between nodes (serialize → ship → merge).
     ///
-    /// Format: one line, `sa1;<sign_ext>;<d0,..,d69 as 8-hex>;<flags>` with
-    /// the digits normalized first (each in `[0, 2³²)`) and three `0`/`1`
-    /// flag characters for nan / +inf / −inf.
+    /// Format: one line, `sa2;<sign_ext>;<lo>;<window>;<flags>`. After
+    /// normalization every digit is in `[0, 2³²)` and every digit above
+    /// the value's top holds the *sign fill* (`0`, or `ffffffff` when
+    /// `sign_ext` is `-1`). Only the window from the lowest nonzero digit
+    /// `lo` to the highest digit that differs from the fill is written, as
+    /// comma-separated 8-hex digits; digits below `lo` are zero and digits
+    /// past the window are the fill. Three `0`/`1` flag characters record
+    /// nan / +inf / −inf. A sum of similar-magnitude values spans a few
+    /// digits, so its checkpoint is a few dozen bytes, not 70 digits.
     pub fn checkpoint(&self) -> String {
-        let mut work = self.clone();
-        work.normalize();
-        let digits: Vec<String> = work.digits.iter().map(|d| format!("{d:08x}")).collect();
-        format!(
-            "sa1;{};{};{}{}{}",
-            work.sign_ext,
-            digits.join(","),
-            u8::from(work.nan),
-            u8::from(work.pos_inf),
-            u8::from(work.neg_inf),
-        )
+        use std::fmt::Write;
+        // Normalize a stack copy: no heap clone of the register.
+        let mut digits = *self.digits;
+        let sign_ext = self.sign_ext + carry_sweep(&mut digits);
+        let fill = if sign_ext == -1 { DIGIT_MASK } else { 0 };
+        let end = digits
+            .iter()
+            .rposition(|&d| d != fill)
+            .map_or(0, |top| top + 1);
+        let lo = digits[..end].iter().position(|&d| d != 0).unwrap_or(end);
+        let mut out = String::with_capacity(20 + 9 * (end - lo));
+        let _ = write!(out, "sa2;{sign_ext};{lo};");
+        for (i, d) in digits[lo..end].iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{d:08x}");
+        }
+        let _ = write!(
+            out,
+            ";{}{}{}",
+            u8::from(self.nan),
+            u8::from(self.pos_inf),
+            u8::from(self.neg_inf)
+        );
+        out
     }
 
     /// Restore an accumulator from [`Superaccumulator::checkpoint`] output.
-    /// Returns `None` on malformed input: wrong tag, wrong digit count, a
-    /// digit outside `[0, 2³²)`, a sign extension other than `0`/`-1`, or
-    /// malformed flags — restore is strict so a corrupt checkpoint can
-    /// never silently decode into a different value.
+    /// Returns `None` on anything else: a wrong tag (including the retired
+    /// `sa1` form), a sign extension other than `0`/`-1`, a window that
+    /// starts or runs past the last digit, a digit that is not exactly
+    /// eight lowercase hex characters, malformed flags, or any
+    /// non-canonical spelling (a leading-zero offset, a zero first window
+    /// digit, a last window digit equal to the sign fill, or a nonzero
+    /// offset on an empty positive window). Restore accepts exactly the
+    /// strings `checkpoint` writes, so a corrupt checkpoint can never
+    /// silently decode into a different value.
     pub fn restore(text: &str) -> Option<Self> {
-        let mut parts = text.trim().split(';');
-        if parts.next()? != "sa1" {
-            return None;
-        }
-        let sign_ext: i64 = parts.next()?.parse().ok()?;
-        if sign_ext != 0 && sign_ext != -1 {
+        let mut parts = text.split(';');
+        if parts.next()? != "sa2" {
             return None;
         }
         let mut acc = Self::new();
-        let mut count = 0usize;
-        for (slot, tok) in acc.digits.iter_mut().zip(parts.next()?.split(',')) {
-            *slot = i64::from(u32::from_str_radix(tok, 16).ok()?);
-            count += 1;
-        }
-        if count != DIGITS {
-            return None;
-        }
+        acc.sign_ext = match parts.next()? {
+            "0" => 0,
+            "-1" => -1,
+            _ => return None,
+        };
+        let lo_text = parts.next()?;
+        let lo = lo_text
+            .parse::<usize>()
+            .ok()
+            .filter(|&lo| lo <= DIGITS && lo.to_string() == lo_text)?;
+        let window = parts.next()?;
         let flags = parts.next()?.as_bytes();
-        if flags.len() != 3
-            || flags.iter().any(|b| *b != b'0' && *b != b'1')
-            || parts.next().is_some()
-        {
+        if flags.len() != 3 || flags.iter().any(|b| !matches!(b, b'0' | b'1')) {
             return None;
         }
-        acc.sign_ext = sign_ext;
+        if parts.next().is_some() {
+            return None;
+        }
+        let mut end = lo;
+        for tok in window.split(',').filter(|_| !window.is_empty()) {
+            let lower_hex = |b: u8| matches!(b, b'0'..=b'9' | b'a'..=b'f');
+            if tok.len() != 8 || !tok.bytes().all(lower_hex) {
+                return None;
+            }
+            *acc.digits.get_mut(end)? = i64::from(u32::from_str_radix(tok, 16).ok()?);
+            end += 1;
+        }
+        let fill = if acc.sign_ext == -1 { DIGIT_MASK } else { 0 };
+        let canonical = match (acc.digits[lo..end].first(), acc.digits[lo..end].last()) {
+            (Some(&first), Some(&last)) => first != 0 && last != fill,
+            // An empty window: zero (offset 0), or zeros then fill.
+            _ => acc.sign_ext == -1 || lo == 0,
+        };
+        if !canonical {
+            return None;
+        }
+        acc.digits[end..].fill(fill);
         acc.nan = flags[0] == b'1';
         acc.pos_inf = flags[1] == b'1';
         acc.neg_inf = flags[2] == b'1';
@@ -662,6 +699,19 @@ impl Superaccumulator {
             (self.digits[d] & ((1i64 << r) - 1)) != 0
         }
     }
+}
+
+/// Propagate carries through `digits` so each lies in `[0, 2³²)`; returns
+/// the carry out of the top digit.
+fn carry_sweep(digits: &mut [i64; DIGITS]) -> i64 {
+    let mut carry: i64 = 0;
+    for d in digits.iter_mut() {
+        let t = *d + carry;
+        let low = t & DIGIT_MASK;
+        carry = (t - low) >> 32;
+        *d = low;
+    }
+    carry
 }
 
 impl Extend<f64> for Superaccumulator {
@@ -1090,9 +1140,14 @@ mod tests {
                 "{seed}"
             );
         }
-        // Negative totals exercise sign_ext == -1; specials the flag bytes.
+        // Negative totals exercise sign_ext == -1 (including a value whose
+        // every digit from the window up is the fill: -2^-1074 and
+        // -2^(32k - 1074)); specials the flag bytes.
         for vals in [
             vec![-1e308, -1e300, -3.5],
+            vec![-f64::from_bits(1)],
+            vec![-2f64.powi(32 * 40 - 1074)],
+            vec![f64::MAX, f64::MAX, -1e-300],
             vec![f64::INFINITY, 1.0],
             vec![f64::NEG_INFINITY, 1.0],
             vec![f64::INFINITY, f64::NEG_INFINITY],
@@ -1100,30 +1155,66 @@ mod tests {
             vec![],
         ] {
             let acc = Superaccumulator::from_values(vals.iter().copied());
-            let restored = Superaccumulator::restore(&acc.checkpoint()).expect("restores");
+            let text = acc.checkpoint();
+            let restored = Superaccumulator::restore(&text).expect("restores");
             assert_eq!(restored.to_f64().to_bits(), acc.to_f64().to_bits());
+            assert_eq!(restored.checkpoint(), text, "{vals:?}");
         }
+    }
+
+    #[test]
+    fn checkpoint_writes_only_the_digit_window() {
+        // 1.0 is bit 1074: digit 33, bit 18.
+        let one = Superaccumulator::from_values([1.0]).checkpoint();
+        assert_eq!(one, "sa2;0;33;00040000;000");
+        // -1.0 in two's complement: the same window, then the ffffffff fill.
+        let minus_one = Superaccumulator::from_values([-1.0]).checkpoint();
+        assert_eq!(minus_one, "sa2;-1;33;fffc0000;000");
+        // Digit 32 is zero, so the window starts at 33 and spans two.
+        let two_digits = Superaccumulator::from_values([1.0, 2f64.powi(32)]).checkpoint();
+        assert_eq!(two_digits, "sa2;0;33;00040000,00040000;000");
+        assert_eq!(Superaccumulator::new().checkpoint(), "sa2;0;0;;000");
+        assert_eq!(
+            Superaccumulator::from_values([-f64::from_bits(1)]).checkpoint(),
+            "sa2;-1;0;;000"
+        );
     }
 
     #[test]
     fn restore_rejects_garbage() {
         let good = Superaccumulator::from_values([1.0, -2.5e-300]).checkpoint();
         assert!(Superaccumulator::restore(&good).is_some());
-        let digit_count = good.split(';').nth(2).unwrap().split(',').count();
-        assert_eq!(digit_count, 70);
 
         let cases = [
             String::new(),
-            "sa2;0;0;000".to_string(),                    // wrong tag
-            good.replacen("sa1;0;", "sa1;1;", 1),         // sign_ext not in {0,-1}
+            good.replacen("sa2;", "sa1;", 1), // retired tag
+            // A complete v1 checkpoint of the same kind of value.
+            format!("sa1;0;{};000", vec!["00000000"; 70].join(",")),
+            good.replacen("sa2;0;", "sa2;1;", 1), // sign_ext not in {0,-1}
+            good.replacen("sa2;0;", "sa2;-0;", 1),
             good.replacen(';', ";;", 1),                  // structure
             good.rsplit_once(',').unwrap().0.to_string(), // digit dropped
-            format!("{good},00000000"),                   // extra digit
-            good.replace("00000000", "100000000"),        // digit ≥ 2^32
-            good.replace("00000000", "0000000g"),         // non-hex digit
             good[..good.len() - 1].to_string(),           // truncated flags
             format!("{good}0"),                           // oversized flags
             format!("{good};"),                           // trailing field
+            format!("{good}\n"),                          // no trimming
+            // Windows that start or run past digit 70.
+            "sa2;0;71;;000".to_string(),
+            "sa2;0;18446744073709551616;;000".to_string(),
+            "sa2;0;70;00000001;000".to_string(),
+            "sa2;0;69;00000001,00000001;000".to_string(),
+            // Digits out of range or badly spelled.
+            "sa2;0;33;100000000;000".to_string(),
+            "sa2;0;33;0004000g;000".to_string(),
+            "sa2;0;33;+0040000;000".to_string(),
+            "sa2;0;33;0004000A;000".to_string(),
+            // Non-canonical windows: padding at either edge, a nonzero
+            // empty-window offset, a leading-zero offset.
+            "sa2;0;32;00000000,00040000;000".to_string(),
+            "sa2;0;33;00040000,00000000;000".to_string(),
+            "sa2;-1;33;fffc0000,ffffffff;000".to_string(),
+            "sa2;0;5;;000".to_string(),
+            "sa2;0;033;00040000;000".to_string(),
         ];
         for case in cases {
             assert!(

@@ -159,36 +159,9 @@ impl<A> CheckpointStore<A> {
         }
     }
 
-    /// An empty store with an explicit slot count, for callers whose
-    /// partition is not plan-derived — the aggregation engine checkpoints
-    /// one slot per shard.
-    pub fn with_slots(slots: usize) -> Self {
-        CheckpointStore {
-            slots: (0..slots).map(|_| None).collect(),
-        }
-    }
-
     /// Whether this store matches `plan`'s chunk count.
     pub fn matches(&self, plan: &ReductionPlan) -> bool {
         self.slots.len() == plan.num_chunks()
-    }
-
-    /// Total slots (checkpointed or not).
-    pub fn slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Checkpoint one chunk's accumulator state. Out-of-range indices are
-    /// ignored (the store's shape is fixed at construction).
-    pub fn save(&mut self, chunk: usize, state: A) {
-        if let Some(slot) = self.slots.get_mut(chunk) {
-            *slot = Some(state);
-        }
-    }
-
-    /// Read back one chunk's checkpointed state, if present.
-    pub fn get(&self, chunk: usize) -> Option<&A> {
-        self.slots.get(chunk).and_then(|s| s.as_ref())
     }
 
     /// Number of chunks currently checkpointed.

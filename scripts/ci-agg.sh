@@ -6,8 +6,9 @@
 # `agg <name> <bits> ...` and `digest <bits>` lines; `#` stats lines
 # carry wall-clock and are excluded). Then the provenance loop: a
 # finished `agg serve` run must `replay` bitwise-identically from its
-# manifest, and the strict repro-agg-state-v1 parser must reject corrupt
-# or truncated snapshots with exit code 2. Artifacts land in target/agg/.
+# manifest, and the strict repro-agg-state-v2 parser must reject corrupt,
+# truncated, v1, and hostile-count snapshots with exit code 2. Artifacts
+# land in target/agg/.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -61,11 +62,21 @@ grep -q '^replay OK (bitwise): cmd=agg' "$AGG_DIR/replay.txt" \
 
 echo "== corrupt snapshots exit 2 (schema contract) =="
 head -n 2 "$AGG_DIR/mid.state" > "$AGG_DIR/truncated.state"
-sed '1s/repro-agg-snapshot-v1/repro-agg-snapshot-v9/' "$AGG_DIR/mid.state" \
+# A real snapshot relabelled v1: the retired format must not load.
+sed '1s/repro-agg-snapshot-v2/repro-agg-snapshot-v1/' "$AGG_DIR/mid.state" \
   > "$AGG_DIR/badschema.state"
-sed 's/^shard=0;sa1;/shard=0;zz9;/' "$AGG_DIR/mid.state" | \
-  sed 's/^shard=0;3;/shard=0;9;/' > "$AGG_DIR/badshard.state"
-for bad in truncated badschema badshard; do
+sed 's/^shard=0;sa2;/shard=0;zz9;/' "$AGG_DIR/mid.state" > "$AGG_DIR/badshard.state"
+# Header counts are claims, never allocation sizes.
+printf 'repro-agg-snapshot-v2 aggregates=18446744073709551615\n' \
+  > "$AGG_DIR/hostile-aggregates.state"
+printf 'repro-agg-snapshot-v2 aggregates=1\nrepro-agg-state-v2 name=a shards=4000000000000 updates=0 batches=0\n' \
+  > "$AGG_DIR/hostile-shards.state"
+for edited in badschema badshard; do
+  if cmp -s "$AGG_DIR/mid.state" "$AGG_DIR/$edited.state"; then
+    echo "$edited.state: the edit did not apply" >&2; exit 1
+  fi
+done
+for bad in truncated badschema badshard hostile-aggregates hostile-shards; do
   set +e
   run agg check --file "$AGG_DIR/$bad.state" >/dev/null 2>&1
   code=$?
@@ -73,12 +84,14 @@ for bad in truncated badschema badshard; do
   [ "$code" -eq 2 ] \
     || { echo "$bad.state: expected exit 2, got $code" >&2; exit 1; }
 done
-set +e
-run agg serve "${SPEC[@]}" --restore "$AGG_DIR/truncated.state" >/dev/null 2>&1
-code=$?
-set -e
-[ "$code" -eq 2 ] \
-  || { echo "serve --restore on truncated state: expected exit 2, got $code" >&2; exit 1; }
+for bad in truncated hostile-shards; do
+  set +e
+  run agg serve "${SPEC[@]}" --restore "$AGG_DIR/$bad.state" >/dev/null 2>&1
+  code=$?
+  set -e
+  [ "$code" -eq 2 ] \
+    || { echo "serve --restore on $bad.state: expected exit 2, got $code" >&2; exit 1; }
+done
 
 echo "== shard sweep benchmark (1/4/16, digest equality enforced) =="
 run agg bench "${SPEC[@]}" | tee "$AGG_DIR/bench.txt"
