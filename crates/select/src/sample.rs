@@ -6,8 +6,11 @@
 //! million-element workload that is 30× the price of the reduction it is
 //! steering. This module estimates the same quantities — `k̂`, `dr`,
 //! `Σ|x|` — from a seeded stride-sampled subset (~2k values regardless of
-//! `n`), making the profiling overhead O(sample) instead of O(n):
-//! well under 1 ns per *input* element at the default scale.
+//! `n`), making the profiling overhead O(sample) instead of O(n): 0.078 ns
+//! per *input* element at n = 10⁶ (`select/sampled_profile` in
+//! `BENCH_14.json`), ~38 ns per sampled value — the same two binned
+//! deposits a fully profiled value costs, with the estimates derived once
+//! per half rather than once per value.
 //!
 //! Sampling buys speed with uncertainty, so every [`SampledProfile`]
 //! carries explicit confidence bounds: the sample is split into two
@@ -36,7 +39,7 @@ use repro_sum::Algorithm;
 pub struct SampleConfig {
     /// Target sample size (the stride is `ceil(n / target)`). The default
     /// 2048 keeps the estimate noise ~2% on benign data while the gather
-    /// stays cheaper than 0.5 ns per input element at n = 10⁶.
+    /// costs 0.078 ns per input element at n = 10⁶ (`BENCH_14.json`).
     pub target: usize,
     /// Seed for the deterministic stride offset.
     pub seed: u64,
@@ -127,19 +130,14 @@ impl SampledProfile {
         let target = cfg.target.max(2);
         let stride = n.div_ceil(target).max(1);
         let offset = (cfg.seed % stride as u64) as usize;
-        let mut half_a = DataProfile::empty();
-        let mut half_b = DataProfile::empty();
-        let mut idx = offset;
-        let mut ordinal = 0usize;
-        while idx < n {
-            if ordinal & 1 == 0 {
-                half_a.add(values[idx]);
-            } else {
-                half_b.add(values[idx]);
-            }
-            ordinal += 1;
-            idx += stride;
+        let mut halves = [DataProfile::empty(); 2];
+        for (ordinal, &x) in values.iter().skip(offset).step_by(stride).enumerate() {
+            halves[ordinal & 1].push(x);
         }
+        for half in &mut halves {
+            half.derive();
+        }
+        let [half_a, half_b] = halves;
         Self {
             half_a,
             half_b,

@@ -2,7 +2,7 @@
 //! profiling and the decision cache must never trade correctness for
 //! their speed.
 //!
-//! Three promises, each tested over arbitrary inputs:
+//! Four promises, the first three tested over arbitrary inputs:
 //!
 //! 1. Caching is invisible in the bits: a cache-hit reduction is bitwise
 //!    identical to the cold (miss) reduction that populated the entry, and
@@ -13,6 +13,9 @@
 //! 3. Sampled partials merge permutation/tree-invariantly, bitwise —
 //!    streaming re-selection sees the same profile no matter how the
 //!    chunk partials were grouped.
+//! 4. Sampling is the per-value profile, bit for bit: `collect` equals a
+//!    reference that folds the same strided ordinals into its halves with
+//!    [`DataProfile::add`], special values included.
 
 use proptest::prelude::*;
 use repro_select::sample::{choose_sampled, SampleConfig, SampledProfile};
@@ -191,4 +194,90 @@ fn misprediction_eviction_forces_reselection() {
     let c = cache.counters();
     assert_eq!(c.inserts, 2, "eviction must force a fresh insert: {c:?}");
     assert_eq!(c.mispredictions, 1);
+}
+
+/// Promise 4: `SampledProfile::collect`, which derives each half's
+/// estimates once, equals the reference that folds the same strided
+/// ordinals (even to half A, odd to half B) with `DataProfile::add` and so
+/// re-derives after every value. Every field counts, the halves' binned
+/// accumulator state included.
+#[test]
+fn collect_equals_the_per_value_add_reference() {
+    /// The reference, rendered as `SampledProfile`'s derived `Debug` would
+    /// render it: its halves are private, and comparing renderings compares
+    /// every field. `Debug` rather than `==` keeps the check meaningful
+    /// where a field is NaN (never `==`) or −0 (`==` to +0).
+    fn reference(values: &[f64], cfg: &SampleConfig) -> String {
+        let n = values.len();
+        let stride = n.div_ceil(cfg.target.max(2)).max(1);
+        let offset = (cfg.seed % stride as u64) as usize;
+        let mut half_a = DataProfile::empty();
+        let mut half_b = DataProfile::empty();
+        let mut idx = offset;
+        let mut ordinal = 0usize;
+        while idx < n {
+            if ordinal % 2 == 0 {
+                half_a.add(values[idx]);
+            } else {
+                half_b.add(values[idx]);
+            }
+            ordinal += 1;
+            idx += stride;
+        }
+        format!(
+            "SampledProfile {{ half_a: {half_a:?}, half_b: {half_b:?}, n_total: {n}, stride: {stride} }}"
+        )
+    }
+
+    // A seeded third of the values are specials, so every stride samples
+    // some: NaN, both infinities, −0, subnormals, values at the top of the
+    // binned range and past it.
+    const SPECIALS: [f64; 9] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        5e-324,
+        -2.5e-310,
+        1e308,
+        -1e308,
+        f64::MAX,
+    ];
+    // The benchmark's `reduce-small` shapes: (k, dr in decades).
+    const SHAPES: [(f64, u32); 4] = [(1.0, 0), (1e4, 8), (1e12, 16), (f64::INFINITY, 16)];
+    let configs = [
+        SampleConfig::default(),
+        SampleConfig {
+            target: 64,
+            seed: 11,
+            ..SampleConfig::default()
+        },
+    ];
+    for n in [0usize, 1, 2, 2047, 2048, 2049, 4095, 4096, 4097, 100_000] {
+        for (shape, &(k, dr)) in SHAPES.iter().enumerate() {
+            let mut values = repro_gen::grid_cell(n.max(2), k, dr, 7 + shape as u64, 1e16);
+            values.truncate(n);
+            let mut rng = repro_fp::rng::DetRng::seed_from_u64(n as u64);
+            let mut special = values.clone();
+            for v in &mut special {
+                if rng.below(3) == 0 {
+                    *v = SPECIALS[rng.below(SPECIALS.len() as u64) as usize];
+                }
+            }
+            for cfg in &configs {
+                assert_eq!(
+                    format!("{:?}", SampledProfile::collect(&values, cfg)),
+                    reference(&values, cfg),
+                    "n={n} k={k:e} dr={dr} target={}",
+                    cfg.target
+                );
+                assert_eq!(
+                    format!("{:?}", SampledProfile::collect(&special, cfg)),
+                    reference(&special, cfg),
+                    "specials: n={n} k={k:e} dr={dr} target={}",
+                    cfg.target
+                );
+            }
+        }
+    }
 }
