@@ -371,19 +371,12 @@ fn parse_opts(
 }
 
 fn parse_algorithm(s: &str) -> Result<Algorithm, CliError> {
-    match s.to_ascii_uppercase().as_str() {
-        "ST" => Ok(Algorithm::Standard),
-        "K" => Ok(Algorithm::Kahan),
-        "N" => Ok(Algorithm::Neumaier),
-        "PW" => Ok(Algorithm::Pairwise),
-        "CP" => Ok(Algorithm::Composite),
-        "DD" => Ok(Algorithm::DoubleDouble),
-        "PR" => Ok(Algorithm::PR),
-        "DS" => Ok(Algorithm::Distill),
-        other => Err(err(format!(
-            "unknown algorithm {other:?} (expected ST|K|N|PW|CP|DD|PR|DS)"
-        ))),
-    }
+    let upper = s.to_ascii_uppercase();
+    Algorithm::from_abbrev(&upper).ok_or_else(|| {
+        err(format!(
+            "unknown algorithm {upper:?} (expected ST|K|N|PW|CP|DD|PR|DS)"
+        ))
+    })
 }
 
 fn tolerance_of(o: &Opts) -> Result<Tolerance, CliError> {

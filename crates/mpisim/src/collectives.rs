@@ -159,29 +159,41 @@ pub fn broadcast<T: Any + Send + Clone>(comm: &mut Comm, root: usize, value: Opt
     have.expect("broadcast did not reach this rank")
 }
 
-/// Allreduce-max of one scalar: reduce to rank 0 over a chain-free binomial
-/// tree, then broadcast back. Exact (max is associative/commutative), so
-/// topology does not matter for the value.
-pub fn allreduce_max(comm: &mut Comm, x: f64) -> f64 {
-    let tag = comm.next_op_tag();
+/// The binomial up-sweep to `root`: the stride-doubling tree of
+/// [`repro_sum::lanes::merge_tree`] laid over virtual ranks, with `root` as
+/// virtual rank 0. At mask `s`, virtual rank `v + s` sends its partial to
+/// `v`, which folds it in with `merge`. Returns `Some` on the root and
+/// `None` on every other rank once it has sent.
+fn binomial_up<T: Any + Send>(
+    comm: &mut Comm,
+    tag: u64,
+    root: usize,
+    mut acc: T,
+    mut merge: impl FnMut(&mut T, T),
+) -> Option<T> {
     let size = comm.size();
-    let rank = comm.rank();
-    let mut acc = x;
-    // Reduce up the binomial tree.
+    let v = (comm.rank() + size - root) % size;
     let mut mask = 1usize;
     while mask < size {
-        if rank & mask != 0 {
-            comm.send(rank & !mask, tag, acc);
-            break;
+        if v & mask != 0 {
+            comm.send((v - mask + root) % size, tag, acc);
+            return None;
         }
-        let peer = rank | mask;
-        if peer < size {
-            let other: f64 = comm.recv(peer, tag);
-            acc = acc.max(other);
+        if v + mask < size {
+            merge(&mut acc, comm.recv((v + mask + root) % size, tag));
         }
         mask <<= 1;
     }
-    broadcast(comm, 0, if rank == 0 { Some(acc) } else { None })
+    Some(acc)
+}
+
+/// Allreduce-max of one scalar: reduce to rank 0 over the binomial tree,
+/// then broadcast back. Exact (max is associative/commutative), so
+/// topology does not matter for the value.
+pub fn allreduce_max(comm: &mut Comm, x: f64) -> f64 {
+    let tag = comm.next_op_tag();
+    let max = binomial_up(comm, tag, 0, x, |a, b| *a = a.max(b));
+    broadcast(comm, 0, max)
 }
 
 /// Reduce per-rank accumulators to `root` with the configured topology.
@@ -230,26 +242,7 @@ where
                 Some(acc)
             }
         }
-        ReduceTopology::Binomial => {
-            let vrank = (rank + size - root) % size;
-            let mut acc = local;
-            let mut mask = 1usize;
-            while mask < size {
-                if vrank & mask != 0 {
-                    let dst = (vrank - mask + root) % size;
-                    comm.send(dst, tag, acc);
-                    return None;
-                }
-                let peer = vrank | mask;
-                if peer < size {
-                    let src = (peer + root) % size;
-                    let partial: A = comm.recv(src, tag);
-                    acc.merge(&partial);
-                }
-                mask <<= 1;
-            }
-            Some(acc)
-        }
+        ReduceTopology::Binomial => binomial_up(comm, tag, root, local, |a, b: A| a.merge(&b)),
     }
 }
 
@@ -308,23 +301,8 @@ pub fn adaptive_reduce_sum(
     // 2. allreduce the profile (binomial up, bcast down).
     let local = repro_select::profile_parallel(local_values);
     let tag = comm.next_op_tag();
-    let size = comm.size();
-    let rank = comm.rank();
-    let mut acc = local;
-    let mut mask = 1usize;
-    while mask < size {
-        if rank & mask != 0 {
-            comm.send(rank & !mask, tag, acc);
-            break;
-        }
-        let peer = rank | mask;
-        if peer < size {
-            let other: DataProfile = comm.recv(peer, tag);
-            acc.merge(&other);
-        }
-        mask <<= 1;
-    }
-    let global: DataProfile = broadcast(comm, 0, (rank == 0).then_some(acc));
+    let merged = binomial_up(comm, tag, 0, local, |a: &mut DataProfile, b| a.merge(&b));
+    let global: DataProfile = broadcast(comm, 0, merged);
     // 3. Same profile + same deterministic selector = same choice everywhere.
     let algorithm = HeuristicSelector::default().choose(&global, tolerance);
     // 4. Reduce with the chosen operator, local chunk on the runtime pool.

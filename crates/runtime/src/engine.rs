@@ -1,9 +1,10 @@
 //! The reduction engine: plans executed on the persistent pool.
 
-use crate::plan::{merge_in_plan_order, merge_in_plan_order_indexed, MergeOrder, ReductionPlan};
-use crate::pool::ThreadPool;
+use crate::plan::{MergeOrder, ReductionPlan};
+use crate::pool::{PoolCounters, ThreadPool};
 use crate::stats::RuntimeStats;
 use repro_fp::Superaccumulator;
+use repro_sum::lanes::{accumulate_lanes, chunk_len, merge_in_lane_order, merge_tree};
 use repro_sum::Accumulator;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,18 +63,22 @@ impl<'r> NodeObserver<'r> {
         }
     }
 
+    /// Emit the event for merge-tree node `(i, stride)` of `plan`
+    /// (`stride == 0` for leaf chunk `i`).
     fn emit(
         &mut self,
         scope: &mut repro_obs::Scope,
-        node: String,
-        span: Range<usize>,
+        plan: &ReductionPlan,
+        i: usize,
+        stride: usize,
         partial: f64,
         shadow: &NodeShadow,
     ) {
         use repro_obs::f;
         let bound = repro_fp::higham_bound(shadow.n, shadow.abs.to_f64());
+        let span = plan.node_span(i, stride);
         let mut fields = vec![
-            f("node", node),
+            f("node", plan.node_id(i, stride)),
             f("start", span.start),
             f("len", span.len()),
             f("sum_bits", format!("{:016x}", partial.to_bits())),
@@ -118,15 +123,19 @@ impl ChunkKernel {
         A: Accumulator,
         F: Fn() -> A,
     {
-        match self {
-            ChunkKernel::Scalar => {
-                let mut acc = make();
-                acc.add_slice(chunk);
-                acc
-            }
-            ChunkKernel::Lanes(lanes) => repro_sum::lanes::accumulate_lanes(make, chunk, lanes),
-        }
+        // One lane is the scalar kernel.
+        let lanes = match self {
+            ChunkKernel::Scalar => 1,
+            ChunkKernel::Lanes(lanes) => lanes,
+        };
+        accumulate_lanes(make, chunk, lanes)
     }
+}
+
+/// Wall clock and pool counters at the start of one engine call.
+struct CallStart {
+    t0: Instant,
+    pool: PoolCounters,
 }
 
 /// Attempts per chunk (1 initial + retries) before
@@ -339,74 +348,34 @@ impl Runtime {
         A: Accumulator,
         F: Fn() -> A + Sync,
     {
-        assert_eq!(
-            plan.len(),
-            values.len(),
-            "plan covers {} elements but {} were supplied",
-            plan.len(),
-            values.len()
-        );
-        let t0 = Instant::now();
-        let before = self.pool.counters();
-        let chunk_nanos = AtomicU64::new(0);
-        let mut merge_time = Duration::ZERO;
-
-        let result = self.pool.scope(|s| {
-            let (tx, rx) = mpsc::channel::<(usize, A)>();
-            for (i, range) in plan.chunks().iter().enumerate() {
-                let tx = tx.clone();
-                let make = &make;
-                let chunk = &values[range.clone()];
-                let chunk_nanos = &chunk_nanos;
-                s.spawn(move || {
-                    let t = Instant::now();
-                    let acc = kernel.run(make, chunk);
-                    chunk_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    // The root hangs up early only if it panicked; ignore.
-                    let _ = tx.send((i, acc));
-                });
-            }
-            drop(tx);
-            match order {
-                MergeOrder::Arrival => {
-                    // Merge in genuine completion order, overlapping the
-                    // remaining chunk work.
-                    let mut root = make();
-                    for (_, part) in rx.iter() {
+        let start = self.begin(plan, values);
+        let run = |_, range: Range<usize>| kernel.run(&make, &values[range]);
+        let (result, chunk_time, merge_time) = match order {
+            MergeOrder::Arrival => {
+                // Merge in genuine completion order, overlapping the
+                // remaining chunk work.
+                let mut root = make();
+                let mut merge_time = Duration::ZERO;
+                let chunk_time = self.run_chunks(
+                    plan,
+                    0..plan.num_chunks(),
+                    |i, range| Some(run(i, range)),
+                    |_, part| {
                         let t = Instant::now();
                         root.merge(&part);
                         merge_time += t.elapsed();
-                    }
-                    root
-                }
-                MergeOrder::Plan => {
-                    let mut slots: Vec<Option<A>> = (0..plan.num_chunks()).map(|_| None).collect();
-                    for (i, part) in rx.iter() {
-                        slots[i] = Some(part);
-                    }
-                    let t = Instant::now();
-                    let merged = merge_in_plan_order(slots, |a: &mut A, b: &A| a.merge(b))
-                        .expect("plan has at least one chunk");
-                    merge_time = t.elapsed();
-                    merged
-                }
+                    },
+                );
+                (root, chunk_time, merge_time)
             }
-        });
-
-        let after = self.pool.counters();
-        let stats = RuntimeStats {
-            workers: self.pool.workers(),
-            chunks: plan.num_chunks(),
-            tasks_executed: after.executed.saturating_sub(before.executed),
-            steals: after.stolen.saturating_sub(before.stolen),
-            merge_depth: plan.merge_depth(),
-            chunk_time: Duration::from_nanos(chunk_nanos.load(Ordering::Relaxed)),
-            merge_time,
-            total_time: t0.elapsed(),
-            retries: 0,
-            heals: 0,
-            checkpoint_restores: 0,
+            MergeOrder::Plan => {
+                let (parts, chunk_time) = self.collect_chunks(plan, run);
+                let t = Instant::now();
+                let merged = merge_in_lane_order(parts).expect("plan has at least one chunk");
+                (merged, chunk_time, t.elapsed())
+            }
         };
+        let stats = self.stats(start, plan, chunk_time, merge_time);
         // Flight-record the reduction's plan-derived shape (never the
         // timing fields) so a post-mortem shows what the runtime was doing
         // when the process died. One ring push per reduction — not per
@@ -493,13 +462,7 @@ impl Runtime {
         F: Fn() -> A + Sync,
     {
         use repro_obs::f;
-        assert_eq!(
-            plan.len(),
-            values.len(),
-            "plan covers {} elements but {} were supplied",
-            plan.len(),
-            values.len()
-        );
+        let start = self.begin(plan, values);
         // Deliberately no worker count here: the event stream must be
         // invariant across pool sizes, and `workers` is an execution fact,
         // not a plan fact — it lives in RuntimeStats/the registry.
@@ -511,49 +474,18 @@ impl Runtime {
                 f("merge_depth", plan.merge_depth()),
             ],
         );
-        let t0 = Instant::now();
-        let before = self.pool.counters();
-        let chunk_nanos = AtomicU64::new(0);
-
-        let slots: Vec<Option<A>> = self.pool.scope(|s| {
-            let (tx, rx) = mpsc::channel::<(usize, A)>();
-            for (i, range) in plan.chunks().iter().enumerate() {
-                let tx = tx.clone();
-                let make = &make;
-                let chunk = &values[range.clone()];
-                let chunk_nanos = &chunk_nanos;
-                s.spawn(move || {
-                    let t = Instant::now();
-                    let acc = ChunkKernel::Scalar.run(make, chunk);
-                    chunk_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    let _ = tx.send((i, acc));
-                });
-            }
-            drop(tx);
-            let mut slots: Vec<Option<A>> = (0..plan.num_chunks()).map(|_| None).collect();
-            for (i, part) in rx.iter() {
-                slots[i] = Some(part);
-            }
-            slots
+        let (parts, chunk_time) = self.collect_chunks(plan, |_, range| {
+            ChunkKernel::Scalar.run(&make, &values[range])
         });
 
-        // Shadow state for telemetry: per-chunk exact superaccumulators
-        // and absolute-value sums, computed serially in plan order after
-        // the parallel phase — the telemetry must be as worker-count-
-        // invariant as the events it decorates.
-        let mut shadows: Vec<Option<NodeShadow>> = if telemetry.enabled() {
-            plan.chunks()
-                .iter()
-                .map(|r| Some(NodeShadow::over(&values[r.clone()])))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut nodes = NodeObserver::new(telemetry, registry);
-
         // Narrate chunk completion in plan order, after the barrier: the
-        // workers raced, the story must not.
-        for (i, range) in plan.chunks().iter().enumerate() {
+        // workers raced, the story must not. With telemetry on, each leaf
+        // carries an exact shadow (superaccumulators of the chunk and of
+        // its absolute values), computed serially in plan order so the
+        // telemetry is as worker-count-invariant as the events it decorates.
+        let mut nodes = NodeObserver::new(telemetry, registry);
+        let mut leaves = Vec::with_capacity(parts.len());
+        for ((i, range), part) in plan.chunks().iter().enumerate().zip(parts) {
             scope.event(
                 "chunk_exec",
                 vec![
@@ -562,25 +494,24 @@ impl Runtime {
                     f("len", range.len()),
                 ],
             );
-            if telemetry.enabled() {
-                let partial = slots[i].as_ref().expect("chunk reported").finalize();
-                let shadow = shadows[i].as_ref().expect("shadow slot filled");
-                nodes.emit(scope, plan.node_id(i, 0), range.clone(), partial, shadow);
+            let shadow = telemetry
+                .enabled()
+                .then(|| NodeShadow::over(&values[range.clone()]));
+            if let Some(shadow) = &shadow {
+                nodes.emit(scope, plan, i, 0, part.finalize(), shadow);
             }
+            leaves.push((part, shadow));
         }
 
         let t = Instant::now();
         let mut merges = 0usize;
-        let result = merge_in_plan_order_indexed(slots, |i, stride, a: &mut A, b: &A| {
+        let (result, _) = merge_tree(leaves, |i, stride, left, right| {
             scope.event("merge", vec![f("step", merges)]);
             merges += 1;
-            a.merge(b);
-            if telemetry.enabled() {
-                let right = shadows[i + stride].take().expect("shadow slot filled");
-                let left = shadows[i].as_mut().expect("shadow slot filled");
-                left.absorb(&right);
-                let span = plan.node_span(i, stride);
-                nodes.emit(scope, plan.node_id(i, stride), span, a.finalize(), left);
+            left.0.merge(&right.0);
+            if let (Some(shadow), Some(other)) = (&mut left.1, &right.1) {
+                shadow.absorb(other);
+                nodes.emit(scope, plan, i, stride, left.0.finalize(), shadow);
             }
         })
         .expect("plan has at least one chunk");
@@ -594,22 +525,7 @@ impl Runtime {
                 f("sum_bits", format!("{:016x}", sum.to_bits())),
             ],
         );
-
-        let after = self.pool.counters();
-        let stats = RuntimeStats {
-            workers: self.pool.workers(),
-            chunks: plan.num_chunks(),
-            tasks_executed: after.executed.saturating_sub(before.executed),
-            steals: after.stolen.saturating_sub(before.stolen),
-            merge_depth: plan.merge_depth(),
-            chunk_time: Duration::from_nanos(chunk_nanos.load(Ordering::Relaxed)),
-            merge_time,
-            total_time: t0.elapsed(),
-            retries: 0,
-            heals: 0,
-            checkpoint_restores: 0,
-        };
-        (sum, stats)
+        (sum, self.stats(start, plan, chunk_time, merge_time))
     }
 
     /// Resumable reduction with checkpointed partials: every completed
@@ -636,64 +552,43 @@ impl Runtime {
         A: Accumulator,
         F: Fn() -> A + Sync,
     {
-        assert_eq!(
-            plan.len(),
-            values.len(),
-            "plan covers {} elements but {} were supplied",
-            plan.len(),
-            values.len()
-        );
+        let start = self.begin(plan, values);
         if !store.matches(plan) {
             return Err(EngineError::PlanMismatch {
                 store_chunks: store.slots.len(),
                 plan_chunks: plan.num_chunks(),
             });
         }
-        let t0 = Instant::now();
-        let before = self.pool.counters();
-        let chunk_nanos = AtomicU64::new(0);
         let checkpoint_restores = store.saved() as u64;
-
+        let mut chunk_time = Duration::ZERO;
         let mut to_run: Vec<usize> = (0..plan.num_chunks())
             .filter(|&i| store.slots[i].is_none())
             .collect();
         let mut retries = 0u64;
-        let mut healed_chunks = 0u64;
+        let mut heals = 0u64;
         let mut attempt: u32 = 0;
         while !to_run.is_empty() && attempt < MAX_CHUNK_ATTEMPTS {
             if attempt > 0 {
                 retries += to_run.len() as u64;
             }
-            let completed: Vec<(usize, A)> = self.pool.scope(|s| {
-                let (tx, rx) = mpsc::channel::<(usize, A)>();
-                for &i in &to_run {
-                    let tx = tx.clone();
-                    let make = &make;
-                    let chunk = &values[plan.chunks()[i].clone()];
-                    let chunk_nanos = &chunk_nanos;
-                    let inject = &inject;
-                    s.spawn(move || {
-                        if inject.as_ref().is_some_and(|f| f(i, attempt)) {
-                            // Injected failure: the task dies without
-                            // reporting, exactly like a killed worker.
-                            return;
-                        }
-                        let t = Instant::now();
-                        let mut acc = make();
-                        acc.add_slice(chunk);
-                        chunk_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        let _ = tx.send((i, acc));
-                    });
-                }
-                drop(tx);
-                rx.iter().collect()
-            });
-            for (i, acc) in completed {
-                if attempt > 0 {
-                    healed_chunks += 1;
-                }
-                store.slots[i] = Some(acc);
-            }
+            chunk_time += self.run_chunks(
+                plan,
+                to_run.iter().copied(),
+                |i, range| {
+                    // An injected failure is a chunk that reports nothing,
+                    // exactly like a killed worker.
+                    if inject.is_some_and(|f| f(i, attempt)) {
+                        return None;
+                    }
+                    Some(ChunkKernel::Scalar.run(&make, &values[range]))
+                },
+                |i, acc| {
+                    if attempt > 0 {
+                        heals += 1;
+                    }
+                    store.slots[i] = Some(acc);
+                },
+            );
             to_run.retain(|&i| store.slots[i].is_none());
             attempt += 1;
         }
@@ -707,24 +602,14 @@ impl Runtime {
         // Merge clones of the checkpoints in plan order; the store keeps
         // the partials so a later caller can invalidate and resume.
         let t = Instant::now();
-        let slots: Vec<Option<A>> = store.slots.to_vec();
-        let result = merge_in_plan_order(slots, |a: &mut A, b: &A| a.merge(b))
-            .expect("plan has at least one chunk");
+        let parts: Vec<A> = store.slots.iter().flatten().cloned().collect();
+        let result = merge_in_lane_order(parts).expect("plan has at least one chunk");
         let merge_time = t.elapsed();
-
-        let after = self.pool.counters();
         let stats = RuntimeStats {
-            workers: self.pool.workers(),
-            chunks: plan.num_chunks(),
-            tasks_executed: after.executed.saturating_sub(before.executed),
-            steals: after.stolen.saturating_sub(before.stolen),
-            merge_depth: plan.merge_depth(),
-            chunk_time: Duration::from_nanos(chunk_nanos.load(Ordering::Relaxed)),
-            merge_time,
-            total_time: t0.elapsed(),
             retries,
-            heals: healed_chunks,
+            heals,
             checkpoint_restores,
+            ..self.stats(start, plan, chunk_time, merge_time)
         };
         Ok((result, stats))
     }
@@ -737,33 +622,116 @@ impl Runtime {
         T: Send,
         F: Fn(usize, Range<usize>) -> T + Sync,
     {
+        self.collect_chunks(plan, f).0
+    }
+
+    /// Check that `plan` covers `values`, then start the call's clock.
+    fn begin(&self, plan: &ReductionPlan, values: &[f64]) -> CallStart {
+        assert_eq!(
+            plan.len(),
+            values.len(),
+            "plan covers {} elements but {} were supplied",
+            plan.len(),
+            values.len()
+        );
+        CallStart {
+            t0: Instant::now(),
+            pool: self.pool.counters(),
+        }
+    }
+
+    /// The call's [`RuntimeStats`], with no retries, heals or restores.
+    fn stats(
+        &self,
+        start: CallStart,
+        plan: &ReductionPlan,
+        chunk_time: Duration,
+        merge_time: Duration,
+    ) -> RuntimeStats {
+        let after = self.pool.counters();
+        RuntimeStats {
+            workers: self.pool.workers(),
+            chunks: plan.num_chunks(),
+            tasks_executed: after.executed.saturating_sub(start.pool.executed),
+            steals: after.stolen.saturating_sub(start.pool.stolen),
+            merge_depth: plan.merge_depth(),
+            chunk_time,
+            merge_time,
+            total_time: start.t0.elapsed(),
+            ..RuntimeStats::default()
+        }
+    }
+
+    /// The engine's one chunk executor: run `task(i, range)` on the pool
+    /// for each index `i` in `chunks` of `plan`'s chunks, and hand each
+    /// result to `sink` on the calling thread as it arrives, in genuine
+    /// completion order. A task that returns `None` reports nothing.
+    /// Returns the summed wall time spent inside tasks.
+    fn run_chunks<T, F, S>(
+        &self,
+        plan: &ReductionPlan,
+        chunks: impl Iterator<Item = usize>,
+        task: F,
+        mut sink: S,
+    ) -> Duration
+    where
+        T: Send,
+        F: Fn(usize, Range<usize>) -> Option<T> + Sync,
+        S: FnMut(usize, T),
+    {
+        let nanos = AtomicU64::new(0);
         self.pool.scope(|s| {
             let (tx, rx) = mpsc::channel::<(usize, T)>();
-            for (i, range) in plan.chunks().iter().enumerate() {
-                let tx = tx.clone();
-                let f = &f;
-                let range = range.clone();
+            for i in chunks {
+                let (tx, task, nanos) = (tx.clone(), &task, &nanos);
+                let range = plan.chunks()[i].clone();
                 s.spawn(move || {
-                    let out = f(i, range);
-                    let _ = tx.send((i, out));
+                    let t = Instant::now();
+                    let out = task(i, range);
+                    nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    if let Some(out) = out {
+                        // The root hangs up early only if it panicked; ignore.
+                        let _ = tx.send((i, out));
+                    }
                 });
             }
             drop(tx);
-            let mut slots: Vec<Option<T>> = (0..plan.num_chunks()).map(|_| None).collect();
-            for (i, out) in rx.iter() {
-                slots[i] = Some(out);
+            for (i, out) in rx {
+                sink(i, out);
             }
-            slots
-                .into_iter()
-                .map(|s| s.expect("every chunk task reports"))
-                .collect()
-        })
+        });
+        Duration::from_nanos(nanos.load(Ordering::Relaxed))
+    }
+
+    /// [`Runtime::run_chunks`] over every chunk of `plan`, with the results
+    /// collected in plan (chunk-index) order.
+    fn collect_chunks<T, F>(&self, plan: &ReductionPlan, task: F) -> (Vec<T>, Duration)
+    where
+        T: Send,
+        F: Fn(usize, Range<usize>) -> T + Sync,
+    {
+        let mut slots: Vec<Option<T>> = (0..plan.num_chunks()).map(|_| None).collect();
+        let time = self.run_chunks(
+            plan,
+            0..plan.num_chunks(),
+            |i, range| Some(task(i, range)),
+            |i, out| {
+                slots[i] = Some(out);
+            },
+        );
+        let parts = slots
+            .into_iter()
+            .map(|s| s.expect("every chunk task reports"))
+            .collect();
+        (parts, time)
     }
 }
 
 /// The old spawn-per-call reference path: one OS thread per chunk, every
 /// call. Kept for benchmarking against the pooled engine and as the
-/// semantic baseline the engine must match.
+/// semantic baseline the engine must match: its chunks are those of
+/// [`ReductionPlan::with_chunk_count`]`(values.len(), workers)`, and
+/// [`MergeOrder::Plan`] merges them along the same fixed tree.
 pub fn spawn_reduce<A, F>(values: &[f64], workers: usize, make: F, order: MergeOrder) -> f64
 where
     A: Accumulator,
@@ -773,12 +741,9 @@ where
     if values.is_empty() {
         return make().finalize();
     }
-    let workers = workers.min(values.len());
-    let chunk = values.len().div_ceil(workers);
-
-    let partials: Vec<(usize, A)> = std::thread::scope(|scope| {
+    let mut partials: Vec<(usize, A)> = std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel::<(usize, A)>();
-        for (i, piece) in values.chunks(chunk).enumerate() {
+        for (i, piece) in values.chunks(chunk_len(values.len(), workers)).enumerate() {
             let tx = tx.clone();
             let make = &make;
             scope.spawn(move || {
@@ -791,22 +756,22 @@ where
         rx.iter().collect() // arrival order
     });
 
-    let mut root = make();
     match order {
         MergeOrder::Arrival => {
+            let mut root = make();
             for (_, partial) in &partials {
                 root.merge(partial);
             }
+            root.finalize()
         }
         MergeOrder::Plan => {
-            let mut sorted = partials;
-            sorted.sort_by_key(|(i, _)| *i);
-            for (_, partial) in &sorted {
-                root.merge(partial);
-            }
+            partials.sort_by_key(|(i, _)| *i);
+            let parts = partials.into_iter().map(|(_, acc)| acc).collect();
+            merge_in_lane_order(parts)
+                .expect("non-empty input has a chunk")
+                .finalize()
         }
     }
-    root.finalize()
 }
 
 #[cfg(test)]
@@ -873,6 +838,20 @@ mod tests {
         let spawned = spawn_reduce(&values, 4, || BinnedSum::new(3), MergeOrder::Arrival);
         let pooled = rt.reduce(&values, || BinnedSum::new(3), MergeOrder::Arrival);
         assert_eq!(spawned.to_bits(), pooled.to_bits());
+    }
+
+    #[test]
+    fn spawn_reference_plan_order_is_the_plan_tree() {
+        // StandardSum is order-sensitive: equal bits mean the reference
+        // path cuts the same chunks and merges them along the same tree.
+        let values = data(30_000);
+        let rt = Runtime::new(4);
+        for w in 2..=8 {
+            let spawned = spawn_reduce(&values, w, StandardSum::new, MergeOrder::Plan);
+            let plan = ReductionPlan::with_chunk_count(values.len(), w);
+            let pooled = rt.reduce_planned(&values, &plan, StandardSum::new, MergeOrder::Plan);
+            assert_eq!(spawned.to_bits(), pooled.to_bits(), "workers = {w}");
+        }
     }
 
     #[test]

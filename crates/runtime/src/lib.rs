@@ -44,6 +44,6 @@ pub use engine::{
     spawn_reduce, CheckpointStore, ChunkFailureInjector, ChunkKernel, EngineError, Runtime,
     MAX_CHUNK_ATTEMPTS,
 };
-pub use plan::{merge_in_plan_order, MergeOrder, ReductionPlan, DEFAULT_CHUNK_LEN};
+pub use plan::{MergeOrder, ReductionPlan, DEFAULT_CHUNK_LEN};
 pub use pool::{PoolCounters, Scope, ThreadPool};
 pub use stats::RuntimeStats;

@@ -26,7 +26,8 @@ pub enum MergeOrder {
 }
 
 /// A fixed decomposition of `0..len` into contiguous chunks, plus the
-/// balanced binary merge tree over the chunk indices.
+/// balanced binary merge tree over the chunk indices
+/// ([`repro_sum::lanes::merge_tree`]).
 ///
 /// Chunk boundaries depend only on `len` (and the requested chunk length),
 /// **never** on the worker count — that is what makes
@@ -64,11 +65,11 @@ impl ReductionPlan {
         }
     }
 
-    /// Plan over `len` elements split into exactly `count` near-equal
-    /// chunks (the old executor's `div_ceil(workers)` decomposition).
+    /// Plan over `len` elements split into at most `count` near-equal
+    /// chunks of [`repro_sum::lanes::chunk_len`] elements: 10 elements at
+    /// count 8 give 5 chunks of 2.
     pub fn with_chunk_count(len: usize, count: usize) -> Self {
-        let count = count.max(1).min(len.max(1));
-        Self::with_chunk_len(len, len.div_ceil(count))
+        Self::with_chunk_len(len, repro_sum::lanes::chunk_len(len, count))
     }
 
     /// Total element count.
@@ -103,7 +104,7 @@ impl ReductionPlan {
     }
 
     /// The element interval covered by the merge-tree node `(i, stride)`
-    /// produced by [`merge_in_plan_order_indexed`]: the union of chunks
+    /// of [`repro_sum::lanes::merge_tree`]: the union of chunks
     /// `i..min(i + 2*stride, num_chunks)`. With `stride == 0`, the leaf —
     /// chunk `i` alone.
     ///
@@ -130,59 +131,6 @@ impl ReductionPlan {
             format!("m{i}.{stride}")
         }
     }
-}
-
-/// Merge chunk partials along the plan's fixed balanced binary tree:
-/// stride-doubling rounds over the chunk indices, so the topology depends
-/// only on the chunk count. Returns `None` for an empty slot vector.
-pub fn merge_in_plan_order<A, M>(mut parts: Vec<Option<A>>, mut merge: M) -> Option<A>
-where
-    M: FnMut(&mut A, &A),
-{
-    let n = parts.len();
-    if n == 0 {
-        return None;
-    }
-    let mut stride = 1;
-    while stride < n {
-        let mut i = 0;
-        while i + stride < n {
-            let right = parts[i + stride].take().expect("merge tree slot filled");
-            let left = parts[i].as_mut().expect("merge tree slot filled");
-            merge(left, &right);
-            i += 2 * stride;
-        }
-        stride *= 2;
-    }
-    parts[0].take()
-}
-
-/// [`merge_in_plan_order`] with the tree position exposed: the callback
-/// receives `(i, stride, left, right)` for the merge node that folds the
-/// subtree rooted at chunk `i + stride` into the one rooted at chunk `i`.
-/// Same topology, same merge order — the telemetry-bearing twin of the
-/// plain version (`merge_in_plan_order(parts, m)` ≡
-/// `merge_in_plan_order_indexed(parts, |_, _, a, b| m(a, b))`).
-pub fn merge_in_plan_order_indexed<A, M>(mut parts: Vec<Option<A>>, mut merge: M) -> Option<A>
-where
-    M: FnMut(usize, usize, &mut A, &A),
-{
-    let n = parts.len();
-    if n == 0 {
-        return None;
-    }
-    let mut stride = 1;
-    while stride < n {
-        let mut i = 0;
-        while i + stride < n {
-            let right = parts[i + stride].take().expect("merge tree slot filled");
-            let left = parts[i].as_mut().expect("merge tree slot filled");
-            merge(i, stride, left, &right);
-            i += 2 * stride;
-        }
-        stride *= 2;
-    }
-    parts[0].take()
 }
 
 #[cfg(test)]
@@ -219,6 +167,8 @@ mod tests {
         assert_eq!(plan.chunks()[0], 0..1250);
         let clamped = ReductionPlan::with_chunk_count(3, 8);
         assert_eq!(clamped.num_chunks(), 3);
+        // At most `count`: runs of ceil(10 / 8) = 2 cut 10 values into 5.
+        assert_eq!(ReductionPlan::with_chunk_count(10, 8).num_chunks(), 5);
     }
 
     #[test]
@@ -227,40 +177,6 @@ mod tests {
         assert_eq!(ReductionPlan::with_chunk_len(2, 1).merge_depth(), 1);
         assert_eq!(ReductionPlan::with_chunk_len(5, 1).merge_depth(), 3);
         assert_eq!(ReductionPlan::with_chunk_len(8, 1).merge_depth(), 3);
-    }
-
-    #[test]
-    fn plan_order_merge_is_a_fixed_tree() {
-        // Merging strings shows the topology: ((0 1) (2 3)) (4 ..).
-        let parts: Vec<Option<String>> = (0..5).map(|i| Some(i.to_string())).collect();
-        let out = merge_in_plan_order(parts, |a, b| {
-            *a = format!("({a} {b})");
-        })
-        .unwrap();
-        assert_eq!(out, "(((0 1) (2 3)) 4)");
-        // Same count, same topology — always.
-        let again: Vec<Option<String>> = (0..5).map(|i| Some(i.to_string())).collect();
-        let out2 = merge_in_plan_order(again, |a, b| {
-            *a = format!("({a} {b})");
-        })
-        .unwrap();
-        assert_eq!(out, out2);
-    }
-
-    #[test]
-    fn indexed_merge_matches_plain_merge_topology() {
-        let plain: Vec<Option<String>> = (0..5).map(|i| Some(i.to_string())).collect();
-        let indexed: Vec<Option<String>> = (0..5).map(|i| Some(i.to_string())).collect();
-        let a = merge_in_plan_order(plain, |a, b| *a = format!("({a} {b})")).unwrap();
-        let mut seen = Vec::new();
-        let b = merge_in_plan_order_indexed(indexed, |i, stride, a, b| {
-            seen.push((i, stride));
-            *a = format!("({a} {b})");
-        })
-        .unwrap();
-        assert_eq!(a, b);
-        // Stride-doubling rounds over 5 chunks: (0,1) (2,1) then (0,2) then (0,4).
-        assert_eq!(seen, vec![(0, 1), (2, 1), (0, 2), (0, 4)]);
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! 2. The multi-lane chunk kernels are bitwise identical to the scalar
 //!    `add_slice` loop for reproducible operators.
 //! 3. The lane kernel's decomposition and merge shape **are** the plan's:
-//!    `repro-sum` replicates `ReductionPlan::with_chunk_count` boundaries
-//!    and the `merge_in_plan_order` stride-doubling fold (it cannot depend
-//!    on this crate), and the tests here pin the two implementations
-//!    bit-for-bit with an order-*sensitive* operator, so any topology drift
-//!    between the crates fails loudly.
+//!    both cut with `repro_sum::lanes::chunk_len` and merge with
+//!    `repro_sum::lanes::merge_tree`, and the tests here pin the lane
+//!    kernel to the engine's plan-order reduction bit-for-bit with an
+//!    order-*sensitive* operator, so any drift in how the engine applies
+//!    the shared schedule fails loudly.
 
 use proptest::prelude::*;
-use repro_runtime::{merge_in_plan_order, ChunkKernel, MergeOrder, ReductionPlan, Runtime};
+use repro_runtime::{ChunkKernel, MergeOrder, ReductionPlan, Runtime};
 use repro_sum::lanes::accumulate_lanes;
 use repro_sum::prerounded::{PreroundPlan, PreroundedSum};
 use repro_sum::{Accumulator, BinnedSum, DistillSum, StandardSum};
@@ -103,18 +103,8 @@ proptest! {
         let values = hostile(seed, dr);
         let laned = accumulate_lanes(StandardSum::new, &values, lanes).finalize();
         let plan = ReductionPlan::with_chunk_count(values.len(), lanes);
-        let parts: Vec<Option<StandardSum>> = plan
-            .chunks()
-            .iter()
-            .map(|r| {
-                let mut acc = StandardSum::new();
-                acc.add_slice(&values[r.clone()]);
-                Some(acc)
-            })
-            .collect();
-        let planned = merge_in_plan_order(parts, |a: &mut StandardSum, b| a.merge(b))
-            .expect("plan has at least one chunk")
-            .finalize();
+        let planned =
+            Runtime::new(4).reduce_planned(&values, &plan, StandardSum::new, MergeOrder::Plan);
         prop_assert_eq!(laned.to_bits(), planned.to_bits(), "lanes = {}", lanes);
     }
 

@@ -140,22 +140,15 @@ impl CalibrationTable {
     }
 }
 
-/// Parse an algorithm label as written by `Algorithm`'s `Display` impl.
+/// Parse an algorithm label exactly as `Algorithm`'s `Display` impl writes
+/// it: an abbreviation, or `PR(fold=N)` for the binned operator (so a bare
+/// `PR` is rejected).
 fn parse_algorithm(s: &str) -> Option<Algorithm> {
-    match s {
-        "ST" => Some(Algorithm::Standard),
-        "K" => Some(Algorithm::Kahan),
-        "N" => Some(Algorithm::Neumaier),
-        "PW" => Some(Algorithm::Pairwise),
-        "CP" => Some(Algorithm::Composite),
-        "DD" => Some(Algorithm::DoubleDouble),
-        "DS" => Some(Algorithm::Distill),
-        _ => {
-            let fold = s.strip_prefix("PR(fold=")?.strip_suffix(')')?;
-            Some(Algorithm::Binned {
-                fold: fold.parse().ok()?,
-            })
-        }
+    match s.strip_prefix("PR(fold=") {
+        Some(fold) => Some(Algorithm::Binned {
+            fold: fold.strip_suffix(')')?.parse().ok()?,
+        }),
+        None => Algorithm::from_abbrev(s).filter(|a| a.to_string() == s),
     }
 }
 
@@ -441,6 +434,19 @@ mod tests {
         assert!(CalibrationTable::from_csv("n,k,dr,algorithm,spread\n1,2\n").is_none());
         assert!(
             CalibrationTable::from_csv("n,k,dr,algorithm,spread\n64,1,0,BOGUS,1e-3\n").is_none()
+        );
+        // `to_csv` writes the binned operator as `PR(fold=N)`, never bare.
+        assert!(CalibrationTable::from_csv("n,k,dr,algorithm,spread\n64,1,0,PR,1e-3\n").is_none());
+    }
+
+    #[test]
+    fn display_labels_parse_back_over_all() {
+        for alg in Algorithm::ALL {
+            assert_eq!(parse_algorithm(&alg.to_string()), Some(alg));
+        }
+        assert_eq!(
+            parse_algorithm("PR(fold=2)"),
+            Some(Algorithm::Binned { fold: 2 })
         );
     }
 

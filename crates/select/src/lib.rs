@@ -68,7 +68,7 @@ pub use explain::{explain, record_decision, Explanation};
 pub use profile::{profile, profile_parallel, DataProfile};
 use repro_sum::{Accumulator, Algorithm};
 pub use sample::{choose_sampled, SampleConfig, SampledProfile};
-pub use selector::{HeuristicSelector, SampledSelector, Selector, Tolerance};
+pub use selector::{HeuristicSelector, Selector, Tolerance};
 pub use subtree::{BudgetSplit, SubtreeAdaptive, SubtreeOutcome};
 pub use verified::{VerifiedOutcome, VerifiedReducer};
 

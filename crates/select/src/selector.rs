@@ -136,104 +136,6 @@ impl Selector for CalibratedSelector {
     }
 }
 
-/// Empirical selector without a calibration table: estimate each
-/// algorithm's spread by reducing a **subsample** of the data under a few
-/// random shuffles, escalating until the measured spread fits the budget.
-///
-/// The middle ground between [`HeuristicSelector`] (model, free) and
-/// full calibration (measured, expensive): cost is
-/// `O(shuffles · subsample)` per choice, independent of `n`.
-#[derive(Clone, Debug)]
-pub struct SampledSelector {
-    /// Values drawn from the data per probe (deterministic stride sample).
-    pub subsample: usize,
-    /// Shuffled reductions per algorithm probe.
-    pub shuffles: u32,
-    /// Probe RNG seed.
-    pub seed: u64,
-    costs: CostModel,
-}
-
-impl Default for SampledSelector {
-    fn default() -> Self {
-        Self {
-            subsample: 2_048,
-            shuffles: 8,
-            seed: 0x5A3D,
-            costs: CostModel::default(),
-        }
-    }
-}
-
-impl SampledSelector {
-    /// Measured spread of `alg` over shuffled reductions of the subsample,
-    /// rescaled from the subsample size to `n` (√ growth model).
-    fn probe(&self, alg: Algorithm, sample: &[f64], n: usize) -> f64 {
-        use repro_fp::rng::DetRng;
-        let mut rng = DetRng::seed_from_u64(self.seed);
-        let mut work = sample.to_vec();
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for _ in 0..self.shuffles.max(2) {
-            rng.shuffle(&mut work);
-            let r = alg.sum(&work);
-            min = min.min(r);
-            max = max.max(r);
-        }
-        let spread = max - min;
-        let scale = (n.max(1) as f64 / sample.len().max(1) as f64).sqrt();
-        spread * scale
-    }
-}
-
-impl Selector for SampledSelector {
-    fn choose(&self, profile: &DataProfile, tolerance: Tolerance) -> Algorithm {
-        // The profile alone cannot carry the sample; selectors are given the
-        // derived quantities only, so the sampled probe reconstructs a
-        // surrogate workload with the profile's (n, k, dr) via the
-        // generator — measuring on data *shaped like* the input.
-        let budget = match tolerance {
-            Tolerance::Bitwise => return Algorithm::PR,
-            Tolerance::AbsoluteSpread(t) => t,
-            Tolerance::RelativeSpread(r) => {
-                let scale = profile.sum_estimate.abs();
-                if scale == 0.0 {
-                    return Algorithm::PR;
-                }
-                r * scale
-            }
-        };
-        let n = profile.n.max(2);
-        let m = self.subsample.min(n).max(2);
-        let surrogate = repro_gen::grid_cell(
-            m,
-            if profile.k.is_finite() {
-                profile.k.max(1.0)
-            } else {
-                f64::INFINITY
-            },
-            profile.dr_decades().max(0) as u32,
-            self.seed,
-            1e16,
-        );
-        // Rescale the surrogate to the data's magnitude so absolute spreads
-        // are comparable.
-        let surrogate_abs = repro_fp::exact_abs_sum(&surrogate);
-        let factor = if surrogate_abs > 0.0 {
-            profile.abs_sum / surrogate_abs
-        } else {
-            1.0
-        };
-        let scaled: Vec<f64> = surrogate.iter().map(|v| v * factor).collect();
-        for alg in self.costs.by_cost(&Algorithm::PAPER_SET) {
-            if alg.is_reproducible() || self.probe(alg, &scaled, n) <= budget {
-                return alg;
-            }
-        }
-        Algorithm::PR
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,39 +211,6 @@ mod tests {
             sel.choose(&profile(&hostile), Tolerance::AbsoluteSpread(0.0)),
             Algorithm::PR
         );
-    }
-
-    #[test]
-    fn sampled_selector_matches_reality_on_the_extremes() {
-        let sel = SampledSelector::default();
-        // Benign: generous budget -> ST.
-        let benign: Vec<f64> = (1..=4096).map(|i| i as f64).collect();
-        assert_eq!(
-            sel.choose(&profile(&benign), Tolerance::AbsoluteSpread(1.0)),
-            Algorithm::Standard
-        );
-        // Hostile with a tiny budget -> escalates past ST.
-        let hostile = repro_gen::zero_sum_with_range(4096, 24, 3);
-        let choice = sel.choose(&profile(&hostile), Tolerance::AbsoluteSpread(1e-13));
-        assert!(
-            choice.cost_rank() > Algorithm::Standard.cost_rank(),
-            "chose {choice}"
-        );
-        // Bitwise -> PR.
-        assert_eq!(
-            sel.choose(&profile(&hostile), Tolerance::Bitwise),
-            Algorithm::PR
-        );
-    }
-
-    #[test]
-    fn sampled_selector_is_deterministic() {
-        let sel = SampledSelector::default();
-        let data = repro_gen::zero_sum_with_range(2048, 16, 5);
-        let p = profile(&data);
-        let a = sel.choose(&p, Tolerance::AbsoluteSpread(1e-12));
-        let b = sel.choose(&p, Tolerance::AbsoluteSpread(1e-12));
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -78,6 +78,12 @@ impl Algorithm {
         }
     }
 
+    /// The inverse of [`Algorithm::abbrev`] over [`Algorithm::ALL`]; `"PR"`
+    /// gives [`Algorithm::PR`]. Case-sensitive.
+    pub fn from_abbrev(abbrev: &str) -> Option<Algorithm> {
+        Algorithm::ALL.into_iter().find(|a| a.abbrev() == abbrev)
+    }
+
     /// Human-readable name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -256,6 +262,15 @@ mod tests {
         // Cost ranks strictly increase across the paper set.
         let ranks: Vec<u8> = Algorithm::PAPER_SET.iter().map(|a| a.cost_rank()).collect();
         assert!(ranks.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn abbreviations_parse_back_over_all() {
+        for alg in Algorithm::ALL {
+            assert_eq!(Algorithm::from_abbrev(alg.abbrev()), Some(alg));
+        }
+        assert_eq!(Algorithm::from_abbrev("st"), None);
+        assert_eq!(Algorithm::from_abbrev("PR(fold=3)"), None);
     }
 
     #[test]

@@ -1,29 +1,30 @@
-//! Multi-lane slice kernels over contiguous plan chunks.
+//! Multi-lane slice kernels over contiguous chunks, and the workspace's one
+//! merge schedule.
 //!
 //! A scalar `add_slice` is one stream through the operator. Splitting the
 //! slice into `L` **contiguous** chunks gives the operator `L` independent
 //! accumulators whose inner loops each run the operator's batched
-//! `add_slice` kernel at full speed, then the lanes merge through the same
-//! fixed balanced binary tree the runtime's `ReductionPlan` uses — a purely
-//! data-dependent schedule, so the kernel is deterministic for every
-//! operator and bit-identical to the scalar kernel for reproducible
-//! operators ([`crate::BinnedSum`], [`crate::DistillSum`], the exact
+//! `add_slice` kernel at full speed, then the lanes merge through the fixed
+//! balanced binary tree of [`merge_tree`] — a purely data-dependent
+//! schedule, so the kernel is deterministic for every operator and
+//! bit-identical to the scalar kernel for reproducible operators
+//! ([`crate::BinnedSum`], [`crate::DistillSum`], the exact
 //! superaccumulator), whose results are schedule-invariant by construction.
 //!
-//! The decomposition and merge order are deliberately **identical** to the
-//! runtime engine's `ReductionPlan::with_chunk_count` boundaries and
-//! `merge_in_plan_order` stride-doubling fold (`repro-sum` sits below
-//! `repro-runtime` in the crate graph, so the shapes are replicated here and
-//! pinned bit-for-bit by cross-crate tests in `repro-runtime`). A lane
-//! result therefore equals the planned reduction a runtime with `L` workers
-//! would produce — lane count, worker count, and SIMD dispatch tier can all
-//! vary without moving a single bit of a reproducible operator's output.
+//! [`chunk_len`] and [`merge_tree`] are the only copies of the chunk rule and
+//! the merge tree in the workspace: the runtime's `ReductionPlan` cuts its
+//! chunks with [`chunk_len`] and merges them with [`merge_tree`], `agg`
+//! merges its shards and `mpisim` its ranks along the same stride-doubling
+//! tree. A lane result therefore equals the planned reduction a runtime with
+//! `L` workers would produce — lane count, worker count, and SIMD dispatch
+//! tier can all vary without moving a single bit of a reproducible
+//! operator's output.
 //!
-//! This replaces the round-robin element interleave the module used before:
-//! strided gathers forced either a per-element `add` (one long dependency
-//! chain, ~3× slower for the superaccumulator) or a scratch-buffer copy.
-//! Contiguous chunks keep every lane on the operator's fastest slice path
-//! with zero data movement.
+//! Contiguous chunks, not a round-robin element interleave: strided gathers
+//! forced either a per-element `add` (one long dependency chain, ~3× slower
+//! for the superaccumulator) or a scratch-buffer copy, while contiguous
+//! chunks keep every lane on the operator's fastest slice path with zero
+//! data movement.
 
 use crate::Accumulator;
 
@@ -49,38 +50,47 @@ where
     merge_in_lane_order(parts).unwrap_or_else(make)
 }
 
-/// The contiguous per-lane chunks of `values` for a given lane count:
-/// `ceil(len / count)`-sized runs with the count clamped to the element
-/// count — boundary-for-boundary identical to the runtime's
-/// `ReductionPlan::with_chunk_count(len, lanes)`.
-pub fn lane_chunks(values: &[f64], lanes: usize) -> std::slice::Chunks<'_, f64> {
-    let count = lanes.max(1).min(values.len().max(1));
-    values.chunks(values.len().div_ceil(count).max(1))
+/// The chunk rule: the length of each of the at most `count` contiguous
+/// chunks that cover `len` elements, `ceil(len / min(count, len))` and never
+/// below 1. The last chunk may be short, so a cut can yield fewer than
+/// `count` chunks (10 elements at count 8 give 5 chunks of 2).
+pub fn chunk_len(len: usize, count: usize) -> usize {
+    len.div_ceil(count.max(1).min(len.max(1))).max(1)
 }
 
-/// Fold lane accumulators through the fixed stride-doubling balanced binary
-/// tree — merge-for-merge identical to the runtime's
-/// `merge_in_plan_order`: at stride `s`, lane `i + s` folds into lane `i`
-/// for `i = 0, 2s, 4s, ...`, then the stride doubles. Returns `None` for an
-/// empty lane set.
-pub fn merge_in_lane_order<A: Accumulator>(parts: Vec<A>) -> Option<A> {
-    let mut parts: Vec<Option<A>> = parts.into_iter().map(Some).collect();
+/// The contiguous per-lane chunks of `values` for a given lane count, cut
+/// by [`chunk_len`].
+pub fn lane_chunks(values: &[f64], lanes: usize) -> std::slice::Chunks<'_, f64> {
+    values.chunks(chunk_len(values.len(), lanes))
+}
+
+/// The fixed stride-doubling balanced binary tree over `parts`: at stride
+/// `s`, part `i + s` folds into part `i` for `i = 0, 2s, 4s, ...`, then the
+/// stride doubles. `merge(i, s, left, right)` runs once per tree node, in
+/// that order, so the topology depends only on `parts.len()`. Returns the
+/// root, or `None` for an empty part set.
+pub fn merge_tree<A, M>(mut parts: Vec<A>, mut merge: M) -> Option<A>
+where
+    M: FnMut(usize, usize, &mut A, &A),
+{
     let n = parts.len();
-    if n == 0 {
-        return None;
-    }
     let mut stride = 1;
     while stride < n {
         let mut i = 0;
         while i + stride < n {
-            let right = parts[i + stride].take().expect("merge tree slot filled");
-            let left = parts[i].as_mut().expect("merge tree slot filled");
-            left.merge(&right);
+            let (left, right) = parts.split_at_mut(i + stride);
+            merge(i, stride, &mut left[i], &right[0]);
             i += 2 * stride;
         }
         stride *= 2;
     }
-    parts[0].take()
+    parts.into_iter().next()
+}
+
+/// Fold accumulators through [`merge_tree`] with [`Accumulator::merge`].
+/// Returns `None` for an empty lane set.
+pub fn merge_in_lane_order<A: Accumulator>(parts: Vec<A>) -> Option<A> {
+    merge_tree(parts, |_, _, left, right| left.merge(right))
 }
 
 #[cfg(test)]
@@ -180,6 +190,16 @@ mod tests {
         assert_eq!(merged.to_bits(), expect.to_bits());
         assert_ne!(expect.to_bits(), left_fold.to_bits(), "shapes must differ");
         assert!(merge_in_lane_order(Vec::<StandardSum>::new()).is_none());
+
+        // Merging strings shows the topology, and the callback sees each
+        // node as (i, stride) in stride-doubling rounds.
+        let mut seen = Vec::new();
+        let shape = merge_tree((0..5).map(|i| i.to_string()).collect(), |i, s, a, b| {
+            seen.push((i, s));
+            *a = format!("({a} {b})");
+        });
+        assert_eq!(shape.as_deref(), Some("(((0 1) (2 3)) 4)"));
+        assert_eq!(seen, vec![(0, 1), (2, 1), (0, 2), (0, 4)]);
     }
 
     #[test]

@@ -8,25 +8,17 @@
 //! program legitimately merge in different orders — which is exactly the
 //! nondeterminism a reproducible operator must absorb.
 //!
-//! Since the `repro-runtime` crate landed, this module is a thin veneer
-//! over its persistent work-stealing engine ([`repro_runtime::Runtime`]):
-//! the chunk decomposition (`len.div_ceil(workers)` contiguous pieces) and
-//! the public API are unchanged, but the threads are pooled instead of
-//! spawned per call.
+//! This module is a thin veneer over the persistent work-stealing engine
+//! of `repro-runtime` ([`repro_runtime::Runtime`]). It cuts the input into
+//! at most `workers` contiguous chunks
+//! ([`ReductionPlan::with_chunk_count`]), runs them on the shared pool, and
+//! merges per the runtime's own [`MergeOrder`]: in arrival order, or along
+//! the plan's fixed tree ([`repro_sum::lanes::merge_tree`]).
 
 use repro_runtime::{ReductionPlan, Runtime};
 use repro_sum::Accumulator;
 
-/// How the root combines worker partials.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MergeOrder {
-    /// Merge partials as they arrive from the workers (nondeterministic —
-    /// depends on OS scheduling).
-    Arrival,
-    /// Merge partials along the plan's fixed tree in chunk order
-    /// (deterministic topology, still parallel computation).
-    ChunkIndex,
-}
+pub use repro_runtime::MergeOrder;
 
 /// Reduce `values` with `workers`-way chunking, each chunk reduced locally
 /// (serially) on the shared runtime pool, the root merging partials per
@@ -45,10 +37,6 @@ where
         return make().finalize();
     }
     let plan = ReductionPlan::with_chunk_count(values.len(), workers);
-    let order = match order {
-        MergeOrder::Arrival => repro_runtime::MergeOrder::Arrival,
-        MergeOrder::ChunkIndex => repro_runtime::MergeOrder::Plan,
-    };
     Runtime::global().reduce_planned(values, &plan, make, order)
 }
 
@@ -62,7 +50,7 @@ where
 /// contract. The executor keeps the same `workers`-way chunk decomposition
 /// as [`parallel_reduce`], so the emitted node ids and intervals describe
 /// the exact tree the untraced call would have used under
-/// [`MergeOrder::ChunkIndex`].
+/// [`MergeOrder::Plan`].
 pub fn parallel_reduce_telemetry<A, F>(
     values: &[f64],
     workers: usize,
@@ -101,9 +89,9 @@ mod tests {
     #[test]
     fn chunk_index_order_is_deterministic() {
         let values = repro_gen::zero_sum_with_range(50_000, 24, 17);
-        let a = parallel_reduce(&values, 8, StandardSum::new, MergeOrder::ChunkIndex);
+        let a = parallel_reduce(&values, 8, StandardSum::new, MergeOrder::Plan);
         for _ in 0..5 {
-            let b = parallel_reduce(&values, 8, StandardSum::new, MergeOrder::ChunkIndex);
+            let b = parallel_reduce(&values, 8, StandardSum::new, MergeOrder::Plan);
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -112,7 +100,7 @@ mod tests {
     fn binned_is_bitwise_stable_under_arrival_order() {
         // The headline property: PR absorbs real scheduling nondeterminism.
         let values = repro_gen::zero_sum_with_range(50_000, 32, 23);
-        let reference = parallel_reduce(&values, 8, || BinnedSum::new(3), MergeOrder::ChunkIndex);
+        let reference = parallel_reduce(&values, 8, || BinnedSum::new(3), MergeOrder::Plan);
         for _ in 0..10 {
             let run = parallel_reduce(&values, 8, || BinnedSum::new(3), MergeOrder::Arrival);
             assert_eq!(run.to_bits(), reference.to_bits());
@@ -152,7 +140,7 @@ mod tests {
     fn telemetry_executor_matches_untraced_chunk_index_result() {
         use repro_obs::{TelemetryConfig, Trace};
         let values = repro_gen::zero_sum_with_range(20_000, 24, 41);
-        let plain = parallel_reduce(&values, 6, StandardSum::new, MergeOrder::ChunkIndex);
+        let plain = parallel_reduce(&values, 6, StandardSum::new, MergeOrder::Plan);
         let (trace, sink) = Trace::to_memory();
         let mut scope = trace.scope("tree");
         let registry = repro_obs::Registry::new();

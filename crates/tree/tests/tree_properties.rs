@@ -111,8 +111,8 @@ proptest! {
         workers in 1usize..9,
     ) {
         use repro_tree::executor::{parallel_reduce, MergeOrder};
-        let a = parallel_reduce(&values, workers, StandardSum::new, MergeOrder::ChunkIndex);
-        let b = parallel_reduce(&values, workers, StandardSum::new, MergeOrder::ChunkIndex);
+        let a = parallel_reduce(&values, workers, StandardSum::new, MergeOrder::Plan);
+        let b = parallel_reduce(&values, workers, StandardSum::new, MergeOrder::Plan);
         prop_assert_eq!(a.to_bits(), b.to_bits());
     }
 }

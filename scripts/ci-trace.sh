@@ -25,6 +25,22 @@ grep -q '"kind":"reduce_end"' "$TRACE_DIR/reduce.jsonl" \
 echo "== schema check (reduce) =="
 run trace check --file "$TRACE_DIR/reduce.jsonl"
 
+echo "== traced multi-chunk reduction, twice: the merge tree replays =="
+# n = 300000 cuts five 64 Ki chunks, so the trace carries the plan's merge
+# tree: 4 merge events and 9 node events (5 leaves, 4 merges).
+MERGE_ARGS=(trace reduce --n 300000 --k inf --dr 12 --seed 2015 --telemetry)
+run "${MERGE_ARGS[@]}" > "$TRACE_DIR/merge-a.jsonl"
+run "${MERGE_ARGS[@]}" > "$TRACE_DIR/merge-b.jsonl"
+run trace check --file "$TRACE_DIR/merge-a.jsonl"
+diff <(grep -v '^#' "$TRACE_DIR/merge-a.jsonl") <(grep -v '^#' "$TRACE_DIR/merge-b.jsonl") \
+  || { echo "multi-chunk reduction trace failed to replay byte-identically" >&2; exit 1; }
+merges=$(grep -c '"kind":"merge"' "$TRACE_DIR/merge-a.jsonl" || true)
+[ "$merges" -eq 4 ] \
+  || { echo "multi-chunk trace has $merges merge events, want 4" >&2; exit 1; }
+nodes=$(grep -c '"kind":"node"' "$TRACE_DIR/merge-a.jsonl" || true)
+[ "$nodes" -eq 9 ] \
+  || { echo "multi-chunk trace has $nodes node events, want 9" >&2; exit 1; }
+
 echo "== traced chaos, twice, fixed seed =="
 CHAOS_ARGS=(trace chaos --ranks 6 --n 2048 --dr 12 --seed 2015 --drop 0.2 --dup 0.1 --kill 1)
 run "${CHAOS_ARGS[@]}" > "$TRACE_DIR/chaos-a.jsonl"
