@@ -1,7 +1,8 @@
 //! **Microbenchmarks** — per-element cost of every operator across input
-//! sizes, plus the dot-product variants. Criterion-powered; this is the
-//! measured counterpart of the selector's flop-count cost model, and the
-//! data source for `CostModel::measure`'s sanity checks.
+//! sizes, plus the dot-product variants. Criterion-powered; a finer-grained
+//! view of the per-operator costs that the selector's default cost model
+//! reads from the committed `BENCH_06.json` baseline (refreshed with
+//! `repro-reduce bench`).
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use repro_core::runtime::{MergeOrder, ReductionPlan, Runtime};

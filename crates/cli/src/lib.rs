@@ -1,41 +1,8 @@
 //! # `repro-cli` — the `repro-reduce` command
 //!
-//! A thin, dependency-free command-line front end over `repro-core`:
-//!
-//! ```text
-//! repro-reduce sum     [--alg ST|K|N|PW|CP|DD|PR|DS] [--file F] [VALUES...]
-//! repro-reduce profile [--file F] [VALUES...]
-//! repro-reduce select  --tolerance T [--relative|--bitwise] [--file F] [VALUES...]
-//! repro-reduce verify  --tolerance T [--bitwise] [--file F] [VALUES...]
-//! repro-reduce compare [--file F] [VALUES...]
-//! repro-reduce gen     --n N [--k K|inf] [--dr D] [--seed S]
-//! repro-reduce dot     --file-x FX --file-y FY [--alg ST|CP|PR]
-//! repro-reduce calibrate [--n N] [--perms P] [--seed S]
-//! repro-reduce tree    [--shape balanced|serial|random|binomial] [--alg A]
-//!                      [--dot] [--file F] [VALUES...]
-//! repro-reduce chaos   [--ranks R] [--n N] [--dr D] [--seed S] [--drop P]
-//!                      [--delay P] [--dup P] [--reorder P] [--kill K]
-//!                      [--topology binomial|flat|chain]
-//! repro-reduce trace reduce [--n N] [--k K|inf] [--dr D] [--seed S]
-//!                      [--tolerance T] [--bitwise] [--wall] [--telemetry]
-//!                      [--sample N] [--perturb I] [--file F] [VALUES...]
-//! repro-reduce trace chaos  [--ranks R] [--n N] [--dr D] [--seed S] [--drop P]
-//!                      [--delay P] [--dup P] [--reorder P] [--kill K]
-//!                      [--telemetry] [--sample N] [--perturb I]
-//! repro-reduce trace check  --file F
-//! repro-reduce trace diff   A.jsonl B.jsonl
-//! repro-reduce report  [--format prom|html] [--n N] [--k K|inf] [--dr D]
-//!                      [--seed S] [--sample N] [--file F] [VALUES...]
-//! repro-reduce bench   [--out PATH|-]
-//! repro-reduce simd    [--check scalar|sse2|avx2]
-//! repro-reduce agg loadgen [--aggregates A] [--clients C] [--batches B]
-//!                      [--batch-len L] [--shards K] [--workers W]
-//!                      [--seed S] [--shuffle X]
-//! repro-reduce agg serve   (loadgen flags) [--restore PATH] [--snapshot PATH]
-//!                      [--start-at I] [--stop-at I] [--manifest PATH]
-//! repro-reduce agg bench   (loadgen flags; sweeps shards 1/4/16)
-//! repro-reduce agg check   --file F
-//! ```
+//! A thin, dependency-free command-line front end over `repro-core`. The
+//! commands, their flags and the limits on what a command may generate
+//! or start are listed in [`USAGE`] (`repro-reduce help`).
 //!
 //! Values come from positional arguments and/or `--file` (whitespace- or
 //! newline-separated floats; `-` reads stdin). All commands are pure
@@ -208,9 +175,55 @@ digest divergence; 'agg check' strict-parses a saved state document
 (exit 2 when invalid, v1 included).
 Defaults scale with REPRO_SCALE.
 
+Limits, checked before anything is allocated or started ('replay' exits
+2 on a manifest beyond them): --n generates at most 134217728 (2^27)
+values; --ranks and agg --workers are at most 1024 each (one thread
+apiece); an agg schedule holds at most 16777216 (2^24) batches
+(aggregates x clients x batches) of at most 134217728 (2^27) values
+(--batch-len).
+
 Exit codes: 0 = success; 1 = failure or numerical divergence ('trace
 diff' divergent nodes, 'replay' mismatch); 2 = parse/schema error
 (malformed trace or manifest, unsupported schema, invalid REPRO_SIMD).";
+
+/// Walks `--flag [value]` arguments. Each command matches the flags it
+/// accepts, one arm per flag, and reads a flag's value through
+/// [`Flags::text`] or [`Flags::value`].
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+    /// The argument [`Flags::next_arg`] returned last.
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Flags {
+            args: args.iter(),
+            flag: "",
+        }
+    }
+
+    /// The next argument: a flag, or a positional value.
+    fn next_arg(&mut self) -> Option<&'a str> {
+        self.flag = self.args.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value.
+    fn text(&mut self) -> Result<String, CliError> {
+        self.args
+            .next()
+            .cloned()
+            .ok_or_else(|| err(format!("{} needs a value", self.flag)))
+    }
+
+    /// The current flag's value, parsed.
+    fn value<T: std::str::FromStr>(&mut self) -> Result<T, CliError> {
+        let v = self.text()?;
+        v.parse()
+            .map_err(|_| err(format!("bad {}: {v:?}", self.flag)))
+    }
+}
 
 /// Parsed global options shared by value-consuming commands.
 #[derive(Debug, Default)]
@@ -220,9 +233,7 @@ struct Opts {
     file_x: Option<String>,
     file_y: Option<String>,
     perms: u64,
-    tolerance: Option<f64>,
-    relative: bool,
-    bitwise: bool,
+    tolerance: Option<Tolerance>,
     hex: bool,
     shape: Option<String>,
     dot: bool,
@@ -252,25 +263,17 @@ fn parse_opts(
     read_file: &dyn Fn(&str) -> Result<String, CliError>,
 ) -> Result<Opts, CliError> {
     let mut o = Opts {
-        dr: 0,
         seed: 2015,
         perms: 20,
         ..Default::default()
     };
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let mut take = |name: &str| -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| err(format!("{name} needs a value")))
-        };
-        match a.as_str() {
-            "--alg" => o.alg = Some(take("--alg")?),
+    let (mut tolerance, mut relative, mut bitwise) = (None, false, false);
+    let mut r = Flags::new(args);
+    while let Some(a) = r.next_arg() {
+        match a {
+            "--alg" => o.alg = Some(r.text()?),
             "--file" => {
-                let path = take("--file")?;
-                let text = read_file(&path)?;
+                let text = read_file(&r.text()?)?;
                 for tok in text.split_whitespace() {
                     o.values.push(
                         tok.parse()
@@ -279,95 +282,99 @@ fn parse_opts(
                 }
             }
             "--tolerance" => {
-                let t = take("--tolerance")?;
-                o.tolerance = Some(
-                    t.parse()
+                let t = r.text()?;
+                tolerance = Some(
+                    t.parse::<f64>()
                         .map_err(|_| err(format!("bad tolerance: {t:?}")))?,
-                )
+                );
             }
-            "--relative" => o.relative = true,
-            "--bitwise" => o.bitwise = true,
+            "--relative" => relative = true,
+            "--bitwise" => bitwise = true,
             "--hex" => o.hex = true,
-            "--shape" => o.shape = Some(take("--shape")?),
+            "--shape" => o.shape = Some(r.text()?),
             "--dot" => o.dot = true,
             "--explain" => o.explain = true,
-            "--n" => {
-                let v = take("--n")?;
-                o.n = Some(v.parse().map_err(|_| err(format!("bad --n: {v:?}")))?)
-            }
-            "--k" => {
-                let v = take("--k")?;
-                o.k = Some(if v == "inf" {
-                    f64::INFINITY
-                } else {
-                    v.parse().map_err(|_| err(format!("bad --k: {v:?}")))?
-                })
-            }
-            "--dr" => {
-                let v = take("--dr")?;
-                o.dr = v.parse().map_err(|_| err(format!("bad --dr: {v:?}")))?
-            }
-            "--file-x" => o.file_x = Some(take("--file-x")?),
-            "--file-y" => o.file_y = Some(take("--file-y")?),
-            "--perms" => {
-                let v = take("--perms")?;
-                o.perms = v.parse().map_err(|_| err(format!("bad --perms: {v:?}")))?
-            }
-            "--seed" => {
-                let v = take("--seed")?;
-                o.seed = v.parse().map_err(|_| err(format!("bad --seed: {v:?}")))?
-            }
-            "--ranks" => {
-                let v = take("--ranks")?;
-                o.ranks = Some(v.parse().map_err(|_| err(format!("bad --ranks: {v:?}")))?)
-            }
-            "--drop" => {
-                let v = take("--drop")?;
-                o.drop = v.parse().map_err(|_| err(format!("bad --drop: {v:?}")))?
-            }
-            "--delay" => {
-                let v = take("--delay")?;
-                o.delay = v.parse().map_err(|_| err(format!("bad --delay: {v:?}")))?
-            }
-            "--dup" => {
-                let v = take("--dup")?;
-                o.dup = v.parse().map_err(|_| err(format!("bad --dup: {v:?}")))?
-            }
-            "--reorder" => {
-                let v = take("--reorder")?;
-                o.reorder = v
-                    .parse()
-                    .map_err(|_| err(format!("bad --reorder: {v:?}")))?
-            }
-            "--kill" => {
-                let v = take("--kill")?;
-                o.kill = v.parse().map_err(|_| err(format!("bad --kill: {v:?}")))?
-            }
-            "--topology" => o.topology = Some(take("--topology")?),
+            "--n" => o.n = Some(generated_len(r.value()?)?),
+            "--k" => o.k = Some(r.value()?),
+            "--dr" => o.dr = r.value()?,
+            "--file-x" => o.file_x = Some(r.text()?),
+            "--file-y" => o.file_y = Some(r.text()?),
+            "--perms" => o.perms = r.value()?,
+            "--seed" => o.seed = r.value()?,
+            "--ranks" => o.ranks = Some(rank_count(r.value()?)?),
+            "--drop" => o.drop = r.value()?,
+            "--delay" => o.delay = r.value()?,
+            "--dup" => o.dup = r.value()?,
+            "--reorder" => o.reorder = r.value()?,
+            "--kill" => o.kill = r.value()?,
+            "--topology" => o.topology = Some(r.text()?),
             "--wall" => o.wall = true,
             "--telemetry" => o.telemetry = true,
-            "--sample" => {
-                let v = take("--sample")?;
-                o.sample = Some(v.parse().map_err(|_| err(format!("bad --sample: {v:?}")))?)
-            }
-            "--perturb" => {
-                let v = take("--perturb")?;
-                o.perturb = Some(
-                    v.parse()
-                        .map_err(|_| err(format!("bad --perturb: {v:?}")))?,
-                )
-            }
-            "--format" => o.format = Some(take("--format")?),
-            "--out" => o.out = Some(take("--out")?),
-            "--manifest" => o.manifest = Some(take("--manifest")?),
+            "--sample" => o.sample = Some(r.value()?),
+            "--perturb" => o.perturb = Some(r.value()?),
+            "--format" => o.format = Some(r.text()?),
+            "--out" => o.out = Some(r.text()?),
+            "--manifest" => o.manifest = Some(r.text()?),
             _ if a.starts_with("--") => return Err(err(format!("unknown option {a}"))),
             _ => o
                 .values
                 .push(a.parse().map_err(|_| err(format!("bad value: {a:?}")))?),
         }
-        i += 1;
     }
+    // `--bitwise` wins, `--relative` applies in either order, and the last
+    // `--tolerance` wins.
+    o.tolerance = if bitwise {
+        Some(Tolerance::Bitwise)
+    } else if relative {
+        tolerance.map(Tolerance::RelativeSpread)
+    } else {
+        tolerance.map(Tolerance::AbsoluteSpread)
+    };
     Ok(o)
+}
+
+/// The most values a command generates (`--n`; the `n` of a `reduce` or
+/// `chaos` manifest).
+const MAX_GENERATED: u64 = 1 << 27;
+/// The most ranks (`--ranks`; a `chaos` manifest's `workers`) or agg
+/// workers (`--workers`; an `agg` manifest's `workers`): each is a thread.
+const MAX_THREADS: u64 = 1024;
+/// The most batches an agg schedule holds (aggregates × clients × batches).
+const MAX_AGG_BATCHES: u64 = 1 << 24;
+/// The most values in one agg batch (`--batch-len`).
+const MAX_BATCH_LEN: u64 = 1 << 27;
+
+/// `v` as a count, or an error naming `what` when it exceeds `max`. The
+/// flag path reports it with exit 1; `replay` re-raises it with exit 2.
+fn at_most(what: &str, v: u64, max: u64) -> Result<usize, CliError> {
+    if v <= max {
+        Ok(v as usize)
+    } else {
+        Err(err(format!("{what} {v} exceeds the limit of {max}")))
+    }
+}
+
+/// The length of a generated input.
+fn generated_len(n: u64) -> Result<usize, CliError> {
+    at_most("--n", n, MAX_GENERATED)
+}
+
+/// The rank count of a simulated world, which starts one thread per rank.
+fn rank_count(ranks: u64) -> Result<usize, CliError> {
+    at_most("--ranks", ranks, MAX_THREADS)
+}
+
+/// An agg load shape: its worker threads, its schedule length (with
+/// checked multiplication) and its batch length.
+fn check_agg_shape(spec: &repro_core::agg::LoadSpec) -> Result<(), CliError> {
+    at_most("--workers", spec.workers as u64, MAX_THREADS)?;
+    let batches = [spec.aggregates, spec.clients, spec.batches]
+        .iter()
+        .try_fold(1u64, |acc, &x| acc.checked_mul(x as u64))
+        .unwrap_or(u64::MAX);
+    at_most("agg schedule (batches)", batches, MAX_AGG_BATCHES)?;
+    at_most("--batch-len", spec.batch_len as u64, MAX_BATCH_LEN)?;
+    Ok(())
 }
 
 fn parse_algorithm(s: &str) -> Result<Algorithm, CliError> {
@@ -376,20 +383,6 @@ fn parse_algorithm(s: &str) -> Result<Algorithm, CliError> {
         err(format!(
             "unknown algorithm {upper:?} (expected ST|K|N|PW|CP|DD|PR|DS)"
         ))
-    })
-}
-
-fn tolerance_of(o: &Opts) -> Result<Tolerance, CliError> {
-    if o.bitwise {
-        return Ok(Tolerance::Bitwise);
-    }
-    let t = o
-        .tolerance
-        .ok_or_else(|| err("--tolerance (or --bitwise) is required"))?;
-    Ok(if o.relative {
-        Tolerance::RelativeSpread(t)
-    } else {
-        Tolerance::AbsoluteSpread(t)
     })
 }
 
@@ -469,18 +462,6 @@ fn simd_tier_label() -> String {
         .unwrap_or_else(|_| "invalid".to_string())
 }
 
-/// Render the run's tolerance the way manifests spell it: `bitwise`,
-/// `abs:<v>`, or `rel:<v>` (mirrors the `tolerance_of` defaulting used by
-/// the traced commands: no `--tolerance` means bitwise).
-fn manifest_tolerance(o: &Opts) -> String {
-    match o.tolerance {
-        _ if o.bitwise => "bitwise".to_string(),
-        None => "bitwise".to_string(),
-        Some(t) if o.relative => format!("rel:{t}"),
-        Some(t) => format!("abs:{t}"),
-    }
-}
-
 /// Start a manifest for one CLI workload with everything that is known
 /// before the reduction runs: shape knobs, tolerance, environment, SIMD
 /// tier, telemetry policy, and the input itself (embedded as exact bit
@@ -493,7 +474,7 @@ fn manifest_for(cmd: &str, o: &Opts, pre_perturb: &[f64], generated: bool) -> Ru
     m.n = pre_perturb.len() as u64;
     m.dr = o.dr as u64;
     m.seed = o.seed;
-    m.tolerance = manifest_tolerance(o);
+    m.tolerance = o.tolerance.unwrap_or(Tolerance::Bitwise).to_string();
     m.simd_tier = simd_tier_label();
     m.env = manifest_env();
     m.telemetry = o.telemetry;
@@ -536,30 +517,28 @@ pub fn run(
     read_file: &dyn Fn(&str) -> Result<String, CliError>,
 ) -> Result<String, CliError> {
     let (cmd, rest) = args.split_first().ok_or_else(|| err(USAGE))?;
-    // `trace check` consumes --file as raw trace text, not floats, so the
-    // trace family dispatches before the shared option parser runs.
-    if cmd == "trace" {
-        return run_trace(rest, read_file);
-    }
-    // `simd --check <tier>` takes a tier name, not floats.
-    if cmd == "simd" {
-        return run_simd(rest);
-    }
-    // `replay` consumes a manifest path, `flight` only takes --dump DIR.
-    if cmd == "replay" {
-        return run_replay(rest, read_file);
-    }
-    if cmd == "flight" {
-        return run_flight(rest);
-    }
-    // `agg` has its own flag set (counts, not floats) and subcommands.
-    if cmd == "agg" {
-        return run_agg(rest, read_file);
-    }
-    let o = parse_opts(rest, read_file)?;
+    // These families read their own flags: `trace check` takes --file as
+    // trace text, `simd` a tier name, `replay` a manifest path, `flight`
+    // --dump DIR, and `agg` counts. The rest share [`parse_opts`].
     match cmd.as_str() {
+        "trace" => run_trace(rest, read_file),
+        "simd" => run_simd(rest),
+        "replay" => run_replay(rest, read_file),
+        "flight" => run_flight(rest),
+        "agg" => run_agg(rest, read_file),
+        _ => run_values(cmd, &parse_opts(rest, read_file)?, read_file),
+    }
+}
+
+/// The commands that read [`Opts`]: values, generator shape and chaos knobs.
+fn run_values(
+    cmd: &str,
+    o: &Opts,
+    read_file: &dyn Fn(&str) -> Result<String, CliError>,
+) -> Result<String, CliError> {
+    match cmd {
         "sum" => {
-            let values = need_values(&o)?;
+            let values = need_values(o)?;
             let alg = parse_algorithm(o.alg.as_deref().unwrap_or("PR"))?;
             let result = alg.sum(values);
             let rendered = if o.hex {
@@ -567,7 +546,7 @@ pub fn run(
             } else {
                 format!("{result:.17e}")
             };
-            let mut manifest = manifest_for("sum", &o, values, false);
+            let mut manifest = manifest_for("sum", o, values, false);
             manifest.workers = 1;
             manifest.algorithm = alg.abbrev().to_string();
             manifest.result_bits = Some(result.to_bits());
@@ -578,11 +557,11 @@ pub fn run(
                     sci(repro_core::fp::abs_error(result, values)),
                 ),
                 &manifest,
-                &o,
+                o,
             )
         }
         "profile" => {
-            let values = need_values(&o)?;
+            let values = need_values(o)?;
             let p = repro_core::select::profile(values);
             let m = repro_core::gen::measure(values);
             let mut t = Table::new(&["quantity", "estimated (1 pass)", "exact"]);
@@ -606,8 +585,10 @@ pub fn run(
             ))
         }
         "select" => {
-            let values = need_values(&o)?;
-            let tol = tolerance_of(&o)?;
+            let values = need_values(o)?;
+            let tol = o
+                .tolerance
+                .ok_or_else(|| err("--tolerance (or --bitwise) is required"))?;
             let reducer = AdaptiveReducer::heuristic(tol);
             let out = reducer.reduce(values);
             let mut text = format!(
@@ -626,13 +607,8 @@ pub fn run(
             Ok(text)
         }
         "verify" => {
-            let values = need_values(&o)?;
-            let tol = if o.bitwise || o.tolerance.is_none() {
-                Tolerance::Bitwise
-            } else {
-                tolerance_of(&o)?
-            };
-            let reducer = VerifiedReducer::new(tol, o.seed);
+            let values = need_values(o)?;
+            let reducer = VerifiedReducer::new(o.tolerance.unwrap_or(Tolerance::Bitwise), o.seed);
             let out = reducer
                 .reduce(values)
                 .ok_or_else(|| err("no algorithm on the ladder satisfied the tolerance"))?;
@@ -648,7 +624,7 @@ pub fn run(
             ))
         }
         "compare" => {
-            let values = need_values(&o)?;
+            let values = need_values(o)?;
             let exact = repro_core::fp::exact_sum_acc(values);
             let mut t = Table::new(&["algorithm", "result", "|error| vs exact", "reproducible"]);
             for alg in Algorithm::ALL {
@@ -720,7 +696,7 @@ pub fn run(
             ))
         }
         "tree" => {
-            let values = need_values(&o)?;
+            let values = need_values(o)?;
             let shape = match o.shape.as_deref().unwrap_or("balanced") {
                 "balanced" => repro_core::tree::TreeShape::Balanced,
                 "serial" => repro_core::tree::TreeShape::Serial,
@@ -758,9 +734,9 @@ pub fn run(
             let table = repro_core::select::calibrate(&cfg);
             Ok(table.to_csv())
         }
-        "chaos" => run_chaos(&o),
-        "report" => run_report(&o),
-        "bench" => run_bench(&o),
+        "chaos" => run_chaos(o),
+        "report" => run_report(o),
+        "bench" => run_bench(o),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(err(format!("unknown command {other:?}\n\n{USAGE}"))),
     }
@@ -770,7 +746,7 @@ pub fn run(
 /// healed result is bitwise identical to a sequential reference over the
 /// survivor set, then demo the checkpoint-resumable engine on the same data.
 fn run_chaos(o: &Opts) -> Result<String, CliError> {
-    use repro_core::mpisim::{ft_reduce_sum, FaultPlan, ReduceConfig, ReduceTopology, World};
+    use repro_core::mpisim::{ft_reduce_sum, ReduceConfig, ReduceTopology, World};
     use repro_core::runtime::CheckpointStore;
 
     let ranks = o.ranks.unwrap_or(8);
@@ -787,18 +763,7 @@ fn run_chaos(o: &Opts) -> Result<String, CliError> {
         }
     };
     let cfg = ReduceConfig::validated(topology, 0, 0).map_err(|e| err(e.0))?;
-    let mut plan = FaultPlan::new(o.seed)
-        .with_drop(o.drop)
-        .with_delay(o.delay, 1_500)
-        .with_duplicate(o.dup)
-        .with_reorder(o.reorder)
-        .with_timeouts(std::time::Duration::from_millis(10), 2);
-    // Kill the K highest ranks a few ops in — early enough that a single
-    // collective actually observes the failure and heals around it.
-    for i in 0..o.kill.min(ranks.saturating_sub(1)) {
-        plan = plan.with_kill(ranks - 1 - i, 3 + i as u64);
-    }
-    plan.validate().map_err(|e| err(e.0))?;
+    let plan = fault_plan(o, ranks)?;
 
     let values = repro_core::gen::zero_sum_with_range(n, o.dr, o.seed);
     let per = n.div_ceil(ranks.max(1));
@@ -822,17 +787,7 @@ fn run_chaos(o: &Opts) -> Result<String, CliError> {
         .value
         .ok_or_else(|| err("root rank returned no value"))?;
 
-    // Sequential reference over the survivor set's inputs: PR is bitwise
-    // reproducible, so the healed distributed result must match exactly.
-    let mut reference = BinnedSum::new(3);
-    for &rank in &outcome.survivors {
-        reference.add_slice(chunk(rank));
-    }
-    let check = if reference.finalize().to_bits() == sum.to_bits() {
-        "OK (bitwise)".to_string()
-    } else {
-        format!("FAIL (reference {:.17e})", reference.finalize())
-    };
+    let check = survivor_check(sum, outcome.survivors.iter().map(|&r| chunk(r)));
 
     // Checkpoint-resumable engine demo on the same data: chunk 0 fails its
     // first attempt, the engine retries it and heals the plan.
@@ -874,6 +829,40 @@ fn run_chaos(o: &Opts) -> Result<String, CliError> {
     ))
 }
 
+/// The fault plan both chaos commands run: the flags' fault probabilities,
+/// and the K highest ranks (never the root) killed a few ops in — early
+/// enough that a single collective observes the failure and heals around
+/// it.
+fn fault_plan(o: &Opts, ranks: usize) -> Result<repro_core::mpisim::FaultPlan, CliError> {
+    let mut plan = repro_core::mpisim::FaultPlan::new(o.seed)
+        .with_drop(o.drop)
+        .with_delay(o.delay, 1_500)
+        .with_duplicate(o.dup)
+        .with_reorder(o.reorder)
+        .with_timeouts(std::time::Duration::from_millis(10), 2);
+    for i in 0..o.kill.min(ranks.saturating_sub(1)) {
+        plan = plan.with_kill(ranks - 1 - i, 3 + i as u64);
+    }
+    plan.validate().map_err(|e| err(e.0))?;
+    Ok(plan)
+}
+
+/// Compare a healed distributed sum with a sequential PR pass over the
+/// survivors' chunks. PR is bitwise reproducible under any deposit order
+/// and merge tree, so the two must match exactly.
+fn survivor_check<'v>(sum: f64, survivors: impl Iterator<Item = &'v [f64]>) -> String {
+    let mut reference = BinnedSum::new(3);
+    for chunk in survivors {
+        reference.add_slice(chunk);
+    }
+    let reference = reference.finalize();
+    if reference.to_bits() == sum.to_bits() {
+        "OK (bitwise)".to_string()
+    } else {
+        format!("FAIL (reference {reference:.17e})")
+    }
+}
+
 /// `trace`: the observability family. Dispatches to a subcommand; each one
 /// emits JSON Lines events followed by `#`-prefixed human summary lines.
 fn run_trace(
@@ -905,21 +894,26 @@ fn run_trace_reduce(o: &Opts) -> Result<String, CliError> {
     finish_with_manifest(out, &manifest, o)
 }
 
+/// The input values, or, when none were given, `grid_cell` data from
+/// `--n` (default 4096), `--k`, `--dr` and `--seed`. The flag says
+/// whether the values were generated.
+fn input_or_generated(o: &Opts) -> (Vec<f64>, bool) {
+    if o.values.is_empty() {
+        let n = o.n.unwrap_or(4096);
+        let k = o.k.unwrap_or(1.0);
+        (repro_core::gen::grid_cell(n, k, o.dr, o.seed, 1e16), true)
+    } else {
+        (o.values.clone(), false)
+    }
+}
+
 /// The `trace reduce` workload proper, returning the rendered trace (sans
 /// manifest trailer) alongside the completed [`RunManifest`] — `replay`
 /// re-runs this and compares manifests instead of scraping output text.
 fn trace_reduce_with_manifest(o: &Opts) -> Result<(String, RunManifest), CliError> {
     use repro_core::obs::{render_jsonl, Registry, Trace};
 
-    let (mut values, generated): (Vec<f64>, bool) = if o.values.is_empty() {
-        let n = o.n.unwrap_or(4096);
-        (
-            repro_core::gen::grid_cell(n, o.k.unwrap_or(1.0), o.dr, o.seed, 1e16),
-            true,
-        )
-    } else {
-        (o.values.clone(), false)
-    };
+    let (mut values, generated) = input_or_generated(o);
     let mut manifest = manifest_for("reduce", o, &values, generated);
     manifest.workers = 2;
     if generated {
@@ -929,11 +923,7 @@ fn trace_reduce_with_manifest(o: &Opts) -> Result<(String, RunManifest), CliErro
     // from a mid-reduction death must still say what run was in flight.
     repro_core::obs::flight::global().set_manifest_json(Some(manifest.to_json()));
     apply_perturb(&mut values, o.perturb)?;
-    let tol = if o.bitwise || o.tolerance.is_none() {
-        Tolerance::Bitwise
-    } else {
-        tolerance_of(o)?
-    };
+    let tol = o.tolerance.unwrap_or(Tolerance::Bitwise);
     let telemetry = telemetry_cfg(o);
 
     let (trace, sink) = Trace::to_memory();
@@ -1011,7 +1001,7 @@ fn run_trace_chaos(o: &Opts) -> Result<String, CliError> {
 /// The `trace chaos` workload proper; see [`trace_reduce_with_manifest`]
 /// for the split's rationale.
 fn trace_chaos_with_manifest(o: &Opts) -> Result<(String, RunManifest), CliError> {
-    use repro_core::mpisim::{FaultError, FaultPlan, World};
+    use repro_core::mpisim::{FaultError, World};
     use repro_core::obs::{f, render_jsonl, Trace};
 
     const SEGMENTS: usize = 4;
@@ -1019,17 +1009,7 @@ fn trace_chaos_with_manifest(o: &Opts) -> Result<(String, RunManifest), CliError
     let ranks = o.ranks.unwrap_or(6);
     let n = o.n.unwrap_or(2048);
     let telemetry = telemetry_cfg(o);
-    let mut plan = FaultPlan::new(o.seed)
-        .with_drop(o.drop)
-        .with_delay(o.delay, 1_500)
-        .with_duplicate(o.dup)
-        .with_reorder(o.reorder)
-        .with_timeouts(std::time::Duration::from_millis(10), 2);
-    // Same policy as `chaos`: kill the K highest ranks, never the root.
-    for i in 0..o.kill.min(ranks.saturating_sub(1)) {
-        plan = plan.with_kill(ranks - 1 - i, 3 + i as u64);
-    }
-    plan.validate().map_err(|e| err(e.0))?;
+    let plan = fault_plan(o, ranks)?;
 
     let mut values = repro_core::gen::zero_sum_with_range(n, o.dr, o.seed);
     let mut manifest = manifest_for("chaos", o, &values, true);
@@ -1135,17 +1115,7 @@ fn trace_chaos_with_manifest(o: &Opts) -> Result<(String, RunManifest), CliError
         Err(e) => return Err(err(format!("root rank failed: {e}"))),
     };
 
-    // PR finalize is invariant under deposit order and merge trees, so the
-    // segment-merged gather must match a flat sequential pass bitwise.
-    let mut reference = BinnedSum::new(3);
-    for &r in &survivors {
-        reference.add_slice(chunk(r));
-    }
-    let check = if reference.finalize().to_bits() == sum.to_bits() {
-        "OK (bitwise)".to_string()
-    } else {
-        format!("FAIL (reference {:.17e})", reference.finalize())
-    };
+    let check = survivor_check(sum, survivors.iter().map(|&r| chunk(r)));
 
     // One selector decision record per traced run: profile the full input
     // and record what the selector would do for a bitwise budget.
@@ -1343,29 +1313,19 @@ fn run_bench(o: &Opts) -> Result<String, CliError> {
 fn run_report(o: &Opts) -> Result<String, CliError> {
     use repro_core::obs::{forensics, render_jsonl, report, Registry, TelemetryConfig, Trace};
 
-    let values: Vec<f64> = if o.values.is_empty() {
-        let n = o.n.unwrap_or(4096);
-        repro_core::gen::grid_cell(n, o.k.unwrap_or(1.0), o.dr, o.seed, 1e16)
-    } else {
-        o.values.clone()
-    };
+    let (values, _) = input_or_generated(o);
     // A report without node telemetry would be empty, so the sampling
     // policy defaults to full instead of off here.
     let telemetry = match o.sample {
         Some(every) => TelemetryConfig::sampled(every),
         None => TelemetryConfig::full(),
     };
-    let tol = if o.bitwise || o.tolerance.is_none() {
-        Tolerance::Bitwise
-    } else {
-        tolerance_of(o)?
-    };
 
     let (trace, sink) = Trace::to_memory();
     let registry = Registry::new();
 
     let mut select_scope = trace.scope("select");
-    let reducer = AdaptiveReducer::heuristic(tol);
+    let reducer = AdaptiveReducer::heuristic(o.tolerance.unwrap_or(Tolerance::Bitwise));
     let outcome = reducer.reduce_telemetry(&values, &mut select_scope, Some(&registry));
 
     let mut runtime_scope = trace.scope("runtime");
@@ -1412,20 +1372,12 @@ fn run_trace_check(
     read_file: &dyn Fn(&str) -> Result<String, CliError>,
 ) -> Result<String, CliError> {
     let mut file = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--file" => {
-                i += 1;
-                file = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--file needs a value"))?,
-                );
-            }
+    let mut r = Flags::new(args);
+    while let Some(a) = r.next_arg() {
+        match a {
+            "--file" => file = Some(r.text()?),
             other => return Err(err(format!("trace check takes only --file, got {other:?}"))),
         }
-        i += 1;
     }
     let path = file.ok_or_else(|| err("trace check requires --file"))?;
     let text = read_file(&path)?;
@@ -1517,45 +1469,32 @@ fn run_replay(
 /// Re-execute the workload a manifest describes and return the freshly
 /// completed manifest (carrying the recomputed result bits).
 fn replay_execute(m: &RunManifest) -> Result<RunManifest, CliError> {
+    // A bad field or a size past the flag path's limits: exit 2.
+    fn malformed(e: impl std::fmt::Display) -> CliError {
+        err_schema(format!("replay: {e}"))
+    }
+    let tolerance = m.tolerance.parse::<Tolerance>().map_err(malformed)?;
     let mut o = Opts {
         dr: m.dr as u32,
         seed: m.seed,
-        perms: 20,
+        tolerance: Some(tolerance),
+        telemetry: m.telemetry,
+        sample: m.sample,
+        perturb: m.perturb.map(|i| i as usize),
         ..Default::default()
     };
-    o.n = Some(m.n as usize);
-    o.telemetry = m.telemetry;
-    o.sample = m.sample;
-    o.perturb = m.perturb.map(|i| i as usize);
-    match m.tolerance.as_str() {
-        "bitwise" => o.bitwise = true,
-        t => {
-            if let Some(v) = t.strip_prefix("abs:") {
-                o.tolerance =
-                    Some(v.parse().map_err(|_| {
-                        err_schema(format!("replay: bad manifest tolerance {t:?}"))
-                    })?);
-            } else if let Some(v) = t.strip_prefix("rel:") {
-                o.relative = true;
-                o.tolerance =
-                    Some(v.parse().map_err(|_| {
-                        err_schema(format!("replay: bad manifest tolerance {t:?}"))
-                    })?);
-            } else {
-                return Err(err_schema(format!("replay: bad manifest tolerance {t:?}")));
-            }
-        }
-    }
     if let Some(bits) = &m.values_bits {
         o.values = bits.iter().map(|&b| f64::from_bits(b)).collect();
     }
     match m.cmd.as_str() {
         "reduce" => {
+            o.n = Some(generated_len(m.n).map_err(malformed)?);
             o.k = m.k;
             trace_reduce_with_manifest(&o).map(|(_, manifest)| manifest)
         }
         "chaos" => {
-            o.ranks = Some(m.workers as usize);
+            o.n = Some(generated_len(m.n).map_err(malformed)?);
+            o.ranks = Some(rank_count(m.workers).map_err(malformed)?);
             if let Some(fault) = &m.fault {
                 o.drop = fault.drop;
                 o.delay = fault.delay;
@@ -1569,8 +1508,7 @@ fn replay_execute(m: &RunManifest) -> Result<RunManifest, CliError> {
             if o.values.is_empty() {
                 return Err(err_schema("replay: sum manifest has no embedded values"));
             }
-            let alg = parse_algorithm(&m.algorithm)
-                .map_err(|e| err_schema(format!("replay: {}", e.msg)))?;
+            let alg = parse_algorithm(&m.algorithm).map_err(malformed)?;
             let mut fresh = m.clone();
             fresh.result_bits = Some(alg.sum(&o.values).to_bits());
             Ok(fresh)
@@ -1592,6 +1530,7 @@ fn replay_execute(m: &RunManifest) -> Result<RunManifest, CliError> {
                 shuffle: 0,
                 workers: (m.workers as usize).max(1),
             };
+            check_agg_shape(&spec).map_err(malformed)?;
             if spec.total_updates() == 0 || spec.total_updates() != m.n {
                 return Err(err_schema(format!(
                     "replay: agg manifest shape mismatch (n={} vs aggregates*clients*batches*batch_len={})",
@@ -1618,20 +1557,12 @@ fn replay_execute(m: &RunManifest) -> Result<RunManifest, CliError> {
 fn run_flight(args: &[String]) -> Result<String, CliError> {
     use repro_core::obs::flight;
     let mut dump_dir = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--dump" => {
-                i += 1;
-                dump_dir = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--dump needs a directory"))?,
-                );
-            }
+    let mut r = Flags::new(args);
+    while let Some(a) = r.next_arg() {
+        match a {
+            "--dump" => dump_dir = Some(r.text()?),
             other => return Err(err(format!("flight takes only --dump DIR, got {other:?}"))),
         }
-        i += 1;
     }
     let rec = flight::global();
     let ring = rec.ring();
@@ -1711,41 +1642,30 @@ fn parse_agg_opts(args: &[String]) -> Result<AggOpts, CliError> {
         manifest: None,
         file: None,
     };
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let mut take = |name: &str| -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| err(format!("{name} needs a value")))
-        };
-        let int = |name: &str, v: String| -> Result<usize, CliError> {
-            v.parse()
-                .map_err(|_| err(format!("{name} {v:?}: expected a non-negative integer")))
-        };
-        match a.as_str() {
-            "--aggregates" => o.spec.aggregates = int(a, take("--aggregates")?)?,
-            "--clients" => o.spec.clients = int(a, take("--clients")?)?,
-            "--batches" => o.spec.batches = int(a, take("--batches")?)?,
-            "--batch-len" => o.spec.batch_len = int(a, take("--batch-len")?)?,
-            "--shards" => o.shards = int(a, take("--shards")?)?,
-            "--workers" => o.spec.workers = int(a, take("--workers")?)?,
-            "--seed" => o.spec.seed = int(a, take("--seed")?)? as u64,
-            "--shuffle" => o.spec.shuffle = int(a, take("--shuffle")?)? as u64,
-            "--restore" => o.restore = Some(take("--restore")?),
-            "--snapshot" => o.snapshot = Some(take("--snapshot")?),
-            "--start-at" => o.start_at = int(a, take("--start-at")?)?,
-            "--stop-at" => o.stop_at = Some(int(a, take("--stop-at")?)?),
-            "--manifest" => o.manifest = Some(take("--manifest")?),
-            "--file" => o.file = Some(take("--file")?),
+    let mut r = Flags::new(args);
+    while let Some(a) = r.next_arg() {
+        match a {
+            "--aggregates" => o.spec.aggregates = r.value()?,
+            "--clients" => o.spec.clients = r.value()?,
+            "--batches" => o.spec.batches = r.value()?,
+            "--batch-len" => o.spec.batch_len = r.value()?,
+            "--shards" => o.shards = r.value()?,
+            "--workers" => o.spec.workers = r.value()?,
+            "--seed" => o.spec.seed = r.value()?,
+            "--shuffle" => o.spec.shuffle = r.value()?,
+            "--restore" => o.restore = Some(r.text()?),
+            "--snapshot" => o.snapshot = Some(r.text()?),
+            "--start-at" => o.start_at = r.value()?,
+            "--stop-at" => o.stop_at = Some(r.value()?),
+            "--manifest" => o.manifest = Some(r.text()?),
+            "--file" => o.file = Some(r.text()?),
             other => return Err(err(format!("unknown agg option {other:?}"))),
         }
-        i += 1;
     }
     if o.spec.aggregates == 0 || o.shards == 0 {
         return Err(err("agg needs --aggregates >= 1 and --shards >= 1"));
     }
+    check_agg_shape(&o.spec)?;
     Ok(o)
 }
 
@@ -2863,6 +2783,85 @@ mod tests {
             assert_eq!(e.code, 2, "{path}: {e}");
         }
         assert!(run_cmd(&["replay"]).is_err(), "replay needs a path");
+    }
+
+    #[test]
+    fn replay_rejects_manifests_past_the_limits_with_exit_code_2() {
+        // A generated input of 2^53 values, and a 2^40-client agg schedule
+        // on one worker: each would otherwise be sized into an allocation.
+        let mut reduce = RunManifest::new("reduce");
+        reduce.n = 1 << 53;
+        let mut agg = RunManifest::new("agg");
+        agg.n = 1 << 40;
+        agg.k = Some((1u64 << 40) as f64);
+        agg.dr = 1;
+        agg.perturb = Some(1);
+        agg.sample = Some(1);
+        agg.workers = 1;
+        for m in [reduce, agg] {
+            let json = m.to_json();
+            let fs = move |_: &str| -> Result<String, CliError> { Ok(json.clone()) };
+            let e = run(&["replay".to_string(), "m.json".to_string()], &fs).unwrap_err();
+            assert_eq!(e.code, 2, "{}: {}", m.cmd, e.msg);
+            assert!(e.msg.contains("exceeds the limit"), "{}: {}", m.cmd, e.msg);
+        }
+    }
+
+    #[test]
+    fn limits_bound_inputs_threads_and_agg_schedules() {
+        assert_eq!(generated_len(1 << 27).unwrap(), 1 << 27);
+        assert_eq!(generated_len((1 << 27) + 1).unwrap_err().code, 1);
+        assert_eq!(rank_count(1024).unwrap(), 1024);
+        assert!(rank_count(1025).is_err());
+        // The largest default schedule, `REPRO_SCALE=full`, fits.
+        let full = repro_core::agg::LoadSpec {
+            aggregates: 8,
+            clients: 4096,
+            batches: 16,
+            batch_len: 256,
+            seed: 2015,
+            shuffle: 1,
+            workers: 1024,
+        };
+        assert!(check_agg_shape(&full).is_ok());
+        use repro_core::agg::LoadSpec;
+        // 8 × 2^17 × 16 = 2^24 batches: exactly at the limit.
+        let at_limit = LoadSpec {
+            clients: 1 << 17,
+            ..full
+        };
+        assert!(check_agg_shape(&at_limit).is_ok());
+        for bad in [
+            LoadSpec {
+                workers: 1025,
+                ..full
+            },
+            LoadSpec {
+                batch_len: (1 << 27) + 1,
+                ..full
+            },
+            LoadSpec {
+                clients: (1 << 17) + 1,
+                ..full
+            },
+            LoadSpec {
+                clients: usize::MAX,
+                ..full
+            },
+        ] {
+            assert_eq!(check_agg_shape(&bad).unwrap_err().code, 1, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn trace_check_rejects_deep_nesting_with_exit_code_2() {
+        let fs = |_: &str| -> Result<String, CliError> { Ok("[".repeat(100_000)) };
+        let args: Vec<String> = ["trace", "check", "--file", "deep.jsonl"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let e = run(&args, &fs).unwrap_err();
+        assert_eq!(e.code, 2, "{e}");
     }
 
     #[test]

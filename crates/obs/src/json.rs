@@ -4,9 +4,14 @@
 //! is its counterpart so traces can be checked without pulling in a JSON
 //! dependency. The parser is a straightforward recursive-descent over the
 //! JSON grammar — small, strict (no trailing garbage), and good enough to
-//! validate the traces this workspace emits.
+//! validate the traces this workspace emits. Nesting deeper than 64 is an
+//! error, so a hostile document cannot overflow the stack.
 
 use std::collections::BTreeMap;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. The
+/// workspace's own documents nest at most 3 deep.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -31,7 +36,11 @@ impl Json {
     /// short description.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -69,6 +78,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -110,12 +121,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(format!("unexpected '{}' at byte {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -426,6 +448,21 @@ mod tests {
         assert_eq!(arr[2].as_num(), Some(-300.0));
         assert_eq!(arr[3], Json::Null);
         assert_eq!(arr[4].get("b"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn parser_caps_nesting_depth() {
+        let deep = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&deep(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Far past any stack: an error, not an overflow.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

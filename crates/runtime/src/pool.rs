@@ -107,7 +107,6 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
     loop {
         if let Some(task) = shared.find_task(index) {
             task();
-            shared.executed.fetch_add(1, Ordering::Relaxed);
             continue;
         }
         let mut idle = shared.idle.lock().expect("pool idle lock poisoned");
@@ -190,10 +189,15 @@ impl<'scope> Scope<'scope> {
     {
         self.latch.increment();
         let latch = Arc::clone(&self.latch);
+        let shared = Arc::clone(&self.shared);
         let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
             if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
                 latch.record_panic(payload);
             }
+            // Counted before the decrement: the latch's mutex then orders
+            // the count before `scope` returns, so `counters()` read after
+            // a scope includes all of its tasks.
+            shared.executed.fetch_add(1, Ordering::Relaxed);
             latch.decrement();
         });
         // SAFETY: `scope` blocks until the latch reaches zero, i.e. until
@@ -325,7 +329,19 @@ mod tests {
             });
             assert_eq!(hits.load(Ordering::Relaxed), 8, "round {round}");
         }
-        assert!(pool.counters().executed >= 400);
+        assert_eq!(pool.counters().executed, 400);
+    }
+
+    #[test]
+    fn executed_counts_every_task_before_scope_returns() {
+        let pool = ThreadPool::new(2);
+        let mut before = pool.counters().executed;
+        for round in 0..20_000 {
+            pool.scope(|s| s.spawn(|| {}));
+            let after = pool.counters().executed;
+            assert_eq!(after, before + 1, "round {round}");
+            before = after;
+        }
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! `BENCH_06.json` throughput baseline (the tracked harness behind
 //! `repro-reduce bench`), normalized so recursive summation costs 1.0. The
 //! old flop-count ratios survive only as the no-baseline fallback
-//! ([`CostModel::static_flops`]), and [`CostModel::measure`] re-measures on
-//! the current machine when the baseline is suspect. Every model carries a
-//! [`CostSource`] so decision records can say which numbers ranked the
-//! candidates.
+//! ([`CostModel::static_flops`]); when the baseline is suspect on new
+//! hardware, re-run `repro-reduce bench` and commit the new file. Every
+//! model carries a [`CostSource`] so decision records can say which numbers
+//! ranked the candidates.
 //!
 //! The stale-constant bug this replaces was not cosmetic: the baseline
 //! measures Composite at ~2.1× ST while the flop ratios guessed 6× (vs
@@ -18,9 +18,8 @@
 //! after the PR 5/6 hot-path work.
 
 use repro_fp::simd::{self, SimdTier};
-use repro_sum::{Accumulator, Algorithm};
+use repro_sum::Algorithm;
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// The committed baseline the default model is seeded from (repo root).
 pub const BASELINE_FILE: &str = "BENCH_06.json";
@@ -48,23 +47,20 @@ pub enum CostSource {
     /// Static flop-count ratios — the pre-calibration constants, kept as
     /// the fallback when no baseline parses.
     StaticFlops,
-    /// Measured on this machine by [`CostModel::measure`].
-    Measured,
 }
 
 impl CostSource {
     /// Compact label for decision records (`BENCH_06.json@avx2`,
-    /// `static-flops`, `measured`).
+    /// `static-flops`).
     pub fn label(&self) -> String {
         match self {
             CostSource::Baseline { file, tier } => format!("{file}@{tier}"),
             CostSource::StaticFlops => "static-flops".into(),
-            CostSource::Measured => "measured".into(),
         }
     }
 }
 
-/// Relative (or measured, in ns/element) cost per algorithm.
+/// Relative cost per algorithm (ST = 1).
 #[derive(Clone, Debug)]
 pub struct CostModel {
     entries: Vec<(Algorithm, f64)>,
@@ -175,7 +171,7 @@ impl CostModel {
     }
 
     /// Absolute ns/element of `alg`, when the source measured time (the
-    /// baseline and [`CostModel::measure`] do; flop ratios have no clock).
+    /// baseline does; flop ratios have no clock).
     pub fn absolute_ns(&self, alg: Algorithm) -> Option<f64> {
         self.st_ns.map(|st| st * self.cost(alg))
     }
@@ -197,41 +193,6 @@ impl CostModel {
         let mut v = algorithms.to_vec();
         v.sort_by(|a, b| self.cost(*a).total_cmp(&self.cost(*b)));
         v
-    }
-
-    /// Measure actual ns/element on this machine over a `sample_len`
-    /// workload, `reps` repetitions with a warm cache (the paper's Figure 4
-    /// protocol, shrunk). The offline refresher behind the committed
-    /// baseline: when the baseline's rankings are suspect on new hardware,
-    /// re-measure, re-run `repro-reduce bench`, and commit the new file.
-    pub fn measure(sample_len: usize, reps: usize, seed: u64) -> Self {
-        let values = repro_gen::zero_sum_with_range(sample_len.max(16), 8, seed);
-        let mut entries = Vec::new();
-        let mut st_ns = None;
-        for alg in Algorithm::ALL {
-            // Warm-up pass.
-            let mut sink = alg.sum(&values);
-            let start = Instant::now();
-            for _ in 0..reps.max(1) {
-                let mut acc = alg.new_accumulator();
-                acc.add_slice(&values);
-                sink += acc.finalize();
-            }
-            let elapsed = start.elapsed().as_nanos() as f64;
-            std::hint::black_box(sink);
-            let ns = elapsed / (reps.max(1) * values.len()) as f64;
-            if alg == Algorithm::Standard {
-                st_ns = Some(ns);
-            }
-            entries.push((alg, ns));
-        }
-        Self {
-            entries,
-            source: CostSource::Measured,
-            st_ns,
-            exact_ns: None,
-            profile_ns: None,
-        }
     }
 }
 
@@ -320,21 +281,5 @@ mod tests {
     fn unknown_fold_falls_back_to_rank() {
         let m = CostModel::default();
         assert!(m.cost(Algorithm::Binned { fold: 2 }) > m.cost(Algorithm::Standard));
-    }
-
-    #[test]
-    fn measured_costs_keep_st_cheapest() {
-        // Wall-clock under parallel test load is noisy; PR's margin over ST
-        // is the robust signal (>10x in quiet conditions), checked loosely.
-        let m = CostModel::measure(16_384, 8, 1);
-        assert_eq!(*m.source(), CostSource::Measured);
-        let st = m.cost(Algorithm::Standard);
-        assert!(
-            m.cost(Algorithm::PR) >= st * 2.0,
-            "PR {} vs ST {}",
-            m.cost(Algorithm::PR),
-            st
-        );
-        assert!(m.absolute_ns(Algorithm::Standard).is_some());
     }
 }

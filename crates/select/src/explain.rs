@@ -40,8 +40,8 @@ pub struct Explanation {
     /// The decision.
     pub chosen: Algorithm,
     /// Which cost numbers ranked the candidates
-    /// ([`crate::cost::CostSource::label`]): the calibrated baseline, the
-    /// static flop-ratio fallback, or a live measurement.
+    /// ([`crate::cost::CostSource::label`]): the calibrated baseline or the
+    /// static flop-ratio fallback.
     pub cost_source: String,
 }
 
@@ -80,18 +80,7 @@ impl Explanation {
 /// recorded.
 pub fn explain(profile: &DataProfile, tolerance: Tolerance) -> Explanation {
     let costs = CostModel::default();
-    let budget = match tolerance {
-        Tolerance::Bitwise => None,
-        Tolerance::AbsoluteSpread(t) => Some(t),
-        Tolerance::RelativeSpread(r) => {
-            let scale = profile.sum_estimate.abs();
-            if scale == 0.0 {
-                None
-            } else {
-                Some(r * scale)
-            }
-        }
-    };
+    let budget = tolerance.budget(profile.sum_estimate);
     let mut candidates = Vec::new();
     let mut chosen = None;
     for alg in costs.by_cost(&Algorithm::PAPER_SET) {

@@ -20,6 +20,53 @@ pub enum Tolerance {
     Bitwise,
 }
 
+impl Tolerance {
+    /// The absolute spread budget for a result of about `sum_estimate`, or
+    /// `None` when only a reproducible operator qualifies: under
+    /// [`Tolerance::Bitwise`], and under a relative tolerance on a zero (or
+    /// fully cancelled) sum, which has no magnitude to be relative to.
+    pub fn budget(self, sum_estimate: f64) -> Option<f64> {
+        match self {
+            Tolerance::Bitwise => None,
+            Tolerance::AbsoluteSpread(t) => Some(t),
+            Tolerance::RelativeSpread(r) => {
+                let scale = sum_estimate.abs();
+                (scale != 0.0).then_some(r * scale)
+            }
+        }
+    }
+}
+
+/// The manifest spelling: `bitwise`, `abs:{t}` or `rel:{r}`.
+impl std::fmt::Display for Tolerance {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Tolerance::Bitwise => f.write_str("bitwise"),
+            Tolerance::AbsoluteSpread(t) => write!(f, "abs:{t}"),
+            Tolerance::RelativeSpread(r) => write!(f, "rel:{r}"),
+        }
+    }
+}
+
+/// Parses the [`Display`](std::fmt::Display) spelling back.
+impl std::str::FromStr for Tolerance {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let bad = || format!("bad manifest tolerance {s:?}");
+        if s == "bitwise" {
+            return Ok(Tolerance::Bitwise);
+        }
+        let (kind, t) = s.split_once(':').ok_or_else(bad)?;
+        let t = t.parse().map_err(|_| bad())?;
+        match kind {
+            "abs" => Ok(Tolerance::AbsoluteSpread(t)),
+            "rel" => Ok(Tolerance::RelativeSpread(t)),
+            _ => Err(bad()),
+        }
+    }
+}
+
 /// A selection policy.
 pub trait Selector {
     /// The cheapest algorithm expected to meet `tolerance` on data shaped
@@ -42,7 +89,8 @@ pub trait Selector {
 /// calibrated selector replaces them with measurements.
 #[derive(Clone, Debug, Default)]
 pub struct HeuristicSelector {
-    /// Cost model used to order candidates (defaults to flop ratios).
+    /// Cost model used to order candidates (defaults to the calibrated
+    /// baseline, see [`CostModel::default`]).
     pub costs: CostModel,
 }
 
@@ -61,20 +109,8 @@ pub fn predicted_spread(alg: Algorithm, p: &DataProfile) -> f64 {
 
 impl Selector for HeuristicSelector {
     fn choose(&self, profile: &DataProfile, tolerance: Tolerance) -> Algorithm {
-        let budget = match tolerance {
-            Tolerance::Bitwise => {
-                return Algorithm::PR;
-            }
-            Tolerance::AbsoluteSpread(t) => t,
-            Tolerance::RelativeSpread(r) => {
-                let scale = profile.sum_estimate.abs();
-                if scale == 0.0 {
-                    // A zero (or fully cancelled) sum has no magnitude to be
-                    // relative to: only bitwise reproducibility qualifies.
-                    return Algorithm::PR;
-                }
-                r * scale
-            }
+        let Some(budget) = tolerance.budget(profile.sum_estimate) else {
+            return Algorithm::PR;
         };
         for alg in self.costs.by_cost(&Algorithm::PAPER_SET) {
             if predicted_spread(alg, profile) <= budget {
@@ -113,16 +149,8 @@ impl CalibratedSelector {
 
 impl Selector for CalibratedSelector {
     fn choose(&self, profile: &DataProfile, tolerance: Tolerance) -> Algorithm {
-        let budget = match tolerance {
-            Tolerance::Bitwise => return Algorithm::PR,
-            Tolerance::AbsoluteSpread(t) => t,
-            Tolerance::RelativeSpread(r) => {
-                let scale = profile.sum_estimate.abs();
-                if scale == 0.0 {
-                    return Algorithm::PR;
-                }
-                r * scale
-            }
+        let Some(budget) = tolerance.budget(profile.sum_estimate) else {
+            return Algorithm::PR;
         };
         let cell = self.table.nearest(profile.k, profile.dr_decades());
         let mut candidates: Vec<(Algorithm, f64)> = cell.spread.clone();
@@ -149,6 +177,31 @@ mod tests {
             HeuristicSelector::default().choose(&p, Tolerance::Bitwise),
             Algorithm::PR
         );
+    }
+
+    #[test]
+    fn manifest_spelling_round_trips() {
+        for (tol, text) in [
+            (Tolerance::Bitwise, "bitwise"),
+            (Tolerance::AbsoluteSpread(1e-3), "abs:0.001"),
+            (Tolerance::RelativeSpread(1e-8), "rel:0.00000001"),
+            (Tolerance::AbsoluteSpread(f64::INFINITY), "abs:inf"),
+        ] {
+            assert_eq!(tol.to_string(), text);
+            assert_eq!(text.parse::<Tolerance>(), Ok(tol));
+        }
+        for bad in ["", "Bitwise", "bitwise ", "abs:", "rel:x", "abs 1", "tol:1"] {
+            assert!(bad.parse::<Tolerance>().is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn budget_is_none_only_where_reproducibility_is_required() {
+        assert_eq!(Tolerance::Bitwise.budget(5.0), None);
+        assert_eq!(Tolerance::AbsoluteSpread(1e-9).budget(0.0), Some(1e-9));
+        assert_eq!(Tolerance::RelativeSpread(1e-9).budget(-4.0), Some(4e-9));
+        assert_eq!(Tolerance::RelativeSpread(1e-9).budget(0.0), None);
+        assert_eq!(Tolerance::RelativeSpread(1e-9).budget(-0.0), None);
     }
 
     #[test]

@@ -77,6 +77,12 @@ pub const MAX_FOLD: usize = 4;
 /// Internal slot count: `fold` working bins plus the headroom bin.
 const MAX_SLOTS: usize = MAX_FOLD + 1;
 
+/// Bound on a restored slot's carry magnitude: half of the `2^53` that
+/// [`BinnedSum::finalize`] converts exactly, so any two restored states
+/// merge within it. A real accumulator's carries move by a few units per
+/// renormalization.
+const MAX_CARRY: i64 = 1 << 52;
+
 /// Deposits between renormalizations. Drift per deposit is below
 /// `2^(q−11)·1.0009` per slot; 256 of them stay well inside the `2^(q−2)`
 /// capacity together with the `2^(q−3)` post-renorm residual.
@@ -261,9 +267,11 @@ impl BinnedSum {
     }
 
     /// Restore an accumulator from [`BinnedSum::checkpoint`] output.
-    /// Returns `None` on malformed input.
+    /// Strict: returns `None` unless `text` is byte for byte what
+    /// `checkpoint` writes, for a state that `merge` and `finalize` read
+    /// exactly and without panicking.
     pub fn restore(text: &str) -> Option<Self> {
-        let mut parts = text.trim().split(';');
+        let mut parts = text.split(';');
         let fold: usize = parts.next()?.parse().ok()?;
         if !(1..=MAX_FOLD).contains(&fold) {
             return None;
@@ -293,7 +301,29 @@ impl BinnedSum {
         acc.pos_inf = flags[1] == b'1';
         acc.neg_inf = flags[2] == b'1';
         acc.range_overflow = flags[3] == b'1';
-        Some(acc)
+        // Re-rendering rejects every non-canonical spelling: signs, leading
+        // zeros, padding, upper-case hex, missing slots and flags other
+        // than `0`/`1`.
+        (acc.is_checkpointable() && acc.checkpoint() == text).then_some(acc)
+    }
+
+    /// Whether `merge` and `finalize` read the state exactly and without
+    /// panicking: empty with zeroed slots, or a window on the grid (top in
+    /// `0..=MAX_BIN − fold`) whose primaries lie within a factor of two of
+    /// their biases, so `primary − bias` is exact (Sterbenz), and whose
+    /// carries are below [`MAX_CARRY`].
+    fn is_checkpointable(&self) -> bool {
+        let k = self.slots();
+        if self.index == -1 {
+            return self.primary[..k].iter().all(|p| p.to_bits() == 0)
+                && self.carry[..k].iter().all(|&c| c == 0);
+        }
+        (0..=self.max_index()).contains(&self.index)
+            && (0..k).all(|j| {
+                let b = bias(self.index + j as i32);
+                (b / 2.0..=b * 2.0).contains(&self.primary[j])
+                    && (-MAX_CARRY..MAX_CARRY).contains(&self.carry[j])
+            })
     }
 
     /// Exact bin content of slot `j` as `(primary − bias, carry·quarter)`;
@@ -838,6 +868,92 @@ mod tests {
             "3;0;0;0;00001;extra",
         ] {
             assert!(BinnedSum::restore(bad).is_none(), "{bad:?}");
+        }
+        let mut one = BinnedSum::new(3);
+        one.add(1.0);
+        let good = one.checkpoint();
+        assert_eq!(one.index, 24);
+        let mut fields: Vec<String> = good.split(';').map(String::from).collect();
+        let with = |i: usize, v: &str| {
+            let mut f = fields.clone();
+            f[i] = v.to_string();
+            f.join(";")
+        };
+        for bad in [
+            with(4, "abcd"),
+            with(4, "0002"),
+            format!("+{good}"),
+            format!("0{good}"),
+            format!(" {good}"),
+            format!("{good}\n"),
+            with(1, "+24"),
+            with(1, "2000000000"),
+            with(1, "-2"),
+            with(1, &(MAX_BIN - 2).to_string()),
+            with(2, &fields[2].to_uppercase()),
+            with(3, "0,0,0,-0"),
+            with(3, &format!("0,0,0,{MAX_CARRY}")),
+            with(3, &format!("0,0,0,{}", i64::MIN)),
+            // Index 1 over the primaries of window 24.
+            with(1, "1"),
+            // The empty state with a nonzero slot.
+            BinnedSum::new(3)
+                .checkpoint()
+                .replacen("0000000000000000", "3ff0000000000000", 1),
+        ] {
+            assert!(BinnedSum::restore(&bad).is_none(), "{bad:?}");
+        }
+        fields[3] = format!("0,0,0,{}", MAX_CARRY - 1);
+        assert!(BinnedSum::restore(&fields.join(";")).is_some());
+    }
+
+    #[test]
+    fn restore_accepts_only_what_checkpoint_writes() {
+        let mut states = vec![BinnedSum::new(3)];
+        let mut one = BinnedSum::new(1);
+        one.add(0.1);
+        states.push(one);
+        let mut mixed = BinnedSum::new(4);
+        mixed.add_slice(&repro_gen_like_zero_sum(600, 5)[..301]);
+        states.push(mixed);
+        for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::MAX] {
+            let mut acc = BinnedSum::new(2);
+            acc.add(3.5);
+            acc.add(special);
+            states.push(acc);
+        }
+        let alphabet = b"0123456789abcdefABCDEF;,-+ .\nxz";
+        for state in states {
+            let good = state.checkpoint();
+            let base = BinnedSum::restore(&good).expect("own checkpoint restores");
+            assert_eq!(base.checkpoint(), good);
+            assert_eq!(bits(base.finalize()), bits(state.finalize()));
+            for cut in 0..good.len() {
+                assert!(
+                    BinnedSum::restore(&good[..cut]).is_none(),
+                    "accepted a {cut}-byte prefix of {good}"
+                );
+            }
+            // Every one-byte substitution: no panic in restore, finalize or
+            // merge, and whatever parses re-serializes to its own bytes.
+            for at in 0..good.len() {
+                for &byte in alphabet {
+                    let mut mutated = good.clone().into_bytes();
+                    mutated[at] = byte;
+                    let text = String::from_utf8(mutated).expect("ASCII stays UTF-8");
+                    let Some(parsed) = BinnedSum::restore(&text) else {
+                        continue;
+                    };
+                    assert_eq!(parsed.checkpoint(), text);
+                    parsed.finalize();
+                    let mut a = parsed;
+                    a.merge(&base);
+                    a.finalize();
+                    let mut b = base;
+                    b.merge(&parsed);
+                    b.finalize();
+                }
+            }
         }
     }
 

@@ -45,11 +45,14 @@ for tier in scalar sse2 avx2; do
   echo "== tier $tier: fixed-seed numeric digest (CLI sums + exact error) =="
   # The sum command's exact-error line runs the dispatched superaccumulator
   # hot path over the full input, so these outputs carry real kernel bits.
+  # Its `# manifest:` line records simd_tier and REPRO_SIMD, so it differs
+  # per tier by design and is left out of the digest; every other line,
+  # `# exact error:` included, must match across tiers.
   REPRO_SIMD="$tier" run gen --n 50000 --dr 28 --seed 2015 > "$SIMD_DIR/values.txt"
   : > "$SIMD_DIR/numeric-$tier.txt"
   for alg in ST PR DS; do
     REPRO_SIMD="$tier" run sum --alg "$alg" --hex --file "$SIMD_DIR/values.txt" \
-      >> "$SIMD_DIR/numeric-$tier.txt"
+      | grep -v '^# manifest: ' >> "$SIMD_DIR/numeric-$tier.txt"
   done
 
   ran+=("$tier")
