@@ -176,11 +176,11 @@ digest divergence; 'agg check' strict-parses a saved state document
 Defaults scale with REPRO_SCALE.
 
 Limits, checked before anything is allocated or started ('replay' exits
-2 on a manifest beyond them): --n generates at most 134217728 (2^27)
-values; --ranks and agg --workers are at most 1024 each (one thread
-apiece); an agg schedule holds at most 16777216 (2^24) batches
-(aggregates x clients x batches) of at most 134217728 (2^27) values
-(--batch-len).
+2 on a manifest beyond them): --n generates at least 2 and at most
+134217728 (2^27) values, over a --dr of at most 560 decades; --ranks
+and agg --workers are at most 1024 each (one thread apiece); an agg
+schedule holds at most 16777216 (2^24) batches (aggregates x clients x
+batches) of at most 134217728 (2^27) values (--batch-len).
 
 Exit codes: 0 = success; 1 = failure or numerical divergence ('trace
 diff' divergent nodes, 'replay' mismatch); 2 = parse/schema error
@@ -296,7 +296,7 @@ fn parse_opts(
             "--explain" => o.explain = true,
             "--n" => o.n = Some(generated_len(r.value()?)?),
             "--k" => o.k = Some(r.value()?),
-            "--dr" => o.dr = r.value()?,
+            "--dr" => o.dr = generated_dr(r.value()?)?,
             "--file-x" => o.file_x = Some(r.text()?),
             "--file-y" => o.file_y = Some(r.text()?),
             "--perms" => o.perms = r.value()?,
@@ -336,6 +336,13 @@ fn parse_opts(
 /// The most values a command generates (`--n`; the `n` of a `reduce` or
 /// `chaos` manifest).
 const MAX_GENERATED: u64 = 1 << 27;
+/// The fewest values the generator makes: it pins the two ends of the
+/// exponent window to two values.
+const MIN_GENERATED: u64 = 2;
+/// The widest generated dynamic range, in decades (`--dr`; the `dr` of a
+/// generated `reduce` or `chaos` manifest): the generator's exponent
+/// window must stay within 10^±280.
+const MAX_GENERATED_DR: u64 = 560;
 /// The most ranks (`--ranks`; a `chaos` manifest's `workers`) or agg
 /// workers (`--workers`; an `agg` manifest's `workers`): each is a thread.
 const MAX_THREADS: u64 = 1024;
@@ -356,7 +363,17 @@ fn at_most(what: &str, v: u64, max: u64) -> Result<usize, CliError> {
 
 /// The length of a generated input.
 fn generated_len(n: u64) -> Result<usize, CliError> {
+    if n < MIN_GENERATED {
+        return Err(err(format!(
+            "--n {n} is below the minimum of {MIN_GENERATED}"
+        )));
+    }
     at_most("--n", n, MAX_GENERATED)
+}
+
+/// The dynamic range of a generated input, in decades.
+fn generated_dr(dr: u64) -> Result<u32, CliError> {
+    at_most("--dr", dr, MAX_GENERATED_DR).map(|dr| dr as u32)
 }
 
 /// The rank count of a simulated world, which starts one thread per rank.
@@ -1475,7 +1492,6 @@ fn replay_execute(m: &RunManifest) -> Result<RunManifest, CliError> {
     }
     let tolerance = m.tolerance.parse::<Tolerance>().map_err(malformed)?;
     let mut o = Opts {
-        dr: m.dr as u32,
         seed: m.seed,
         tolerance: Some(tolerance),
         telemetry: m.telemetry,
@@ -1488,13 +1504,19 @@ fn replay_execute(m: &RunManifest) -> Result<RunManifest, CliError> {
     }
     match m.cmd.as_str() {
         "reduce" => {
-            o.n = Some(generated_len(m.n).map_err(malformed)?);
+            // Embedded values were never generated.
+            if o.values.is_empty() {
+                o.n = Some(generated_len(m.n).map_err(malformed)?);
+                o.dr = generated_dr(m.dr).map_err(malformed)?;
+            }
             o.k = m.k;
             trace_reduce_with_manifest(&o).map(|(_, manifest)| manifest)
         }
         "chaos" => {
             o.n = Some(generated_len(m.n).map_err(malformed)?);
-            o.ranks = Some(rank_count(m.workers).map_err(malformed)?);
+            o.dr = generated_dr(m.dr).map_err(malformed)?;
+            let ranks = rank_count(m.workers).map_err(malformed)?;
+            o.ranks = Some(ranks);
             if let Some(fault) = &m.fault {
                 o.drop = fault.drop;
                 o.delay = fault.delay;
@@ -1502,6 +1524,8 @@ fn replay_execute(m: &RunManifest) -> Result<RunManifest, CliError> {
                 o.reorder = fault.reorder;
                 o.kill = fault.kill as usize;
             }
+            // A fault rate outside [0, 1] is a malformed field too.
+            fault_plan(&o, ranks).map_err(malformed)?;
             trace_chaos_with_manifest(&o).map(|(_, manifest)| manifest)
         }
         "sum" => {
@@ -2170,17 +2194,31 @@ mod tests {
 
     #[test]
     fn select_escalates_on_hostile_input() {
-        let out = run_cmd(&[
-            "select",
-            "--tolerance",
-            "1e-30",
-            "3.14e8",
-            "1.59e-8",
-            "-3.14e8",
-            "-1.59e-8",
-        ])
-        .unwrap();
-        assert!(out.contains("PR(fold=3)"), "{out}");
+        let values = ["3.14e8", "1.59e-8", "-3.14e8", "-1.59e-8"];
+        let mut args = vec!["select", "--tolerance", "1e-30"];
+        args.extend_from_slice(&values);
+        let out = run_cmd(&args).unwrap();
+        // Escalated to the exact rung, whose result is the exact sum.
+        assert!(out.contains("# selected: DS"), "{out}");
+        let sum: f64 = out.lines().next().unwrap().parse().unwrap();
+        let values: Vec<f64> = values.iter().map(|v| v.parse().unwrap()).collect();
+        assert_eq!(
+            sum.to_bits(),
+            repro_core::fp::exact_sum(&values).to_bits(),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn ds_sums_overflowing_and_infinite_inputs_like_ieee() {
+        // The exact sum of [1, inf] is inf, and [1, 1e308, 1e308] rounds
+        // past f64::MAX to inf.
+        for values in [["1", "inf"].as_slice(), &["1", "1e308", "1e308"]] {
+            let mut args = vec!["sum", "--alg", "DS"];
+            args.extend_from_slice(values);
+            let out = run_cmd(&args).unwrap();
+            assert_eq!(out.lines().next(), Some("inf"), "{values:?}: {out}");
+        }
     }
 
     #[test]
@@ -2807,10 +2845,76 @@ mod tests {
         }
     }
 
+    /// Replay one manifest, returning its error (it must fail).
+    fn replay_err(m: &RunManifest) -> CliError {
+        let json = m.to_json();
+        let fs = move |_: &str| -> Result<String, CliError> { Ok(json.clone()) };
+        run(&["replay".to_string(), "m.json".to_string()], &fs).unwrap_err()
+    }
+
+    #[test]
+    fn generated_inputs_outside_the_generator_domain_exit_1_or_2() {
+        // The flags: exit 1 before anything is generated.
+        for args in [
+            &["gen", "--n", "0"][..],
+            &["gen", "--n", "1"],
+            &["gen", "--n", "10", "--dr", "561"],
+            &["trace", "reduce", "--n", "1"],
+            &["trace", "reduce", "--n", "64", "--dr", "561"],
+            &["report", "--n", "1"],
+            &["chaos", "--n", "1", "--ranks", "2"],
+            &["trace", "chaos", "--n", "64", "--dr", "561"],
+        ] {
+            let e = run_cmd(args).unwrap_err();
+            assert_eq!(e.code, 1, "{args:?}: {e}");
+        }
+        // The bounds themselves are in the domain.
+        let out = run_cmd(&["gen", "--n", "2", "--dr", "560"]).unwrap();
+        assert_eq!(out.lines().count(), 2, "{out}");
+        // The same bounds on a generated manifest: exit 2.
+        let reduce = |n: u64, dr: u64| {
+            let mut m = RunManifest::new("reduce");
+            (m.n, m.dr) = (n, dr);
+            m
+        };
+        let chaos = |n: u64, dr: u64| {
+            let mut m = reduce(n, dr);
+            m.cmd = "chaos".to_string();
+            m.workers = 2;
+            m
+        };
+        for m in [reduce(1, 0), reduce(64, 561), chaos(1, 0), chaos(64, 561)] {
+            let e = replay_err(&m);
+            assert_eq!(e.code, 2, "{} n={} dr={}: {e}", m.cmd, m.n, m.dr);
+        }
+        // An embedded input was never generated: its length is no bound.
+        let out = run_cmd(&["trace", "reduce", "5"]).unwrap();
+        let line = manifest_line(&out).to_string();
+        let fs = move |_: &str| -> Result<String, CliError> { Ok(line.clone()) };
+        run(&["replay".to_string(), "m.json".to_string()], &fs).unwrap();
+    }
+
+    #[test]
+    fn replay_rejects_a_fault_rate_outside_the_unit_interval_with_exit_code_2() {
+        let out = run_cmd(&["trace", "chaos", "--ranks", "2", "--n", "64"]).unwrap();
+        let mut m = RunManifest::parse(manifest_line(&out)).expect("manifest parses");
+        m.fault
+            .as_mut()
+            .expect("chaos manifests record faults")
+            .drop = 1.5;
+        let e = replay_err(&m);
+        assert_eq!(e.code, 2, "{e}");
+        assert!(e.msg.contains("drop"), "{e}");
+    }
+
     #[test]
     fn limits_bound_inputs_threads_and_agg_schedules() {
         assert_eq!(generated_len(1 << 27).unwrap(), 1 << 27);
         assert_eq!(generated_len((1 << 27) + 1).unwrap_err().code, 1);
+        assert_eq!(generated_len(2).unwrap(), 2);
+        assert_eq!(generated_len(1).unwrap_err().code, 1);
+        assert_eq!(generated_dr(560).unwrap(), 560);
+        assert_eq!(generated_dr(561).unwrap_err().code, 1);
         assert_eq!(rank_count(1024).unwrap(), 1024);
         assert!(rank_count(1025).is_err());
         // The largest default schedule, `REPRO_SCALE=full`, fits.

@@ -11,6 +11,15 @@
 //! model carries a [`CostSource`] so decision records can say which numbers
 //! ranked the candidates.
 //!
+//! DS keeps its `sum/DS` price from `BENCH_06.json`, which was measured on
+//! the expansion kernel that DS ran on then. DS now runs on the
+//! superaccumulator, whose cost depends on the data's dynamic range (from
+//! well under ST's per-value cost on narrow data to several times CP's on
+//! wide data). The stale price is above every other rung, which keeps DS
+//! last on the serving ladder: a selector reaches for the exact sum only
+//! when no cheaper rung fits. Pricing DS by data shape waits for
+//! throughput entries timed on wide-range data.
+//!
 //! The stale-constant bug this replaces was not cosmetic: the baseline
 //! measures Composite at ~2.1× ST while the flop ratios guessed 6× (vs
 //! Kahan's measured ~3.9×, guessed 4×), so the static table ranked CP after

@@ -10,7 +10,7 @@
 
 use crate::cost::CostModel;
 use crate::profile::DataProfile;
-use crate::selector::{predicted_spread, Tolerance};
+use crate::selector::{predicted_spread, Tolerance, EXACT, LADDER};
 use repro_sum::Algorithm;
 
 /// One candidate's audit row.
@@ -83,7 +83,7 @@ pub fn explain(profile: &DataProfile, tolerance: Tolerance) -> Explanation {
     let budget = tolerance.budget(profile.sum_estimate);
     let mut candidates = Vec::new();
     let mut chosen = None;
-    for alg in costs.by_cost(&Algorithm::PAPER_SET) {
+    for alg in costs.by_cost(&LADDER) {
         let spread = predicted_spread(alg, profile);
         let fits = match budget {
             Some(b) => spread <= b,
@@ -103,7 +103,7 @@ pub fn explain(profile: &DataProfile, tolerance: Tolerance) -> Explanation {
         tolerance,
         budget,
         candidates,
-        chosen: chosen.unwrap_or(Algorithm::PR),
+        chosen: chosen.unwrap_or(EXACT),
         cost_source: costs.source().label(),
     }
 }
@@ -206,9 +206,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_explains_escalation_to_pr() {
+    fn zero_budget_explains_escalation_to_the_exact_rung() {
         let e = check_faithful(&[1.0, 1e16, -1e16], Tolerance::AbsoluteSpread(0.0));
-        assert_eq!(e.chosen, Algorithm::PR);
+        assert_eq!(e.chosen, EXACT);
         // Every non-reproducible candidate is marked as exceeding budget.
         for c in &e.candidates {
             assert_eq!(c.fits, c.predicted_spread == 0.0, "{:?}", c.algorithm);

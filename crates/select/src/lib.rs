@@ -7,11 +7,12 @@
 //!
 //! The pipeline:
 //!
-//! 1. [`profile::profile`] scans the operands once (O(n), compensated
-//!    arithmetic) and estimates the quantities the paper identifies:
+//! 1. [`profile::profile`] scans the operands once (O(n), into exact
+//!    registers) and computes the quantities the paper identifies:
 //!    `n`, dynamic range `dr`, condition number `k`.
 //! 2. A [`Selector`] maps `(profile, tolerance)` to the **cheapest**
-//!    [`Algorithm`] expected to keep run-to-run variability under the
+//!    [`Algorithm`] on the serving [`selector::LADDER`] (ST, K, CP, and
+//!    the exact sum DS) expected to keep run-to-run variability under the
 //!    tolerance:
 //!    * [`selector::HeuristicSelector`] uses closed-form variability
 //!      predictors per algorithm (the analytic counterpart of the paper's
@@ -68,12 +69,12 @@ pub use explain::{explain, record_decision, Explanation};
 pub use profile::{profile, profile_parallel, DataProfile};
 use repro_sum::{Accumulator, Algorithm};
 pub use sample::{choose_sampled, SampleConfig, SampledProfile};
-pub use selector::{HeuristicSelector, Selector, Tolerance};
+pub use selector::{HeuristicSelector, Selector, Tolerance, EXACT};
 pub use subtree::{BudgetSplit, SubtreeAdaptive, SubtreeOutcome};
 pub use verified::{VerifiedOutcome, VerifiedReducer};
 
 /// The result of one adaptive reduction.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct Outcome {
     /// The computed sum.
     pub sum: f64,
@@ -148,23 +149,23 @@ impl AdaptiveReducer {
     /// the profile *and* a [`repro_sum::StandardSum`] reduction — the
     /// cheapest rung of the ladder — in one sweep over the data. When the
     /// selector then picks ST (the common benign-workload case) the sum is
-    /// already done and the values were read exactly once; otherwise only
-    /// the chosen operator re-reads them. Bitwise identical to the unfused
-    /// pipeline either way: the fused profile equals the serial profile
-    /// bit-for-bit (which itself equals [`profile::profile_parallel`], a
-    /// tested invariant), and the speculative accumulator saw the elements
-    /// in plain slice order.
+    /// already done and the values were read exactly once. When it picks
+    /// the exact rung, the profile's own `Σx` register *is* the DS result,
+    /// so no second pass runs either; only K and CP re-read the values.
+    /// Bitwise identical to the unfused pipeline every way: the fused
+    /// profile equals the serial profile bit-for-bit (which itself equals
+    /// [`profile::profile_parallel`], a tested invariant), the speculative
+    /// accumulator saw the elements in plain slice order, and an exact sum
+    /// has one correctly rounded value.
     pub fn reduce(&self, values: &[f64]) -> Outcome {
         let mut speculative = repro_sum::StandardSum::new();
         let profile = profile::profile_and_sum(values, &mut speculative);
         let algorithm = self.selector.choose(&profile, self.tolerance);
         flight_decision("reduce", algorithm, values.len());
-        let sum = if algorithm == Algorithm::Standard {
-            speculative.finalize()
-        } else {
-            let mut acc = algorithm.new_accumulator();
-            acc.add_slice(values);
-            acc.finalize()
+        let sum = match algorithm {
+            Algorithm::Standard => speculative.finalize(),
+            EXACT => profile.sum_estimate,
+            _ => algorithm.sum(values),
         };
         Outcome {
             sum,
@@ -176,25 +177,35 @@ impl AdaptiveReducer {
     /// The always-on fast path: **sampled** profile → **decision cache** →
     /// reduce.
     ///
-    /// Instead of the ~28 ns/elem full profiling pass, this strides a
-    /// ~2k-element sample ([`sample::SampledProfile`]), fingerprints its
-    /// extrapolated shape ([`cache::Fingerprint`]), and reuses the cached
-    /// decision for that shape when one exists. On a miss the sampled
-    /// profile drives selection (with the conservative
-    /// [`sample::SAMPLED_SAFETY_FACTOR`] inflation) and the decision is
-    /// cached for the next same-shaped workload. When the sample's
-    /// confidence bounds are too loose to trust —
-    /// heavy-tailed data, or a sign-disputed sum under a relative
-    /// tolerance — it falls back to the fused full pass
-    /// ([`AdaptiveReducer::reduce`]), bypassing the cache entirely.
+    /// An array of at most twice [`SampleConfig::target`] values takes the
+    /// fused exact pass ([`AdaptiveReducer::reduce`]) instead: a sample of
+    /// it would read every other value or more, and the exact full profile
+    /// costs no more than that. Its decision then depends only on the
+    /// multiset of values — any order of the same array gets the same
+    /// operator and the same bits — and needs no bounds, no safety factor
+    /// and no cache.
+    ///
+    /// Larger arrays stride a ~2k-element sample
+    /// ([`sample::SampledProfile`]), fingerprint its extrapolated shape
+    /// ([`cache::Fingerprint`]), and reuse the cached decision for that
+    /// shape when one exists. On a miss the sampled profile drives
+    /// selection (with the conservative [`sample::SAMPLED_SAFETY_FACTOR`]
+    /// inflation) and the decision is cached for the next same-shaped
+    /// workload. When the sample's confidence bounds are too loose to
+    /// trust — heavy-tailed data, or a sign-disputed sum under a relative
+    /// tolerance — it falls back to the fused full pass, bypassing the
+    /// cache entirely.
     ///
     /// The caching layer never changes the numerics: a decision only picks
     /// *which* deterministic operator runs, so a cache hit is bitwise
     /// identical to the miss that populated it (property-tested). The
     /// returned [`Outcome::profile`] is the sampled *estimate* on the fast
-    /// path and the full profile on the fallback path.
+    /// path and the full profile otherwise.
     pub fn reduce_cached(&self, values: &[f64], cache: &DecisionCache) -> Outcome {
         let cfg = sample::SampleConfig::default();
+        if values.len() <= 2 * cfg.target {
+            return self.reduce(values);
+        }
         let sampled = sample::SampledProfile::collect(values, &cfg);
         if sampled.bounds_tight(&cfg) {
             let est = sampled.estimated_profile();
@@ -219,10 +230,8 @@ impl AdaptiveReducer {
                 }
             };
             flight_decision("reduce_cached", algorithm, values.len());
-            let mut acc = algorithm.new_accumulator();
-            acc.add_slice(values);
             return Outcome {
-                sum: acc.finalize(),
+                sum: algorithm.sum(values),
                 algorithm,
                 profile: est,
             };
@@ -370,7 +379,7 @@ mod tests {
         let report = recommendations(&benign);
         assert_eq!(report.len(), 5);
         assert_eq!(report[0].algorithm, Algorithm::Standard);
-        assert_eq!(report.last().unwrap().algorithm, Algorithm::PR);
+        assert_eq!(report.last().unwrap().algorithm, EXACT);
     }
 
     #[test]

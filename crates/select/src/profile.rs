@@ -1,53 +1,74 @@
-//! Cheap one-pass dataset profiling.
+//! One-pass dataset profiling on the exact register.
 //!
 //! The paper's premise is that `n`, `k`, and `dr` are "estimable quantities"
-//! a runtime can afford to compute. This profiler does it in one pass of
-//! high-precision arithmetic: the condition-number estimate uses binned
-//! (ReproBLAS-style) sums of `x` and `|x|`, so it is itself reliable on
-//! exactly the ill-conditioned inputs where it matters — and, because the
-//! binned representation merges bitwise-reproducibly under *any* merge
-//! tree, a profile assembled from chunk partials is bit-identical to the
-//! profile of the whole dataset no matter how the partials were grouped.
+//! a runtime can afford to compute. This profiler computes them exactly in
+//! one pass: `Σx` and `Σ|x|` fold into two [`Superaccumulator`]s through the
+//! batched `add_slice` and `add_slice_abs` kernels, so `sum_estimate` is the
+//! correctly rounded sum (the DS result itself) and `k` is the quotient of
+//! the two correctly rounded sums. The exponent extremes and `max|x|` come
+//! from a branch-free pass over each block's magnitude bits; only a block
+//! holding a zero, subnormal or non-finite value takes the per-value path.
+//! Because the registers are exact, a profile assembled from chunk partials
+//! is bit-identical to the profile of the whole dataset no matter how the
+//! partials were grouped.
 
 use repro_fp::ulp::exponent;
-use repro_sum::{Accumulator, BinnedSum};
+use repro_fp::Superaccumulator;
+use repro_sum::Accumulator;
 
-/// Fold depth of the embedded binned accumulators: three 40-bit bins give
-/// ~120 bits of significand window, far more than the profile's accuracy
-/// needs, at 2×(fold+1) words of per-profile state.
-const PROFILE_FOLD: usize = 3;
+/// Values per profiling block: 4 KiB of f64s, comfortably cache-resident,
+/// and the granularity at which the exponent pass falls back to per-value
+/// work.
+const BLOCK: usize = 512;
 
 /// The profile the selector consumes.
 ///
 /// The derived sums (`sum_estimate`, `abs_sum`, `k`) are plain doubles for
-/// the selector's convenience; the profile also carries the underlying
-/// binned accumulator state privately so that [`DataProfile::merge`] can
-/// recombine partials without collapsing precision. That is what makes
-/// merging associative *in bits*, not just approximately.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// the selector's convenience; the profile also carries the exact registers
+/// behind them privately, so that [`DataProfile::merge`] recombines
+/// partials without rounding. That is what makes merging associative *in
+/// bits*, not just approximately.
+#[derive(Clone, Debug)]
 pub struct DataProfile {
     /// Number of values.
     pub n: usize,
-    /// Estimated sum condition number `Σ|x| / |Σx|` (∞ if the estimated
-    /// sum is zero; 1 for empty input).
+    /// Condition number `Σ|x| / |Σx|` of the correctly rounded sums (∞ if
+    /// the sum is zero; 1 for empty input).
     pub k: f64,
     /// Dynamic range in binary binades (difference of extreme exponents).
     pub dr_binades: i32,
     /// Largest magnitude.
     pub max_abs: f64,
-    /// Estimated absolute-value sum.
+    /// Absolute-value sum, correctly rounded (extrapolated from the sample
+    /// in [`crate::SampledProfile::estimated_profile`]).
     pub abs_sum: f64,
-    /// Estimated sum.
+    /// Sum, correctly rounded: the exact sum DS returns (extrapolated from
+    /// the sample in [`crate::SampledProfile::estimated_profile`]).
     pub sum_estimate: f64,
     /// Smallest binary exponent seen (`i32::MAX` when no nonzero values).
     pub min_exp: i32,
     /// Largest binary exponent seen (`i32::MIN` when no nonzero values).
     pub max_exp: i32,
-    /// Binned accumulator for `Σx` — the full-precision residue carrier
-    /// behind `sum_estimate`.
-    sum_bins: BinnedSum,
-    /// Binned accumulator for `Σ|x|` behind `abs_sum`.
-    abs_bins: BinnedSum,
+    /// Exact register for `Σx` behind `sum_estimate`.
+    sum_acc: Superaccumulator,
+    /// Exact register for `Σ|x|` behind `abs_sum`.
+    abs_acc: Superaccumulator,
+}
+
+/// Field by field; the registers compare by exact value.
+impl PartialEq for DataProfile {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.k == other.k
+            && self.dr_binades == other.dr_binades
+            && self.max_abs == other.max_abs
+            && self.abs_sum == other.abs_sum
+            && self.sum_estimate == other.sum_estimate
+            && self.min_exp == other.min_exp
+            && self.max_exp == other.max_exp
+            && self.sum_acc.checkpoint() == other.sum_acc.checkpoint()
+            && self.abs_acc.checkpoint() == other.abs_acc.checkpoint()
+    }
 }
 
 impl DataProfile {
@@ -68,24 +89,23 @@ impl DataProfile {
             sum_estimate: 0.0,
             min_exp: i32::MAX,
             max_exp: i32::MIN,
-            sum_bins: BinnedSum::new(PROFILE_FOLD),
-            abs_bins: BinnedSum::new(PROFILE_FOLD),
+            sum_acc: Superaccumulator::new(),
+            abs_acc: Superaccumulator::new(),
         }
     }
 
     /// Incrementally fold one value into the profile — the streaming
     /// counterpart of [`DataProfile::merge`]. Bitwise-equivalent to having
-    /// included `x` in the profiled slice: the binned deposits are
-    /// position-independent, so `profile(xs)` equals any interleaving of
-    /// [`DataProfile::add`] and [`DataProfile::merge`] calls covering the
-    /// same multiset of values, bit for bit.
+    /// included `x` in the profiled slice: the registers are exact, so
+    /// `profile(xs)` equals any interleaving of [`DataProfile::add`] and
+    /// [`DataProfile::merge`] calls covering the same multiset of values,
+    /// bit for bit.
     ///
-    /// Each call re-derives the public estimates, which finalizes both
-    /// binned sums through a heap-allocated superaccumulator: 4 allocations
-    /// and a few hundred ns per value. Callers holding a slice should use
-    /// [`profile`], which derives once per slice.
+    /// Each call re-derives the public estimates, which rounds both
+    /// registers: a few hundred ns per value. Callers holding a slice
+    /// should use [`profile`], which derives once per slice.
     pub fn add(&mut self, x: f64) {
-        self.push(x);
+        self.push_slice(std::slice::from_ref(&x));
         self.derive();
     }
 
@@ -94,51 +114,67 @@ impl DataProfile {
     /// from the same global profile).
     ///
     /// `n`, `max|x|`, and the extreme exponents combine exactly; `Σx` and
-    /// `Σ|x|` combine by merging the underlying binned accumulators, which
-    /// is bitwise order- and grouping-independent — so any permutation of
-    /// chunk partials, merged under any tree, reproduces the serial
-    /// [`profile`] of the whole dataset bit for bit. (The previous
-    /// implementation collapsed each partial to a double and re-summed
-    /// with `two_sum`, which rounded away the residues and made the merged
-    /// profile depend on merge order.) `k` is recomputed from the merged
-    /// sums.
+    /// `Σ|x|` combine by merging the exact registers — so any permutation
+    /// of chunk partials, merged under any tree, reproduces the serial
+    /// [`profile`] of the whole dataset bit for bit. `k` is recomputed from
+    /// the merged sums.
     pub fn merge(&mut self, other: &Self) {
         if other.n == 0 {
             return;
         }
         if self.n == 0 {
-            *self = *other;
+            self.clone_from(other);
             return;
         }
         self.n += other.n;
-        self.sum_bins.merge(&other.sum_bins);
-        self.abs_bins.merge(&other.abs_bins);
+        self.sum_acc.merge(&other.sum_acc);
+        self.abs_acc.merge(&other.abs_acc);
         self.max_abs = self.max_abs.max(other.max_abs);
         self.min_exp = self.min_exp.min(other.min_exp);
         self.max_exp = self.max_exp.max(other.max_exp);
         self.derive();
     }
 
-    /// Fold one value into the accumulated state (`n`, the binned `Σx` and
-    /// `Σ|x|`, the exponent extremes, `max|x|`) without deriving the public
-    /// estimates; [`DataProfile::derive`] brings those up to date.
-    #[inline]
-    pub(crate) fn push(&mut self, x: f64) {
-        self.n += 1;
-        self.sum_bins.add(x);
-        self.abs_bins.add(x.abs());
-        if let Some(e) = exponent(x) {
-            self.min_exp = self.min_exp.min(e);
-            self.max_exp = self.max_exp.max(e);
+    /// Fold a block of values into the accumulated state (`n`, the `Σx`
+    /// and `Σ|x|` registers, the exponent extremes, `max|x|`) without
+    /// deriving the public estimates; [`DataProfile::derive`] brings those
+    /// up to date.
+    pub(crate) fn push_slice(&mut self, block: &[f64]) {
+        if block.is_empty() {
+            return;
         }
-        self.max_abs = self.max_abs.max(x.abs());
+        self.n += block.len();
+        self.sum_acc.add_slice(block);
+        self.abs_acc.add_slice_abs(block);
+        // Magnitude bit patterns order like the magnitudes, so the block's
+        // extremes are two integer folds with no branch per value.
+        let (lo, hi) = block.iter().fold((i64::MAX, 0i64), |(lo, hi), x| {
+            let m = (x.to_bits() & !(1u64 << 63)) as i64;
+            (lo.min(m), hi.max(m))
+        });
+        let (lo_raw, hi_raw) = ((lo >> 52) as i32, (hi >> 52) as i32);
+        if lo_raw != 0 && hi_raw != 0x7ff {
+            // Every value is normal: each exponent is its biased field.
+            self.min_exp = self.min_exp.min(lo_raw - 1023);
+            self.max_exp = self.max_exp.max(hi_raw - 1023);
+            self.max_abs = self.max_abs.max(f64::from_bits(hi as u64));
+        } else {
+            // A zero, subnormal, infinity or NaN: per value.
+            for &x in block {
+                if let Some(e) = exponent(x) {
+                    self.min_exp = self.min_exp.min(e);
+                    self.max_exp = self.max_exp.max(e);
+                }
+                self.max_abs = self.max_abs.max(x.abs());
+            }
+        }
     }
 
     /// Derive `sum_estimate`, `abs_sum`, `dr_binades`, and `k` from the
-    /// accumulated state — the one place the binned sums are finalized.
+    /// accumulated state — the one place the registers are rounded.
     pub(crate) fn derive(&mut self) {
-        self.sum_estimate = self.sum_bins.finalize();
-        self.abs_sum = self.abs_bins.finalize();
+        self.sum_estimate = self.sum_acc.to_f64();
+        self.abs_sum = self.abs_acc.to_f64();
         self.dr_binades = if self.min_exp == i32::MAX {
             0
         } else {
@@ -148,7 +184,7 @@ impl DataProfile {
     }
 }
 
-/// `k̂ = Σ|x| / |Σx|` with the degenerate cases pinned: an exactly
+/// `k = Σ|x| / |Σx|` with the degenerate cases pinned: an exactly
 /// cancelling sum is infinitely ill-conditioned, an all-zero (or empty)
 /// dataset is trivially well-conditioned.
 fn condition_estimate(sum: f64, abs_sum: f64) -> f64 {
@@ -166,8 +202,8 @@ fn condition_estimate(sum: f64, abs_sum: f64) -> f64 {
 /// Profile a dataset in one pass.
 pub fn profile(values: &[f64]) -> DataProfile {
     let mut p = DataProfile::empty();
-    for &x in values {
-        p.push(x);
+    for block in values.chunks(BLOCK) {
+        p.push_slice(block);
     }
     p.derive();
     p
@@ -177,19 +213,15 @@ pub fn profile(values: &[f64]) -> DataProfile {
 ///
 /// [`profile`] followed by a separate reduction reads every cache line of
 /// `values` twice; this visits each block once, interleaving the profile
-/// statistics with `acc.add_slice` over L1-sized blocks. Both outputs are
-/// bit-identical to the unfused pair: the profile statistics see the
-/// elements in the same serial order as [`profile`], and block-chunked
-/// `add_slice` preserves the accumulator's element order exactly (the two
-/// accumulations are independent — neither reads the other's state).
+/// with `acc.add_slice` over L1-sized blocks. Both outputs are bit-identical
+/// to the unfused pair: the profile folds the same blocks as [`profile`],
+/// and block-chunked `add_slice` preserves the accumulator's element order
+/// exactly (the two accumulations are independent — neither reads the
+/// other's state).
 pub fn profile_and_sum<A: Accumulator>(values: &[f64], acc: &mut A) -> DataProfile {
-    /// Elements per fused block: 4 KiB of f64s, comfortably cache-resident.
-    const BLOCK: usize = 512;
     let mut p = DataProfile::empty();
     for block in values.chunks(BLOCK) {
-        for &x in block {
-            p.push(x);
-        }
+        p.push_slice(block);
         acc.add_slice(block);
     }
     p.derive();
@@ -237,9 +269,8 @@ mod tests {
         assert_eq!(par.min_exp, seq.min_exp);
         assert_eq!(par.max_exp, seq.max_exp);
         assert_eq!(par.dr_binades, seq.dr_binades);
-        // Binned accumulators merge bitwise-reproducibly, so the parallel
-        // profile matches the serial one bit for bit — not just within a
-        // tolerance.
+        // The registers are exact, so the parallel profile matches the
+        // serial one bit for bit — not just within a tolerance.
         assert_eq!(par.abs_sum.to_bits(), seq.abs_sum.to_bits());
         assert_eq!(par.sum_estimate.to_bits(), seq.sum_estimate.to_bits());
         assert_eq!(par.k.to_bits(), seq.k.to_bits());
@@ -251,8 +282,7 @@ mod tests {
 
     #[test]
     fn fused_profile_and_sum_is_bitwise_unfused() {
-        use repro_fp::Superaccumulator;
-        use repro_sum::{KahanSum, StandardSum};
+        use repro_sum::{BinnedSum, KahanSum, StandardSum};
         for (seed, n) in [
             (1u64, 0usize),
             (2, 1),
@@ -320,23 +350,36 @@ mod tests {
 
     #[test]
     fn profile_matches_exact_measurement_on_hard_data() {
-        let values = repro_gen::generate(&repro_gen::DatasetSpec::new(
+        let generated = repro_gen::generate(&repro_gen::DatasetSpec::new(
             2000,
             repro_gen::CondTarget::Finite(1e6),
             16,
             3,
         ));
-        let p = profile(&values);
-        let m = repro_gen::measure(&values);
-        // CP-based estimate tracks the exact k closely even at k = 1e6.
-        let ratio = p.k / m.k;
-        assert!((0.99..1.01).contains(&ratio), "k̂/k = {ratio}");
-        assert!(
-            (p.dr_decades() - m.dr).abs() <= 1,
-            "dr̂ {} vs {}",
-            p.dr_decades(),
-            m.dr
-        );
+        // Cancellation across 60 binades: a profile that rounds below the
+        // top bins loses the residue.
+        let wide = [1.0, 1.2345 * 2f64.powi(-60), -1.0, 3.0 * 2f64.powi(-70)];
+        for values in [&generated[..], &wide] {
+            let p = profile(values);
+            let m = repro_gen::measure(values);
+            // The registers are exact: Σx and Σ|x| are the correctly
+            // rounded sums, and k is their quotient (measure forms it in
+            // double-double, so the two may differ in the last place).
+            assert_eq!(p.sum_estimate.to_bits(), m.sum.to_bits());
+            assert_eq!(p.abs_sum.to_bits(), m.abs_sum.to_bits());
+            assert!(
+                (p.k - m.k).abs() <= 2.0 * f64::EPSILON * m.k,
+                "k {} vs {}",
+                p.k,
+                m.k
+            );
+            assert!(
+                (p.dr_decades() - m.dr).abs() <= 1,
+                "dr̂ {} vs {}",
+                p.dr_decades(),
+                m.dr
+            );
+        }
     }
 
     #[test]
@@ -363,10 +406,7 @@ mod tests {
 
     #[test]
     fn incremental_add_matches_batch_profile_bitwise() {
-        // Compare every observable quantity bitwise. (Whole-struct
-        // equality would also compare the binned accumulators' internal
-        // renorm-cadence counter, which legitimately differs by path while
-        // the canonical numeric state is identical.)
+        // Compare every observable quantity bitwise, then the registers.
         fn assert_bitwise_same(a: &DataProfile, b: &DataProfile) {
             assert_eq!(a.n, b.n);
             assert_eq!(a.k.to_bits(), b.k.to_bits());
@@ -376,6 +416,7 @@ mod tests {
             assert_eq!(a.sum_estimate.to_bits(), b.sum_estimate.to_bits());
             assert_eq!(a.min_exp, b.min_exp);
             assert_eq!(a.max_exp, b.max_exp);
+            assert_eq!(a, b);
         }
         let values = repro_gen::zero_sum_with_range(777, 24, 9);
         let batch = profile(&values);
@@ -405,7 +446,7 @@ mod tests {
     fn merge_with_empty_is_identity() {
         let data = repro_gen::uniform(100, -1.0, 1.0, 2);
         let mut p = profile(&data);
-        let before = p;
+        let before = p.clone();
         p.merge(&DataProfile::empty());
         assert_eq!(p, before);
         let mut e = DataProfile::empty();

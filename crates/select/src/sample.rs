@@ -1,16 +1,19 @@
 //! Deterministic strided **sampled profiling** — the cheap front half of
-//! always-on selection.
+//! always-on selection on large arrays.
 //!
-//! The full [`crate::profile::profile`] pass costs ~26–29 ns/element (it
-//! runs compensated binned arithmetic over every value); on a benign
-//! million-element workload that is 30× the price of the reduction it is
-//! steering. This module estimates the same quantities — `k̂`, `dr`,
-//! `Σ|x|` — from a seeded stride-sampled subset (~2k values regardless of
-//! `n`), making the profiling overhead O(sample) instead of O(n): 0.078 ns
-//! per *input* element at n = 10⁶ (`select/sampled_profile` in
-//! `BENCH_14.json`), ~38 ns per sampled value — the same two binned
-//! deposits a fully profiled value costs, with the estimates derived once
-//! per half rather than once per value.
+//! The full [`crate::profile::profile`] pass folds every value into two
+//! exact registers; its cost grows with `n` and with the data's dynamic
+//! range. This module estimates the same quantities — `k̂`, `dr`, `Σ|x|` —
+//! from a seeded stride-sampled subset (~2k values regardless of `n`),
+//! making the profiling overhead O(sample) instead of O(n). Each half of
+//! the sample is gathered through a fixed stack buffer and folded into its
+//! registers with the same batched kernels as the full profile, and the
+//! estimates are derived once per half.
+//!
+//! Up to twice the [`SampleConfig::target`] a sample reads every other
+//! value or more, and the exact full profile costs no more than that, so
+//! [`crate::AdaptiveReducer::reduce_cached`] profiles such arrays in full
+//! and samples only larger ones.
 //!
 //! Sampling buys speed with uncertainty, so every [`SampledProfile`]
 //! carries explicit confidence bounds: the sample is split into two
@@ -28,7 +31,9 @@
 //! Everything is deterministic: the stride is a pure function of `n` and
 //! the config, the offset comes from the config seed, and the half-split
 //! alternates sample ordinals — two runs over the same input produce
-//! bit-identical profiles, estimates, and decisions.
+//! bit-identical profiles, estimates, and decisions. The sample picks
+//! positions, not values, so two orders of one array may still sample
+//! differently; only the exhaustive profile is order-free.
 
 use crate::profile::DataProfile;
 use crate::selector::{Selector, Tolerance};
@@ -38,8 +43,10 @@ use repro_sum::Algorithm;
 #[derive(Clone, Copy, Debug)]
 pub struct SampleConfig {
     /// Target sample size (the stride is `ceil(n / target)`). The default
-    /// 2048 keeps the estimate noise ~2% on benign data while the gather
-    /// costs 0.078 ns per input element at n = 10⁶ (`BENCH_14.json`).
+    /// 2048 keeps the estimate noise ~2% on benign data; the binned sampler
+    /// it was tuned with cost 0.078 ns per input element at n = 10⁶
+    /// (`BENCH_14.json`). Arrays of at most twice the target are profiled
+    /// in full instead (see [`crate::AdaptiveReducer::reduce_cached`]).
     pub target: usize,
     /// Seed for the deterministic stride offset.
     pub seed: u64,
@@ -94,7 +101,7 @@ pub struct SampleBounds {
 
 /// A profile estimated from a strided sample, with the split-half state
 /// needed to quantify (and re-quantify, after merges) its own reliability.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SampledProfile {
     /// Profile of the even-ordinal half-sample.
     half_a: DataProfile,
@@ -130,14 +137,25 @@ impl SampledProfile {
         let target = cfg.target.max(2);
         let stride = n.div_ceil(target).max(1);
         let offset = (cfg.seed % stride as u64) as usize;
-        let mut halves = [DataProfile::empty(); 2];
-        for (ordinal, &x) in values.iter().skip(offset).step_by(stride).enumerate() {
-            halves[ordinal & 1].push(x);
-        }
-        for half in &mut halves {
+        // Ordinals alternate halves, so half `h` takes every other sampled
+        // value from ordinal `h`: a stride of `2 · stride` from
+        // `offset + h · stride`, gathered into blocks on the stack.
+        let [half_a, half_b] = [0, 1].map(|h| {
+            let mut half = DataProfile::empty();
+            let mut buf = [0.0f64; 256];
+            let mut len = 0;
+            for &x in values.iter().skip(offset + h * stride).step_by(2 * stride) {
+                buf[len] = x;
+                len += 1;
+                if len == buf.len() {
+                    half.push_slice(&buf);
+                    len = 0;
+                }
+            }
+            half.push_slice(&buf[..len]);
             half.derive();
-        }
-        let [half_a, half_b] = halves;
+            half
+        });
         Self {
             half_a,
             half_b,
@@ -154,7 +172,7 @@ impl SampledProfile {
     /// The combined sample profile (both halves merged) — `k̂`, `dr`, and
     /// the extremes as seen by the sample, at sample scale.
     pub fn sample_profile(&self) -> DataProfile {
-        let mut p = self.half_a;
+        let mut p = self.half_a.clone();
         p.merge(&self.half_b);
         p
     }
@@ -228,9 +246,9 @@ impl SampledProfile {
     /// on a stride mismatch.
     ///
     /// Bitwise permutation/tree-invariant, like [`DataProfile::merge`]:
-    /// the half-profiles combine half-to-half through the binned
-    /// accumulators, so any merge grouping of the same partials produces
-    /// identical bits (asserted by property test).
+    /// the half-profiles combine half-to-half through the exact registers,
+    /// so any merge grouping of the same partials produces identical bits
+    /// (asserted by property test).
     pub fn merge(&mut self, other: &Self) -> bool {
         if self.stride != other.stride && self.n_total > 0 && other.n_total > 0 {
             return false;
@@ -239,7 +257,7 @@ impl SampledProfile {
             return true;
         }
         if self.n_total == 0 {
-            *self = *other;
+            self.clone_from(other);
             return true;
         }
         self.half_a.merge(&other.half_a);
@@ -431,9 +449,9 @@ mod tests {
         let sa = SampledProfile::collect(&a, &cfg);
         let sb = SampledProfile::collect(&b, &cfg);
         assert_eq!(sa.stride, sb.stride);
-        let mut ab = sa;
+        let mut ab = sa.clone();
         assert!(ab.merge(&sb));
-        let mut ba = sb;
+        let mut ba = sb.clone();
         assert!(ba.merge(&sa));
         assert_eq!(ab, ba, "merge must be commutative in bits");
         assert_eq!(ab.n_total, 80_000);
@@ -443,7 +461,7 @@ mod tests {
         assert_eq!(e, sa);
         // Stride mismatch is refused.
         let small = SampledProfile::collect(&repro_gen::uniform(1_000, 0.0, 1.0, 3), &cfg);
-        let mut m = sa;
+        let mut m = sa.clone();
         assert!(!m.merge(&small));
         assert_eq!(m, sa, "refused merge must not mutate");
     }

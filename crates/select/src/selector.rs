@@ -67,6 +67,24 @@ impl std::str::FromStr for Tolerance {
     }
 }
 
+/// The exact, reproducible rung: DS, the correctly rounded sum on the
+/// superaccumulator. Every selector returns it where only a reproducible
+/// operator will do, and where no cheaper rung fits the budget.
+pub const EXACT: Algorithm = Algorithm::Distill;
+
+/// The serving ladder: the paper's ST, K and CP, and [`EXACT`] as the
+/// reproducible rung. [`HeuristicSelector`] and [`crate::explain::explain`]
+/// walk it cheapest first under their cost model. PR stays in
+/// [`Algorithm::PAPER_SET`] for the figures and the oracle tests, but no
+/// selector serves it: the exact sum is more reproducible and, measured,
+/// cheaper on every data shape.
+pub const LADDER: [Algorithm; 4] = [
+    Algorithm::Standard,
+    Algorithm::Kahan,
+    Algorithm::Composite,
+    EXACT,
+];
+
 /// A selection policy.
 pub trait Selector {
     /// The cheapest algorithm expected to meet `tolerance` on data shaped
@@ -83,7 +101,7 @@ pub trait Selector {
 /// | ST | `√n · u · Σ\|x\|` | random-walk roundoff accumulation |
 /// | K / Neumaier | `2u · Σ\|x\|` | compensated bound, n-independent |
 /// | CP | `n · u² · Σ\|x\|` | second-order residual only |
-/// | PR | `0` | bitwise reproducible |
+/// | DS | `0` | exact, hence bitwise reproducible |
 ///
 /// These are the statistical counterparts of the bounds in `repro-fp`; the
 /// calibrated selector replaces them with measurements.
@@ -110,20 +128,21 @@ pub fn predicted_spread(alg: Algorithm, p: &DataProfile) -> f64 {
 impl Selector for HeuristicSelector {
     fn choose(&self, profile: &DataProfile, tolerance: Tolerance) -> Algorithm {
         let Some(budget) = tolerance.budget(profile.sum_estimate) else {
-            return Algorithm::PR;
+            return EXACT;
         };
-        for alg in self.costs.by_cost(&Algorithm::PAPER_SET) {
-            if predicted_spread(alg, profile) <= budget {
-                return alg;
-            }
-        }
-        Algorithm::PR
+        self.costs
+            .by_cost(&LADDER)
+            .into_iter()
+            .find(|&alg| predicted_spread(alg, profile) <= budget)
+            .unwrap_or(EXACT)
     }
 }
 
 /// Empirical selector: nearest calibrated `(k, dr)` cell, cheapest
 /// algorithm whose **measured** spread fits the budget (scaled by `n`
 /// relative to the calibration size for the n-sensitive algorithms).
+/// Reproducible table entries are skipped: where no other entry fits, the
+/// selector returns [`EXACT`].
 #[derive(Clone, Debug)]
 pub struct CalibratedSelector {
     table: CalibrationTable,
@@ -150,17 +169,20 @@ impl CalibratedSelector {
 impl Selector for CalibratedSelector {
     fn choose(&self, profile: &DataProfile, tolerance: Tolerance) -> Algorithm {
         let Some(budget) = tolerance.budget(profile.sum_estimate) else {
-            return Algorithm::PR;
+            return EXACT;
         };
         let cell = self.table.nearest(profile.k, profile.dr_decades());
-        let mut candidates: Vec<(Algorithm, f64)> = cell.spread.clone();
+        let mut candidates: Vec<(Algorithm, f64)> = cell
+            .spread
+            .iter()
+            .copied()
+            .filter(|(alg, _)| !alg.is_reproducible())
+            .collect();
         candidates.sort_by(|a, b| self.costs.cost(a.0).total_cmp(&self.costs.cost(b.0)));
-        for (alg, measured) in candidates {
-            if self.rescale(measured, profile.n) <= budget {
-                return alg;
-            }
-        }
-        Algorithm::PR
+        candidates
+            .into_iter()
+            .find(|&(_, measured)| self.rescale(measured, profile.n) <= budget)
+            .map_or(EXACT, |(alg, _)| alg)
     }
 }
 
@@ -171,12 +193,52 @@ mod tests {
     use crate::profile::profile;
 
     #[test]
-    fn bitwise_always_selects_pr() {
+    fn bitwise_always_selects_the_exact_rung() {
         let p = profile(&[1.0, 2.0]);
         assert_eq!(
             HeuristicSelector::default().choose(&p, Tolerance::Bitwise),
-            Algorithm::PR
+            EXACT
         );
+        assert!(EXACT.is_reproducible());
+    }
+
+    #[test]
+    fn the_ladder_is_cost_ordered_and_ends_at_the_exact_rung() {
+        let costs = CostModel::default();
+        let walk = costs.by_cost(&LADDER);
+        assert_eq!(walk.len(), LADDER.len());
+        assert!(LADDER.iter().all(|alg| walk.contains(alg)));
+        assert!(walk
+            .windows(2)
+            .all(|w| costs.cost(w[0]) <= costs.cost(w[1])));
+        assert_eq!(walk.last(), Some(&EXACT));
+        // The exact rung is the only reproducible one a selector serves.
+        assert!(walk.iter().all(|a| a.is_reproducible() == (*a == EXACT)));
+    }
+
+    /// Every algorithm a serving selector can return has a
+    /// `select.chosen.<abbrev>` metric in the benchmark's declaration: the
+    /// traced benchmark run stops at a label it does not declare.
+    #[test]
+    fn benchmark_declares_every_servable_label() {
+        let doc = repro_obs::Json::parse(include_str!("../../../BENCHMARK.json").trim())
+            .expect("BENCHMARK.json parses");
+        let repro_obs::Json::Arr(per_layer) = doc.get("per_layer").expect("per_layer") else {
+            panic!("per_layer is not an array");
+        };
+        let declared: Vec<&str> = per_layer
+            .iter()
+            .filter_map(|m| m.get("name").and_then(|n| n.as_str()))
+            .collect();
+        // The heuristic walks the ladder; the calibrated selector may also
+        // return any non-reproducible operator its table was measured on.
+        let servable = LADDER
+            .into_iter()
+            .chain(Algorithm::ALL.into_iter().filter(|a| !a.is_reproducible()));
+        for alg in servable {
+            let label = format!("select.chosen.{}", alg.abbrev());
+            assert!(declared.contains(&label.as_str()), "{label} missing");
+        }
     }
 
     #[test]
@@ -226,19 +288,16 @@ mod tests {
             );
             last_rank = alg.cost_rank();
         }
-        // The zero-tolerance end must be PR.
-        assert_eq!(
-            sel.choose(&p, Tolerance::AbsoluteSpread(0.0)),
-            Algorithm::PR
-        );
+        // The zero-tolerance end must be the exact rung.
+        assert_eq!(sel.choose(&p, Tolerance::AbsoluteSpread(0.0)), EXACT);
     }
 
     #[test]
-    fn relative_tolerance_on_zero_sum_forces_pr() {
+    fn relative_tolerance_on_zero_sum_forces_the_exact_rung() {
         let values = repro_gen::zero_sum_with_range(100, 8, 9);
         let p = profile(&values);
         let alg = HeuristicSelector::default().choose(&p, Tolerance::RelativeSpread(1e-6));
-        assert_eq!(alg, Algorithm::PR);
+        assert_eq!(alg, EXACT);
     }
 
     #[test]
@@ -258,12 +317,12 @@ mod tests {
             sel.choose(&profile(&benign), Tolerance::AbsoluteSpread(1.0)),
             Algorithm::Standard
         );
-        // Hostile cell, zero budget: PR.
+        // Hostile cell, zero budget: the table's PR entry (measured spread
+        // 0) is skipped for the exact rung.
         let hostile = repro_gen::zero_sum_with_range(256, 16, 1);
-        assert_eq!(
-            sel.choose(&profile(&hostile), Tolerance::AbsoluteSpread(0.0)),
-            Algorithm::PR
-        );
+        let p = profile(&hostile);
+        assert_eq!(sel.choose(&p, Tolerance::AbsoluteSpread(0.0)), EXACT);
+        assert_eq!(sel.choose(&p, Tolerance::Bitwise), EXACT);
     }
 
     #[test]
@@ -274,7 +333,8 @@ mod tests {
         let k = predicted_spread(Algorithm::Kahan, &p);
         let cp = predicted_spread(Algorithm::Composite, &p);
         let pr = predicted_spread(Algorithm::PR, &p);
+        let ds = predicted_spread(EXACT, &p);
         assert!(st > k && k > cp && cp > pr);
-        assert_eq!(pr, 0.0);
+        assert_eq!((pr, ds), (0.0, 0.0));
     }
 }

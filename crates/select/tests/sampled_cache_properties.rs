@@ -78,9 +78,9 @@ proptest! {
             let full = profile(&values);
             let full_choice = sel.choose(&full, Tolerance::AbsoluteSpread(t));
             // Either the choice fits the full budget outright, or it is the
-            // escalation terminal (PR fits every budget by construction).
+            // escalation terminal (the exact sum fits every budget).
             prop_assert!(
-                predicted_spread(choice, &full) <= t || choice == repro_sum::Algorithm::PR,
+                predicted_spread(choice, &full) <= t || choice == repro_select::EXACT,
                 "sampled chose {choice}, full profile predicts {:e} > budget {:e}",
                 predicted_spread(choice, &full), t
             );
@@ -121,7 +121,7 @@ proptest! {
         assert!(parts.windows(2).all(|w| w[0].stride == w[1].stride));
 
         let merge_seq = |order: [usize; 4]| {
-            let mut acc = parts[order[0]];
+            let mut acc = parts[order[0]].clone();
             for &i in &order[1..] {
                 assert!(acc.merge(&parts[i]));
             }
@@ -131,9 +131,9 @@ proptest! {
         let reversed = merge_seq([3, 2, 1, 0]);
         let shuffled = merge_seq([2, 0, 3, 1]);
         // Balanced tree: (0+1) + (2+3).
-        let mut lo = parts[0];
+        let mut lo = parts[0].clone();
         assert!(lo.merge(&parts[1]));
-        let mut hi = parts[2];
+        let mut hi = parts[2].clone();
         assert!(hi.merge(&parts[3]));
         assert!(lo.merge(&hi));
 

@@ -61,6 +61,10 @@ fn allocations_during(f: impl FnOnce()) -> usize {
 fn collect_allocates_the_same_for_every_input_size() {
     // The counter sees allocations: one box is one.
     assert_eq!(allocations_during(|| drop(black_box(Box::new(1u64)))), 1);
+    // The sample folds through the SIMD-dispatched kernels, whose tier is
+    // resolved once per process on first use, reading (and so allocating)
+    // `REPRO_SIMD` when it is set. Resolve it before counting.
+    repro_fp::simd::active_tier();
     let cfg = SampleConfig::default();
     // 256 values are sampled exhaustively; 4,096 and 10⁶ stride down to
     // ~2,048 sampled values.

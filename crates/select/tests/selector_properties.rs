@@ -3,9 +3,44 @@
 //! was designed around.
 
 use proptest::prelude::*;
-use repro_select::selector::predicted_spread;
+use repro_select::selector::{predicted_spread, LADDER};
 use repro_select::{profile, HeuristicSelector, Selector, SubtreeAdaptive, Tolerance};
-use repro_sum::Algorithm;
+
+/// Inputs outside the benchmark's shapes: signed zeros, subnormals,
+/// overflow-prone magnitudes, infinities and NaN.
+const SPECIALS: [f64; 9] = [
+    0.0,
+    -0.0,
+    5e-324,
+    -2.5e-310,
+    1e308,
+    -1e308,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+];
+
+/// Arrays that `reduce_cached` profiles in full (at most twice the default
+/// sample target), in the benchmark's `(k, dr)` shapes; families 1 and 2
+/// overwrite a seeded share of the values with finite and with all
+/// [`SPECIALS`].
+fn small_workload() -> impl Strategy<Value = Vec<f64>> {
+    const SHAPES: [(f64, u32); 4] = [(1.0, 0), (1e4, 8), (1e12, 16), (f64::INFINITY, 16)];
+    let max = 2 * repro_select::SampleConfig::default().target;
+    (any::<u64>(), 0..=max, 0..SHAPES.len(), 0usize..3).prop_map(move |(seed, n, shape, family)| {
+        let (k, dr) = SHAPES[shape];
+        let mut values = repro_gen::grid_cell(n.max(2), k, dr, seed, 1e16);
+        values.truncate(n);
+        let specials = [&SPECIALS[..0], &SPECIALS[..4], &SPECIALS[..]][family];
+        let mut rng = repro_fp::rng::DetRng::seed_from_u64(seed);
+        for v in values.iter_mut() {
+            if !specials.is_empty() && rng.below(8) == 0 {
+                *v = specials[rng.below(specials.len() as u64) as usize];
+            }
+        }
+        values
+    })
+}
 
 fn workload() -> impl Strategy<Value = Vec<f64>> {
     prop_oneof![
@@ -36,15 +71,15 @@ proptest! {
         let t = 10f64.powi(t_exp);
         let p = profile(&values);
         let alg = HeuristicSelector::default().choose(&p, Tolerance::AbsoluteSpread(t));
-        prop_assert!(predicted_spread(alg, &p) <= t || alg == Algorithm::PR,
+        prop_assert!(predicted_spread(alg, &p) <= t || alg == repro_select::EXACT,
             "{alg} predicted {:e} > budget {:e}", predicted_spread(alg, &p), t);
     }
 
-    /// No cheaper algorithm than the chosen one would also satisfy the
-    /// model (the "cheapest acceptable" property). "Cheaper" is the
-    /// calibrated cost model's verdict, not the static `cost_rank` ladder:
-    /// the measured baseline prices CP under K, and the selector must be
-    /// faithful to the prices it actually ranks by.
+    /// No cheaper rung of the serving ladder than the chosen one would also
+    /// satisfy the model (the "cheapest acceptable" property). "Cheaper" is
+    /// the calibrated cost model's verdict, not the static `cost_rank`
+    /// order: the measured baseline prices CP under K, and the selector
+    /// must be faithful to the prices it actually ranks by.
     #[test]
     fn choice_is_cheapest_acceptable(values in workload(), t_exp in -20i32..0) {
         let t = 10f64.powi(t_exp);
@@ -52,7 +87,8 @@ proptest! {
         let sel = HeuristicSelector::default();
         let costs = repro_select::CostModel::default();
         let alg = sel.choose(&p, Tolerance::AbsoluteSpread(t));
-        for candidate in Algorithm::PAPER_SET {
+        prop_assert!(LADDER.contains(&alg), "{alg} is not on the serving ladder");
+        for candidate in LADDER {
             if costs.cost(candidate) < costs.cost(alg) {
                 prop_assert!(predicted_spread(candidate, &p) > t,
                     "{candidate} (cheaper than {alg}) also fits budget {:e}", t);
@@ -84,6 +120,41 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         values.shuffle(&mut rng);
         prop_assert_eq!(reducer.reduce(&values).sum.to_bits(), reference.to_bits());
+    }
+
+    /// An array profiled in full gets one decision per multiset of values:
+    /// any order of it selects the same operator from the same profile
+    /// bits, under every kind of budget. A reproducible choice then gives
+    /// the same result bits too (ST, K and CP stay order-sensitive by
+    /// definition), and under `Bitwise` that result is the exact sum.
+    #[test]
+    fn small_array_decisions_depend_only_on_the_values(
+        values in small_workload(),
+        seed in any::<u64>(),
+    ) {
+        let mut shuffled = values.clone();
+        repro_fp::rng::DetRng::seed_from_u64(seed).shuffle(&mut shuffled);
+        for tol in [
+            Tolerance::Bitwise,
+            Tolerance::RelativeSpread(1e-8),
+            Tolerance::RelativeSpread(1e-14),
+            Tolerance::AbsoluteSpread(1e-6),
+        ] {
+            let reducer = repro_select::AdaptiveReducer::heuristic(tol);
+            let cache = repro_select::DecisionCache::new();
+            let a = reducer.reduce_cached(&values, &cache);
+            let b = reducer.reduce_cached(&shuffled, &cache);
+            prop_assert_eq!(a.algorithm, b.algorithm, "{}", tol);
+            // Debug renders every field, NaN and -0 included.
+            prop_assert_eq!(format!("{:?}", a.profile), format!("{:?}", b.profile));
+            if a.algorithm.is_reproducible() {
+                prop_assert_eq!(a.sum.to_bits(), b.sum.to_bits(), "{}", tol);
+            }
+            if tol == Tolerance::Bitwise {
+                let exact = repro_fp::exact_sum(&values);
+                prop_assert_eq!(a.sum.to_bits(), exact.to_bits());
+            }
+        }
     }
 
     /// Subtree adaptivity preserves the error budget on arbitrary data.
@@ -124,5 +195,42 @@ proptest! {
         } else {
             prop_assert_eq!(p1.k.is_infinite(), p2.k.is_infinite());
         }
+    }
+}
+
+/// Under `Bitwise` every entry point returns the exact sum, bit for bit,
+/// on inputs whose IEEE sums go wrong: cancellation across 60 binades,
+/// signed zeros, subnormals, overflow and the non-finite values.
+#[test]
+fn bitwise_results_are_the_exact_sum() {
+    let wide = 2f64.powi(-60);
+    let inputs: [&[f64]; 9] = [
+        &[1.0, 1.2345 * wide, -1.0, 3.0 * wide * wide],
+        &[-0.0, -0.0],
+        &[5e-324, -2.5e-310, 5e-324],
+        &[1e308, 1e308, -1e308],
+        &[1.0, 1e308, 1e308],
+        &[1.0, f64::INFINITY],
+        &[f64::INFINITY, f64::NEG_INFINITY],
+        &[f64::NAN, 1.0],
+        &[],
+    ];
+    let reducer = repro_select::AdaptiveReducer::heuristic(Tolerance::Bitwise);
+    let cache = repro_select::DecisionCache::new();
+    for values in inputs {
+        let exact = repro_fp::exact_sum(values).to_bits();
+        let cached = reducer.reduce_cached(values, &cache);
+        assert_eq!(cached.algorithm, repro_select::EXACT, "{values:?}");
+        assert_eq!(cached.sum.to_bits(), exact, "reduce_cached {values:?}");
+        assert_eq!(
+            reducer.reduce(values).sum.to_bits(),
+            exact,
+            "reduce {values:?}"
+        );
+        assert_eq!(
+            repro_select::EXACT.sum(values).to_bits(),
+            exact,
+            "DS {values:?}"
+        );
     }
 }

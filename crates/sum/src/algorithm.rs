@@ -3,9 +3,10 @@
 //! an [`Algorithm`] tag into a live accumulator.
 
 use crate::{
-    Accumulator, BinnedSum, CompositeSum, DistillSum, DoubleDoubleSum, KahanSum, NeumaierSum,
-    PairwiseSum, StandardSum,
+    Accumulator, BinnedSum, CompositeSum, DoubleDoubleSum, KahanSum, NeumaierSum, PairwiseSum,
+    StandardSum,
 };
+use repro_fp::Superaccumulator;
 use std::fmt;
 
 /// A summation algorithm, identified at runtime.
@@ -14,7 +15,8 @@ use std::fmt;
 /// (K), [`Algorithm::Composite`] (CP), and [`Algorithm::PR`] (prerounded —
 /// the binned operator at fold 3). [`Algorithm::Neumaier`] and
 /// [`Algorithm::Pairwise`] are classical extensions used by the ablation
-/// benches.
+/// benches. [`Algorithm::Distill`] (DS) is the exact sum: the reproducible
+/// rung the selector serves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// ST — plain recursive summation.
@@ -34,8 +36,10 @@ pub enum Algorithm {
         /// Number of live 40-bit bins (1..=4); 3 is the ReproBLAS default.
         fold: u8,
     },
-    /// Exact expansion-backed distillation (bitwise reproducible because
-    /// exact; extension).
+    /// DS — the exact sum, correctly rounded once, on the
+    /// [`Superaccumulator`]: bitwise reproducible because exact
+    /// (extension). [`crate::DistillSum`], the expansion-backed exact sum,
+    /// stays in this crate as an independent oracle for it.
     Distill,
 }
 
@@ -94,7 +98,7 @@ impl Algorithm {
             Algorithm::Composite => "composite precision summation",
             Algorithm::DoubleDouble => "double-double summation",
             Algorithm::Binned { .. } => "prerounded (binned) summation",
-            Algorithm::Distill => "exact distillation (expansion) summation",
+            Algorithm::Distill => "exact superaccumulator summation",
         }
     }
 
@@ -115,8 +119,8 @@ impl Algorithm {
     }
 
     /// `true` if the operator guarantees bitwise-identical results under any
-    /// reduction order and merge topology (PR by prerounding; distillation
-    /// by outright exactness).
+    /// reduction order and merge topology (PR by prerounding; DS by
+    /// outright exactness).
     pub fn is_reproducible(&self) -> bool {
         matches!(self, Algorithm::Binned { .. } | Algorithm::Distill)
     }
@@ -131,7 +135,7 @@ impl Algorithm {
             Algorithm::Composite => AlgoAccumulator::Composite(CompositeSum::new()),
             Algorithm::DoubleDouble => AlgoAccumulator::DoubleDouble(DoubleDoubleSum::new()),
             Algorithm::Binned { fold } => AlgoAccumulator::Binned(BinnedSum::new(*fold as usize)),
-            Algorithm::Distill => AlgoAccumulator::Distill(DistillSum::new()),
+            Algorithm::Distill => AlgoAccumulator::Distill(Superaccumulator::new()),
         }
     }
 
@@ -170,8 +174,8 @@ pub enum AlgoAccumulator {
     DoubleDouble(DoubleDoubleSum),
     /// PR state.
     Binned(BinnedSum),
-    /// Distillation state.
-    Distill(DistillSum),
+    /// DS state: the exact register.
+    Distill(Superaccumulator),
 }
 
 impl AlgoAccumulator {
@@ -291,6 +295,11 @@ mod tests {
         assert_eq!(
             Algorithm::PR.sum(&values),
             crate::BinnedSum::sum_slice(&values, 3)
+        );
+        // DS is the exact sum: the expansion-backed oracle agrees.
+        assert_eq!(
+            Algorithm::Distill.sum(&values).to_bits(),
+            crate::DistillSum::sum_slice(&values).to_bits()
         );
     }
 

@@ -301,6 +301,12 @@ impl BinnedSum {
         acc.pos_inf = flags[1] == b'1';
         acc.neg_inf = flags[2] == b'1';
         acc.range_overflow = flags[3] == b'1';
+        // The checkpoint does not record how many deposits have drifted
+        // the primaries since their last renormalization (up to
+        // `RENORM_EVERY - 1`), so the first deposit after a restore
+        // renormalizes. A fresh count would let an accumulator restored
+        // more often than every `RENORM_EVERY` deposits never renormalize.
+        acc.deposits = RENORM_EVERY - 1;
         // Re-rendering rejects every non-canonical spelling: signs, leading
         // zeros, padding, upper-case hex, missing slots and flags other
         // than `0`/`1`.
@@ -844,6 +850,29 @@ mod tests {
             a.add_slice(first);
             a.finalize().to_bits()
         });
+    }
+
+    #[test]
+    fn frequent_checkpoints_keep_renormalizing() {
+        // 255 deposits per cycle, one short of the renormalization cadence:
+        // each restore must carry the drift forward, not forget it.
+        let x = 511.0 + 2f64.powi(-30);
+        let mut whole = BinnedSum::new(3);
+        let mut cycled = BinnedSum::new(3);
+        for cycle in 0..64 {
+            for _ in 0..RENORM_EVERY - 1 {
+                whole.add(x);
+                cycled.add(x);
+            }
+            let text = cycled.checkpoint();
+            cycled = BinnedSum::restore(&text)
+                .unwrap_or_else(|| panic!("cycle {cycle}: checkpoint {text} did not restore"));
+            assert_eq!(
+                bits(cycled.finalize()),
+                bits(whole.finalize()),
+                "cycle {cycle}"
+            );
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! it behaves like a 2–3 term compensated sum; on adversarial wide-range
 //! data it can grow toward ~40 components.
 //!
-//! Included as the upper end of the accuracy ladder the selector can reach
-//! for — and as the honest comparison point for PR: *exact* reproducibility
-//! is available, PR is simply cheaper.
+//! It is not the DS operator: [`crate::Algorithm::Distill`] runs on the
+//! superaccumulator, which reaches the same correctly rounded sum several
+//! times faster. This expansion-backed form stays as an exact oracle built
+//! on different arithmetic, so the two can check each other.
 
 use crate::Accumulator;
 use repro_fp::Expansion;

@@ -13,7 +13,8 @@
 //! | (ext.) pairwise | [`PairwiseSum`] | error ~`u·log n·Σ\|xᵢ\|` |
 //! | (ext.) two-pass prerounding | [`prerounded::PreroundedSum`] | bitwise reproducible given a pre-agreed `(max, n)` plan |
 //! | (ext.) double-double | [`DoubleDoubleSum`] | renormalized ~106-bit accumulation (He & Ding) |
-//! | (ext.) distillation | [`DistillSum`] | **exact** (expansion-backed), hence bitwise reproducible |
+//! | (ext.) DS — exact | [`repro_fp::Superaccumulator`] | **exact**, correctly rounded once, hence bitwise reproducible; the selector's reproducible rung |
+//! | (ext.) distillation | [`DistillSum`] | **exact** (expansion-backed); an oracle independent of the superaccumulator, not an [`Algorithm`] |
 //! | (ext.) interval | [`IntervalSum`] | guaranteed enclosure of the exact sum (paper §III-B), width ~`n·u·Σ\|x\|` |
 //!
 //! # The mergeable-accumulator abstraction

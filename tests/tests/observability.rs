@@ -96,12 +96,12 @@ proptest! {
 
             // ... and a balanced merge tree over the same order.
             let mut level: Vec<DataProfile> =
-                perm.iter().map(|&i| partials[i]).collect();
+                perm.iter().map(|&i| partials[i].clone()).collect();
             while level.len() > 1 {
                 level = level
                     .chunks(2)
                     .map(|pair| {
-                        let mut m = pair[0];
+                        let mut m = pair[0].clone();
                         if let Some(r) = pair.get(1) {
                             m.merge(r);
                         }

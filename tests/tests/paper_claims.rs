@@ -189,7 +189,12 @@ fn section_5d_selection_escalates() {
         let (b, _) = reducer(t).choose(&benign);
         assert!(b.cost_rank() <= alg.cost_rank());
     }
-    assert_eq!(reducer(0.0).choose(&hostile).0, Algorithm::PR);
+    // A zero budget ends at the exact rung, which returns the exact sum.
+    assert_eq!(reducer(0.0).choose(&hostile).0, repro_core::select::EXACT);
+    assert_eq!(
+        reducer(0.0).reduce(&hostile).sum.to_bits(),
+        repro_core::fp::exact_sum(&hostile).to_bits()
+    );
 }
 
 /// §VI (conclusion): the three headline observations, in one test — shape
