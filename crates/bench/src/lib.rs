@@ -301,13 +301,23 @@ pub mod throughput {
         pub git_rev: String,
     }
 
-    /// The uniform `[0, 1)` workload every op is timed on (the harness's
-    /// baseline distribution: benign exponent range, so the superaccumulator
-    /// digit window stays anchored and the ≥ 2× batched-vs-scalar
-    /// acceptance ratio is measured under favourable-but-realistic data).
+    /// The uniform `[0, 1)` workload every op but `superacc/wide` is timed
+    /// on (the harness's baseline distribution: benign exponent range, so
+    /// the superaccumulator's cascade takes two parts and the ≥ 2×
+    /// batched-vs-scalar acceptance ratio is measured under
+    /// favourable-but-realistic data).
     pub fn uniform_workload(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = DetRng::seed_from_u64(seed);
         (0..n).map(|_| rng.next_f64()).collect()
+    }
+
+    /// The wide-range workload of `superacc/wide`: the `agg loadgen`
+    /// payload shape, `(u − 0.5) · 2^e` with `e` uniform in `[−30, 30]`,
+    /// drawn from [`repro_core::agg::batch_values`]. Its blocks span more
+    /// than 84 bits, so the superaccumulator's cascade splits every value
+    /// into three or four parts where uniform data takes two.
+    pub fn wide_workload(n: usize, seed: u64) -> Vec<f64> {
+        repro_core::agg::batch_values(seed, 0, 0, 0, n)
     }
 
     /// Best-effort current git revision, read from `.git` without spawning a
@@ -364,7 +374,8 @@ pub mod throughput {
 
     /// Run the full suite at the current [`super::scale`]: every `sum`
     /// operator, the superaccumulator scalar vs batched paths, the batched
-    /// path once per supported SIMD dispatch tier (`simd/<tier>` — the
+    /// path on wide-range data ([`wide_workload`]), the batched path once
+    /// per supported SIMD dispatch tier (`simd/<tier>` — the
     /// entry *list* follows the machine, which the CI op-coverage check
     /// probes via `repro-reduce simd --check`), lane widths {1, 4, 8} over
     /// the exact operator, and the selector's profile pass (serial and
@@ -409,6 +420,18 @@ pub mod throughput {
         out.push(measure(
             "superacc/batched",
             &values,
+            seed,
+            &rev,
+            reps,
+            |v| {
+                let mut acc = Superaccumulator::new();
+                acc.add_slice(v);
+                acc.to_f64()
+            },
+        ));
+        out.push(measure(
+            "superacc/wide",
+            &wide_workload(n, seed),
             seed,
             &rev,
             reps,
@@ -623,6 +646,7 @@ pub mod throughput {
             for op in [
                 "superacc/scalar",
                 "superacc/batched",
+                "superacc/wide",
                 "simd/scalar", // always supported; other tiers follow the machine
                 "lanes/1",
                 "lanes/4",

@@ -177,7 +177,8 @@ Defaults scale with REPRO_SCALE.
 
 Limits, checked before anything is allocated or started ('replay' exits
 2 on a manifest beyond them): --n generates at least 2 and at most
-134217728 (2^27) values, over a --dr of at most 560 decades; --ranks
+134217728 (2^27) values, over a --dr of at most 560 decades, for a --k
+that is a number or inf (not nan); --ranks
 and agg --workers are at most 1024 each (one thread apiece); an agg
 schedule holds at most 16777216 (2^24) batches (aggregates x clients x
 batches) of at most 134217728 (2^27) values (--batch-len).
@@ -295,7 +296,7 @@ fn parse_opts(
             "--dot" => o.dot = true,
             "--explain" => o.explain = true,
             "--n" => o.n = Some(generated_len(r.value()?)?),
-            "--k" => o.k = Some(r.value()?),
+            "--k" => o.k = Some(generated_k(r.value()?)?),
             "--dr" => o.dr = generated_dr(r.value()?)?,
             "--file-x" => o.file_x = Some(r.text()?),
             "--file-y" => o.file_y = Some(r.text()?),
@@ -374,6 +375,17 @@ fn generated_len(n: u64) -> Result<usize, CliError> {
 /// The dynamic range of a generated input, in decades.
 fn generated_dr(dr: u64) -> Result<u32, CliError> {
     at_most("--dr", dr, MAX_GENERATED_DR).map(|dr| dr as u32)
+}
+
+/// The condition-number target of a generated input: any number or
+/// infinity (k <= 1 generates a one-signed set), but not NaN, which names
+/// no target. A manifest's JSON `k` cannot spell NaN, so only the flag
+/// needs this.
+fn generated_k(k: f64) -> Result<f64, CliError> {
+    if k.is_nan() {
+        return Err(err("--k NaN is not a condition number"));
+    }
+    Ok(k)
 }
 
 /// The rank count of a simulated world, which starts one thread per rank.
@@ -1297,7 +1309,7 @@ fn run_simd(rest: &[String]) -> Result<String, CliError> {
 /// at the current `REPRO_SCALE` and write the fixed-schema `BENCH_*.json`
 /// document — the repo's perf trajectory, one comparable point per PR.
 /// `--out -` prints the JSON (plus `#` summary lines) instead of writing;
-/// the default target is `BENCH_14.json` in the working directory.
+/// the default target is `BENCH_20.json` in the working directory.
 fn run_bench(o: &Opts) -> Result<String, CliError> {
     use repro_bench::throughput;
     let entries = throughput::run_suite();
@@ -1313,7 +1325,7 @@ fn run_bench(o: &Opts) -> Result<String, CliError> {
         entries.first().map(|e| e.seed).unwrap_or(0),
         entries.first().map(|e| e.git_rev.as_str()).unwrap_or("?"),
     );
-    let out = o.out.as_deref().unwrap_or("BENCH_14.json");
+    let out = o.out.as_deref().unwrap_or("BENCH_20.json");
     if out == "-" {
         Ok(format!("{json}{summary}"))
     } else {
@@ -2864,13 +2876,21 @@ mod tests {
             &["report", "--n", "1"],
             &["chaos", "--n", "1", "--ranks", "2"],
             &["trace", "chaos", "--n", "64", "--dr", "561"],
+            &["gen", "--n", "4", "--k", "nan"],
+            &["trace", "reduce", "--n", "64", "--k", "NaN"],
+            &["report", "--n", "64", "--k", "nan"],
         ] {
             let e = run_cmd(args).unwrap_err();
             assert_eq!(e.code, 1, "{args:?}: {e}");
         }
-        // The bounds themselves are in the domain.
+        // The bounds themselves are in the domain, and so is every k that
+        // is not NaN.
         let out = run_cmd(&["gen", "--n", "2", "--dr", "560"]).unwrap();
         assert_eq!(out.lines().count(), 2, "{out}");
+        for k in ["inf", "-inf", "0", "-3", "1e300"] {
+            let out = run_cmd(&["gen", "--n", "4", "--k", k]).unwrap();
+            assert_eq!(out.lines().count(), 4, "--k {k}: {out}");
+        }
         // The same bounds on a generated manifest: exit 2.
         let reduce = |n: u64, dr: u64| {
             let mut m = RunManifest::new("reduce");

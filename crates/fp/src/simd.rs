@@ -1,11 +1,11 @@
 //! Runtime-dispatched SIMD kernels for the batched superaccumulator.
 //!
 //! [`crate::Superaccumulator::add_slice`] spends essentially all of its time
-//! in two loops: the branch-free [`window_digit`] scan that qualifies a block
-//! for the fast kernel, and the Rump–Ogita–Oishi two-part extraction that
-//! splits every qualified value onto the digit grid. Both are pure
-//! data-parallel streams, so this module provides explicit SSE2 and AVX2
-//! implementations next to the portable scalar ones, selected **once per
+//! in two loops: the branch-free scan that reads each block's exponent
+//! extremes, and the [`Cascade`] of Rump–Ogita–Oishi extractions that
+//! splits every value of the block exactly onto grid-aligned parts. Both
+//! are pure data-parallel streams, so this module provides explicit SSE2
+//! and AVX2 implementations next to the portable ones, selected **once per
 //! process**:
 //!
 //! * `REPRO_SIMD=scalar|sse2|avx2` forces a tier (mirroring the
@@ -22,19 +22,18 @@
 //!
 //! # Why every tier produces identical bits
 //!
-//! The extraction kernel only ever performs **exact** floating-point
-//! additions: each value `x` in digit window `d` splits as `x = q + r` with
-//! `q = (x + C) - C` a multiple of the grid `2^g` and `r = x - q` exact
-//! (see [`crate::Superaccumulator`]'s kernel docs), and partial sums of `q`s
-//! and `r`s stay far inside the `2^53` exact-integer range in grid units as
-//! long as no accumulator chain folds more than 1024 elements between
-//! deposits ([`SUB_BLOCK`]). Exact additions are associative, so *any*
-//! chain count, vector width, or fold order yields the same real number —
-//! and therefore bit-identical deposits into the exact register. The lane
-//! count below is purely an instruction-level-parallelism knob (how many
-//! independent FP dependency chains the CPU can overlap), never a semantic
-//! one. The [`window_digit`] scan is integer classification with the same
-//! lane-invariance argument (bitwise OR is associative and commutative).
+//! The cascade only ever performs **exact** floating-point additions: each
+//! extraction `q = (x + C) − C` rounds onto a power-of-two grid and `x − q`
+//! is exact, and the parts' partial sums stay inside the `2^53`
+//! exact-integer range in grid units as long as no accumulator chain folds
+//! more than 1024 elements between deposits ([`SUB_BLOCK`]; the bounds are
+//! on [`Cascade`]). Exact additions are associative, so *any* chain count,
+//! vector width, or fold order yields the same parts — and therefore
+//! bit-identical deposits into the exact register. The lane count below is
+//! purely an instruction-level-parallelism knob (how many independent FP
+//! dependency chains the CPU can overlap), never a semantic one. The scan
+//! is an integer min/max, which no lane split can change, so every tier
+//! also plans every block identically.
 
 // The crate is `deny(unsafe_code)`; the `std::arch` intrinsics live behind
 // `#[target_feature]` functions in this module only, each reachable solely
@@ -201,223 +200,362 @@ pub fn dispatch_source() -> &'static str {
     }
 }
 
-/// Elements per deposit group of the extraction kernels. Every accumulator
-/// chain folds at most this many elements before collapsing into one `hi`
-/// and one `lo` deposit, which keeps the folded sums exact: `hi` stays below
-/// `1024 * (2^42 + 1) = 2^52 + 2^10` grid units and `lo` below `2^51`, both
-/// inside the `2^53` exact-integer range (see [`crate::Superaccumulator`]'s
-/// kernel docs for the per-element bounds).
+/// Elements per deposit group of the cascade: every accumulator chain folds
+/// at most this many elements before the block's parts are deposited, which
+/// keeps every folded part sum exact (see [`Cascade`]).
 pub const SUB_BLOCK: usize = 1024;
 
-/// One scalar element of the [`window_digit`] classification.
-#[inline]
-fn scan_one(x: f64, lo: u64) -> u64 {
-    // In-window iff (raw_exponent - 1) - 32d < 32 as an unsigned value;
-    // zeros and subnormals (raw = 0) wrap negative, infinities and NaNs
-    // (raw = 0x7ff) land far above.
-    let p = ((x.to_bits() >> 52) & 0x7ff).wrapping_sub(1);
-    p.wrapping_sub(lo) & !31u64
-}
+/// Bits per cascade level: extraction `l` rounds onto the grid
+/// `2^(a + 42 l − 1074)` of a block with grid base `a` (see [`Cascade`]).
+const LEVEL_BITS: u32 = 42;
 
-fn scan_scalar(block: &[f64], lo: u64) -> u64 {
-    let mut bad = 0u64;
-    for &x in block {
-        bad |= scan_one(x, lo);
-    }
-    bad
-}
+/// Most parts a block splits into before [`Cascade::plan`] sends it to the
+/// per-value deposit kernel instead. Each further part costs every value
+/// three more FP operations; at this cap the cascade still beats the
+/// per-value kernel on its most favourable wide data on the slowest
+/// (portable) tier, and at 9 parts it no longer does (DESIGN.md §5.14
+/// records the measurement).
+pub const MAX_PARTS: usize = 8;
 
-/// Branch-free scan deciding whether a block qualifies for the
-/// error-free-extraction kernel, on an explicit dispatch `tier`.
+/// Highest grid bit position whose extraction constant `1.5 · 2^(g + 52 −
+/// 1074)` is finite (biased exponent `g + 1 <= 2046`).
+const MAX_GRID: u32 = 2045;
+
+/// How `add_slice` sums one block exactly: a Rump–Ogita–Oishi cascade of
+/// error-free extractions, planned from the block's exponent extremes.
 ///
-/// Returns `Some(d)` when every element is a **normal, finite** number
-/// whose mantissa's least significant bit lies in digit window `d` (bit
-/// positions `[32d, 32d + 32)`), with `d <= 62` so the extraction constant
-/// stays representable. The biased-exponent range test folds zero,
-/// subnormal, and non-finite rejection into one wrapping compare — three
-/// integer ops per element, which the SSE2/AVX2 tiers run 2/4 elements at
-/// a time.
-pub fn window_digit(tier: SimdTier, block: &[f64]) -> Option<usize> {
-    let first = block.first()?;
-    let raw0 = (first.to_bits() >> 52) & 0x7ff;
-    if raw0 == 0 || raw0 == 0x7ff {
-        return None;
-    }
-    // Digit of the mantissa's LSB: p = raw - 1 for normal numbers.
-    let d = ((raw0 - 1) >> 5) as usize;
-    if d > 62 {
-        return None;
-    }
-    let lo = (d as u64) << 5;
-    let bad = match tier {
-        SimdTier::Scalar => scan_scalar(block, lo),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: callers only pass tiers from `supported_tiers()` /
-        // `active_tier()`, so the required CPU features are present.
-        SimdTier::Sse2 => unsafe { scan_sse2(block, lo) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — AVX2 was runtime-detected.
-        SimdTier::Avx2 => unsafe { scan_avx2(block, lo) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scan_scalar(block, lo),
-    };
-    (bad == 0).then_some(d)
+/// Let `m` be the smallest nonzero magnitude in the block and `a` the bit
+/// position (weight `2^(a − 1074)`) of the mantissa LSB of `pred(m)`, the
+/// next double below: `m`'s own LSB, or one bit lower when `m` is a power
+/// of two (a subnormal's LSB is bit 0). Let `top` be the exclusive bound of
+/// the highest mantissa MSB. Every value is an integer multiple of `2^a`
+/// below `2^top`. The block splits into
+/// `P = max(2, ⌈(top − a)/42⌉)` parts at the grids `g_l = a + 42 l`,
+/// extracted top-down for `l = P − 1 .. 1` from `x_{P−1} = x`:
+///
+/// ```text
+/// q_l = (x_l + C_l) − C_l,   C_l = 1.5 · 2^(g_l + 52 − 1074)
+/// x_{l−1} = x_l − q_l
+/// ```
+///
+/// With round-to-nearest, `q_l` is `x_l` rounded to a multiple of
+/// `2^(g_l − 1074)` and `x_l − q_l` is exact, so `x = q_{P−1} + … + q_1 +
+/// x_0` holds exactly. The top part is at most `2^42` grid units (`top <=
+/// g_{P−1} + 42`), every lower part and the residual `x_0` at most `2^41`.
+/// Each accumulator chain folds at most [`SUB_BLOCK`] = 1024 values per
+/// deposit, so every part sum stays at most `2^52` units: all FP additions
+/// are exact, and each sub-block lands in the register as `P` exact scalar
+/// deposits. Exact additions are associative, so every tier, chain count
+/// and fold order produces the same parts, bit for bit.
+///
+/// The plan refuses (and the caller takes the per-value kernel) a block
+/// that holds a NaN or an infinity, whose top constant `C_{P−1}` would
+/// overflow, or that needs more than [`MAX_PARTS`] parts. A block of zeros
+/// plans two parts at `a = 0` and deposits nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cascade {
+    /// Grid base: bit position of the mantissa LSB of `pred(m)`.
+    a: u32,
+    /// Parts per value: one more than the extractions.
+    parts: usize,
 }
 
-/// Portable extraction kernel over one [`SUB_BLOCK`]: `L` independent
-/// accumulator chains, staged exactly like the pre-dispatch batched kernel
-/// so the auto-vectorizer packs it even at baseline SSE2. Returns the folded
-/// `(hi, lo)` grid sums — both exact by the [`SUB_BLOCK`] bound.
-fn extract_scalar<const L: usize>(sub: &[f64], c: f64) -> (f64, f64) {
-    debug_assert!(sub.len() <= SUB_BLOCK);
-    let mut hi = [0.0f64; L];
-    let mut lo = [0.0f64; L];
-    // Stage the rounded parts through a small stack array: the counted
-    // loops over fixed-size arrays are the shape the loop vectorizer packs
-    // fully (fusing extraction and accumulation per element defeats it).
-    const STAGE: usize = 64;
-    let mut chunks = sub.chunks_exact(STAGE);
-    for chunk in chunks.by_ref() {
-        let mut q = [0.0f64; STAGE];
-        for j in 0..STAGE {
-            q[j] = (chunk[j] + c) - c;
+impl Cascade {
+    /// Scan `block` on dispatch `tier` and plan its cascade, or `None` when
+    /// it must take the per-value kernel. Every tier plans identically; a
+    /// tier this CPU lacks runs the portable scan.
+    pub fn plan(tier: SimdTier, block: &[f64]) -> Option<Cascade> {
+        let (lo, hi) = scan(tier, block);
+        // Biased exponents of pred(min nonzero |x|) and of max |x|.
+        let (lo, hi) = (((lo as u16 & 0x7fff) >> 4) as u32, (hi as u16 >> 4) as u32);
+        if hi == 0x7ff {
+            return None; // a NaN or an infinity
         }
-        for g in 0..STAGE / L {
-            for j in 0..L {
-                hi[j] += q[g * L + j];
-                lo[j] += chunk[g * L + j] - q[g * L + j];
+        if lo == 0x7ff {
+            return Some(Cascade { a: 0, parts: 2 }); // zeros only
+        }
+        let a = lo.max(1) - 1;
+        let top = hi + 52;
+        let parts = (top - a).div_ceil(LEVEL_BITS).max(2) as usize;
+        let grid = a + LEVEL_BITS * (parts as u32 - 1);
+        (parts <= MAX_PARTS && grid <= MAX_GRID).then_some(Cascade { a, parts })
+    }
+
+    /// Parts each value of the block splits into.
+    pub fn parts(self) -> usize {
+        self.parts
+    }
+
+    /// Extract `block` (the block this cascade was planned on) with `lanes`
+    /// accumulator chains on dispatch `tier` (the portable kernel when this
+    /// CPU lacks the tier), feeding each sub-block's exact part sums to
+    /// `deposit`, top part first.
+    pub fn run(self, tier: SimdTier, lanes: usize, block: &[f64], deposit: &mut impl FnMut(f64)) {
+        let mut c = [0.0f64; MAX_PARTS];
+        for (l, c) in c.iter_mut().enumerate().take(self.parts).skip(1) {
+            let grid = u64::from(self.a + LEVEL_BITS * l as u32);
+            *c = f64::from_bits(((grid + 1) << 52) | (1 << 51));
+        }
+        let kernel = kernel(tier, clamp_lanes(lanes), self.parts);
+        for sub in block.chunks(SUB_BLOCK) {
+            // SAFETY: `kernel` returns a kernel of a tier this CPU runs.
+            let parts = unsafe { kernel(sub, &c, self.parts) };
+            for &part in parts[..self.parts].iter().rev() {
+                deposit(part);
             }
         }
     }
-    for &x in chunks.remainder() {
-        let q = (x + c) - c;
-        hi[0] += q;
-        lo[0] += x - q;
+}
+
+/// The top 16-bit words [`Cascade::plan`] reads from a block, gathered in
+/// one branch-free pass that every tier computes identically: `(min over
+/// (bits | sign) − 1, max over |x|)`, both as signed 16-bit words.
+///
+/// The top word of a double holds its sign, its biased exponent and four
+/// mantissa bits, so it orders magnitudes by exponent. The max key is the
+/// top word of `|x|`. The min key is the top word of `pred(|x|)` (the next
+/// double below) with the sign bit set, which orders nonzero magnitudes
+/// below every zero: a zero's key wraps to `0x7fff`, the largest `i16`.
+/// Signed 16-bit min/max is an instruction on every x86 tier (SSE2
+/// `pminsw`), and it is exact on the top word of each 64-bit lane.
+fn scan(tier: SimdTier, block: &[f64]) -> (i16, i16) {
+    match runnable(tier) {
+        SimdTier::Scalar => scan_portable(block),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `runnable` returned SSE2, so this CPU supports it.
+        SimdTier::Sse2 => unsafe { scan_sse2(block) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `runnable` returned AVX2, so it was runtime-detected.
+        SimdTier::Avx2 => unsafe { scan_avx2(block) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => scan_portable(block),
     }
-    // All chain folds are exact (SUB_BLOCK bound), so order is free.
-    (hi.iter().sum(), lo.iter().sum())
+}
+
+const SIGN: u64 = 1 << 63;
+
+/// `tier` when this CPU runs it, else the portable tier. The SSE2/AVX2
+/// kernels execute their tier's instructions, so a safe caller passing a
+/// tier the CPU lacks must not reach them; every tier gives the same bits.
+fn runnable(tier: SimdTier) -> SimdTier {
+    if tier_supported(tier) {
+        tier
+    } else {
+        SimdTier::Scalar
+    }
+}
+
+/// The portable [`scan`]: one signed 16-bit min and max fold over the
+/// top words.
+fn scan_portable(block: &[f64]) -> (i16, i16) {
+    let (mut lo, mut hi) = (i16::MAX, 0i16);
+    for &x in block {
+        let bits = x.to_bits();
+        lo = lo.min((((bits | SIGN).wrapping_sub(1) as i64) >> 48) as i16);
+        hi = hi.max((((bits & !SIGN) as i64) >> 48) as i16);
+    }
+    (lo, hi)
+}
+
+/// The cascade over a sub-block tail too short for one vector group,
+/// shared by every tier. Returns the exact part sums, residual first.
+#[inline(always)]
+fn cascade_tail(tail: &[f64], c: &[f64; MAX_PARTS], parts: usize) -> [f64; MAX_PARTS] {
+    let mut sums = [0.0f64; MAX_PARTS];
+    for &v in tail {
+        let mut x = v;
+        for l in (1..parts).rev() {
+            let q = (x + c[l]) - c[l];
+            sums[l] += q;
+            x -= q;
+        }
+        sums[0] += x;
+    }
+    sums
+}
+
+/// One sub-block's cascade kernel: `(sub, constants, parts) -> part sums`,
+/// residual first; every tier and chain count returns the same bits. The
+/// vector kernels hold their accumulators in registers, so they take the
+/// part count as a const parameter and ignore the run-time one.
+type Kernel = unsafe fn(&[f64], &[f64; MAX_PARTS], usize) -> [f64; MAX_PARTS];
+
+/// The portable cascade over one sub-block of at most [`SUB_BLOCK`]
+/// values. Each level runs as counted loops over a 64-value stack stage
+/// (round, peel, then fold the rounded parts onto `CHAINS` chains) — the
+/// shape the loop vectorizer packs even at baseline SSE2. The levels are a
+/// run-time loop: each is a pass over the stage, so a const part count
+/// would only multiply the code.
+fn cascade_portable<const CHAINS: usize>(
+    sub: &[f64],
+    c: &[f64; MAX_PARTS],
+    parts: usize,
+) -> [f64; MAX_PARTS] {
+    debug_assert!(sub.len() <= SUB_BLOCK);
+    const STAGE: usize = 64;
+    let mut acc = [[0.0f64; CHAINS]; MAX_PARTS];
+    let mut chunks = sub.chunks_exact(STAGE);
+    for chunk in chunks.by_ref() {
+        let mut x = [0.0f64; STAGE];
+        x.copy_from_slice(chunk);
+        for l in (1..parts).rev() {
+            let mut q = [0.0f64; STAGE];
+            for j in 0..STAGE {
+                q[j] = (x[j] + c[l]) - c[l];
+            }
+            for j in 0..STAGE {
+                x[j] -= q[j];
+            }
+            for g in 0..STAGE / CHAINS {
+                for j in 0..CHAINS {
+                    acc[l][j] += q[g * CHAINS + j];
+                }
+            }
+        }
+        for g in 0..STAGE / CHAINS {
+            for j in 0..CHAINS {
+                acc[0][j] += x[g * CHAINS + j];
+            }
+        }
+    }
+    let mut sums = cascade_tail(chunks.remainder(), c, parts);
+    // Every fold is exact (SUB_BLOCK bound), so the order is free.
+    for (sum, chains) in sums.iter_mut().zip(acc.iter()).take(parts) {
+        for &v in chains {
+            *sum += v;
+        }
+    }
+    sums
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::SUB_BLOCK;
+    use super::{cascade_tail, MAX_PARTS, SUB_BLOCK};
     use std::arch::x86_64::*;
 
+    /// One kernel body per vector width: the [`super::Cascade`] recurrence
+    /// on `CHAINS` independent vector chains per part, the sub-block tail
+    /// through [`cascade_tail`].
+    macro_rules! cascade_kernel {
+        ($(#[$attr:meta])* $name:ident, $w:literal, $zero:ident, $set1:ident,
+         $loadu:ident, $storeu:ident, $add:ident, $sub:ident) => {
+            $(#[$attr])*
+            pub unsafe fn $name<const CHAINS: usize, const PARTS: usize>(
+                sub: &[f64],
+                c: &[f64; MAX_PARTS],
+                _parts: usize,
+            ) -> [f64; MAX_PARTS] {
+                debug_assert!(sub.len() <= SUB_BLOCK);
+                let mut cv = [$zero(); MAX_PARTS];
+                for (v, &c) in cv[1..PARTS].iter_mut().zip(&c[1..PARTS]) {
+                    *v = $set1(c);
+                }
+                let mut acc = [[$zero(); CHAINS]; PARTS];
+                let mut groups = sub.chunks_exact($w * CHAINS);
+                for group in groups.by_ref() {
+                    for j in 0..CHAINS {
+                        let mut x = $loadu(group.as_ptr().add($w * j));
+                        for l in (1..PARTS).rev() {
+                            let q = $sub($add(x, cv[l]), cv[l]);
+                            acc[l][j] = $add(acc[l][j], q);
+                            x = $sub(x, q);
+                        }
+                        acc[0][j] = $add(acc[0][j], x);
+                    }
+                }
+                let mut parts = cascade_tail(groups.remainder(), c, PARTS);
+                // Every fold is exact (SUB_BLOCK bound), so the order is free.
+                let mut lanes = [0.0f64; $w];
+                for (part, chains) in parts.iter_mut().zip(acc.iter()) {
+                    for &v in chains {
+                        $storeu(lanes.as_mut_ptr(), v);
+                        for lane in lanes {
+                            *part += lane;
+                        }
+                    }
+                }
+                parts
+            }
+        };
+    }
+
+    cascade_kernel!(
+        /// The cascade on `__m128d` chains (two values per chain step).
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support SSE2.
+        #[target_feature(enable = "sse2")]
+        cascade_sse2, 2, _mm_setzero_pd, _mm_set1_pd, _mm_loadu_pd, _mm_storeu_pd,
+        _mm_add_pd, _mm_sub_pd
+    );
+    cascade_kernel!(
+        /// The cascade on `__m256d` chains (four values per chain step).
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX2.
+        #[target_feature(enable = "avx2")]
+        cascade_avx2, 4, _mm256_setzero_pd, _mm256_set1_pd, _mm256_loadu_pd,
+        _mm256_storeu_pd, _mm256_add_pd, _mm256_sub_pd
+    );
+
+    /// [`super::scan`] on SSE2: the signed 16-bit min/max of every word,
+    /// of which the top word of each 64-bit lane is read.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SSE2.
     #[target_feature(enable = "sse2")]
-    pub unsafe fn scan_sse2(block: &[f64], lo: u64) -> u64 {
-        let lov = _mm_set1_epi64x(lo as i64);
-        let expmask = _mm_set1_epi64x(0x7ff);
+    pub unsafe fn scan_sse2(block: &[f64]) -> (i16, i16) {
+        let sign = _mm_set1_epi64x(i64::MIN);
         let one = _mm_set1_epi64x(1);
-        let outside = _mm_set1_epi64x(!31i64);
-        let mut badv = _mm_setzero_si128();
+        let mut lo = _mm_set1_epi16(i16::MAX);
+        let mut hi = _mm_setzero_si128();
         let mut pairs = block.chunks_exact(2);
         for pair in pairs.by_ref() {
-            let x = _mm_loadu_si128(pair.as_ptr() as *const __m128i);
-            let raw = _mm_and_si128(_mm_srli_epi64(x, 52), expmask);
-            let p = _mm_sub_epi64(raw, one);
-            badv = _mm_or_si128(badv, _mm_and_si128(_mm_sub_epi64(p, lov), outside));
+            let bits = _mm_loadu_si128(pair.as_ptr() as *const __m128i);
+            lo = _mm_min_epi16(lo, _mm_sub_epi64(_mm_or_si128(bits, sign), one));
+            hi = _mm_max_epi16(hi, _mm_andnot_si128(sign, bits));
         }
-        let mut folded = [0u64; 2];
-        _mm_storeu_si128(folded.as_mut_ptr() as *mut __m128i, badv);
-        let mut bad = folded[0] | folded[1];
-        for &x in pairs.remainder() {
-            bad |= super::scan_one(x, lo);
-        }
-        bad
+        let (mut l, mut h) = ([0i16; 8], [0i16; 8]);
+        _mm_storeu_si128(l.as_mut_ptr() as *mut __m128i, lo);
+        _mm_storeu_si128(h.as_mut_ptr() as *mut __m128i, hi);
+        let (lo, hi) = super::scan_portable(pairs.remainder());
+        (lo.min(l[3]).min(l[7]), hi.max(h[3]).max(h[7]))
     }
 
+    /// [`scan_sse2`] on AVX2, four lanes at a time.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn scan_avx2(block: &[f64], lo: u64) -> u64 {
-        let lov = _mm256_set1_epi64x(lo as i64);
-        let expmask = _mm256_set1_epi64x(0x7ff);
+    pub unsafe fn scan_avx2(block: &[f64]) -> (i16, i16) {
+        let sign = _mm256_set1_epi64x(i64::MIN);
         let one = _mm256_set1_epi64x(1);
-        let outside = _mm256_set1_epi64x(!31i64);
-        let mut badv = _mm256_setzero_si256();
+        let mut lo = _mm256_set1_epi16(i16::MAX);
+        let mut hi = _mm256_setzero_si256();
         let mut quads = block.chunks_exact(4);
         for quad in quads.by_ref() {
-            let x = _mm256_loadu_si256(quad.as_ptr() as *const __m256i);
-            let raw = _mm256_and_si256(_mm256_srli_epi64(x, 52), expmask);
-            let p = _mm256_sub_epi64(raw, one);
-            badv = _mm256_or_si256(badv, _mm256_and_si256(_mm256_sub_epi64(p, lov), outside));
+            let bits = _mm256_loadu_si256(quad.as_ptr() as *const __m256i);
+            lo = _mm256_min_epi16(lo, _mm256_sub_epi64(_mm256_or_si256(bits, sign), one));
+            hi = _mm256_max_epi16(hi, _mm256_andnot_si256(sign, bits));
         }
-        let mut folded = [0u64; 4];
-        _mm256_storeu_si256(folded.as_mut_ptr() as *mut __m256i, badv);
-        let mut bad = folded[0] | folded[1] | folded[2] | folded[3];
-        for &x in quads.remainder() {
-            bad |= super::scan_one(x, lo);
+        let (mut l, mut h) = ([0i16; 16], [0i16; 16]);
+        _mm256_storeu_si256(l.as_mut_ptr() as *mut __m256i, lo);
+        _mm256_storeu_si256(h.as_mut_ptr() as *mut __m256i, hi);
+        let (mut lo, mut hi) = super::scan_portable(quads.remainder());
+        for w in [3, 7, 11, 15] {
+            lo = lo.min(l[w]);
+            hi = hi.max(h[w]);
         }
-        bad
-    }
-
-    /// SSE2 extraction: `L` independent `__m128d` chains (2 sublane
-    /// accumulators each). Exactness bound as in [`super::extract_scalar`].
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn extract_sse2<const L: usize>(sub: &[f64], c: f64) -> (f64, f64) {
-        debug_assert!(sub.len() <= SUB_BLOCK);
-        let cv = _mm_set1_pd(c);
-        let mut hi = [_mm_setzero_pd(); L];
-        let mut lo = [_mm_setzero_pd(); L];
-        let mut groups = sub.chunks_exact(2 * L);
-        for group in groups.by_ref() {
-            for j in 0..L {
-                let x = _mm_loadu_pd(group.as_ptr().add(2 * j));
-                let q = _mm_sub_pd(_mm_add_pd(x, cv), cv);
-                hi[j] = _mm_add_pd(hi[j], q);
-                lo[j] = _mm_add_pd(lo[j], _mm_sub_pd(x, q));
-            }
-        }
-        let (mut hi_t, mut lo_t) = (0.0f64, 0.0f64);
-        let mut sublanes = [0.0f64; 2];
-        for j in 0..L {
-            _mm_storeu_pd(sublanes.as_mut_ptr(), hi[j]);
-            hi_t += sublanes[0] + sublanes[1];
-            _mm_storeu_pd(sublanes.as_mut_ptr(), lo[j]);
-            lo_t += sublanes[0] + sublanes[1];
-        }
-        for &x in groups.remainder() {
-            let q = (x + c) - c;
-            hi_t += q;
-            lo_t += x - q;
-        }
-        (hi_t, lo_t)
-    }
-
-    /// AVX2 extraction: `L` independent `__m256d` chains (4 sublane
-    /// accumulators each). Exactness bound as in [`super::extract_scalar`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn extract_avx2<const L: usize>(sub: &[f64], c: f64) -> (f64, f64) {
-        debug_assert!(sub.len() <= SUB_BLOCK);
-        let cv = _mm256_set1_pd(c);
-        let mut hi = [_mm256_setzero_pd(); L];
-        let mut lo = [_mm256_setzero_pd(); L];
-        let mut groups = sub.chunks_exact(4 * L);
-        for group in groups.by_ref() {
-            for j in 0..L {
-                let x = _mm256_loadu_pd(group.as_ptr().add(4 * j));
-                let q = _mm256_sub_pd(_mm256_add_pd(x, cv), cv);
-                hi[j] = _mm256_add_pd(hi[j], q);
-                lo[j] = _mm256_add_pd(lo[j], _mm256_sub_pd(x, q));
-            }
-        }
-        let (mut hi_t, mut lo_t) = (0.0f64, 0.0f64);
-        let mut sublanes = [0.0f64; 4];
-        for j in 0..L {
-            _mm256_storeu_pd(sublanes.as_mut_ptr(), hi[j]);
-            hi_t += (sublanes[0] + sublanes[1]) + (sublanes[2] + sublanes[3]);
-            _mm256_storeu_pd(sublanes.as_mut_ptr(), lo[j]);
-            lo_t += (sublanes[0] + sublanes[1]) + (sublanes[2] + sublanes[3]);
-        }
-        for &x in groups.remainder() {
-            let q = (x + c) - c;
-            hi_t += q;
-            lo_t += x - q;
-        }
-        (hi_t, lo_t)
+        (lo, hi)
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{extract_avx2, extract_sse2, scan_avx2, scan_sse2};
+use x86::{cascade_avx2, cascade_sse2, scan_avx2, scan_sse2};
 
 /// Clamp a requested lane count to the kernel widths we instantiate.
 pub(crate) fn clamp_lanes(lanes: usize) -> usize {
@@ -429,62 +567,53 @@ pub(crate) fn clamp_lanes(lanes: usize) -> usize {
     }
 }
 
-/// Run the two-part extraction over `block` (every element in digit window
-/// anchored by constant `c`) with `lanes` independent accumulator chains on
-/// dispatch `tier`, feeding each exact grid-sum to `deposit`.
-///
-/// Every tier × lane-count combination deposits the same total (all interior
-/// additions are exact — see the module docs), so the caller's accumulator
-/// ends bit-identical regardless of dispatch.
-pub fn extract_deposits(
-    tier: SimdTier,
-    lanes: usize,
-    block: &[f64],
-    c: f64,
-    deposit: &mut impl FnMut(f64),
-) {
-    for sub in block.chunks(SUB_BLOCK) {
-        let (hi, lo) = extract_sub(tier, clamp_lanes(lanes), sub, c);
-        deposit(hi);
-        deposit(lo);
-    }
+/// Vector accumulators a vector-tier kernel keeps in registers: x86 has 16
+/// vector registers, and the grid constants and per-value temporaries need
+/// the rest. A vector kernel therefore runs at most `8 / parts` chains; more
+/// would spill accumulators to the stack, which measured slower.
+#[cfg(target_arch = "x86_64")]
+const VECTOR_ACCUMULATORS: usize = 8;
+
+/// The vector kernel `$k` for `$chains` requested chains and `$parts`
+/// parts: only the shapes the [`VECTOR_ACCUMULATORS`] cap reaches.
+#[cfg(target_arch = "x86_64")]
+macro_rules! vector_kernel {
+    ($k:ident, $chains:expr, $parts:expr) => {
+        match ($chains.min(VECTOR_ACCUMULATORS / $parts), $parts) {
+            (4, _) => $k::<4, 2> as Kernel,
+            (2 | 3, 2) => $k::<2, 2>,
+            (2 | 3, 3) => $k::<2, 3>,
+            (2 | 3, _) => $k::<2, 4>,
+            (_, 2) => $k::<1, 2>,
+            (_, 3) => $k::<1, 3>,
+            (_, 4) => $k::<1, 4>,
+            (_, 5) => $k::<1, 5>,
+            (_, 6) => $k::<1, 6>,
+            (_, 7) => $k::<1, 7>,
+            _ => $k::<1, 8>,
+        }
+    };
 }
 
-fn extract_sub(tier: SimdTier, lanes: usize, sub: &[f64], c: f64) -> (f64, f64) {
-    match tier {
-        SimdTier::Scalar => match lanes {
-            1 => extract_scalar::<1>(sub, c),
-            2 => extract_scalar::<2>(sub, c),
-            4 => extract_scalar::<4>(sub, c),
-            _ => extract_scalar::<8>(sub, c),
-        },
+/// The cascade kernel for `tier`, `chains` accumulator chains (clamped to
+/// 1/2/4/8, and capped on the vector tiers, see [`VECTOR_ACCUMULATORS`])
+/// and `parts` parts (2 to [`MAX_PARTS`]).
+fn kernel(tier: SimdTier, chains: usize, parts: usize) -> Kernel {
+    debug_assert!((2..=MAX_PARTS).contains(&parts));
+    let portable = match clamp_lanes(chains) {
+        1 => cascade_portable::<1> as Kernel,
+        2 => cascade_portable::<2>,
+        4 => cascade_portable::<4>,
+        _ => cascade_portable::<8>,
+    };
+    match runnable(tier) {
+        SimdTier::Scalar => portable,
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: callers only pass supported tiers (see `window_digit`).
-        SimdTier::Sse2 => unsafe {
-            match lanes {
-                1 => extract_sse2::<1>(sub, c),
-                2 => extract_sse2::<2>(sub, c),
-                4 => extract_sse2::<4>(sub, c),
-                _ => extract_sse2::<8>(sub, c),
-            }
-        },
+        SimdTier::Sse2 => vector_kernel!(cascade_sse2, chains, parts),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — AVX2 was runtime-detected.
-        SimdTier::Avx2 => unsafe {
-            match lanes {
-                1 => extract_avx2::<1>(sub, c),
-                2 => extract_avx2::<2>(sub, c),
-                4 => extract_avx2::<4>(sub, c),
-                _ => extract_avx2::<8>(sub, c),
-            }
-        },
+        SimdTier::Avx2 => vector_kernel!(cascade_avx2, chains, parts),
         #[cfg(not(target_arch = "x86_64"))]
-        _ => match lanes {
-            1 => extract_scalar::<1>(sub, c),
-            2 => extract_scalar::<2>(sub, c),
-            4 => extract_scalar::<4>(sub, c),
-            _ => extract_scalar::<8>(sub, c),
-        },
+        _ => portable,
     }
 }
 
@@ -493,16 +622,16 @@ mod tests {
     use super::*;
     use crate::rng::DetRng;
 
-    fn window_values(d: usize, n: usize, seed: u64) -> Vec<f64> {
-        // Normal values whose mantissa LSB lands in digit window d:
-        // biased exponent raw = 32d + r + 1 for r in [0, 32).
+    /// `n` values with random signs and mantissas whose biased exponents
+    /// lie in `[raw, raw + binades]`.
+    fn spread_values(raw: u64, binades: u64, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = DetRng::seed_from_u64(seed);
         (0..n)
             .map(|_| {
-                let raw = (32 * d + (rng.next_u64() % 32) as usize + 1) as u64;
+                let e = raw + rng.next_u64() % (binades + 1);
                 let mant = rng.next_u64() & ((1 << 52) - 1);
                 let sign = (rng.next_u64() & 1) << 63;
-                f64::from_bits(sign | (raw << 52) | mant)
+                f64::from_bits(sign | (e << 52) | mant)
             })
             .collect()
     }
@@ -569,45 +698,51 @@ mod tests {
     }
 
     #[test]
-    fn window_digit_agrees_across_tiers() {
+    fn scan_and_plan_agree_across_tiers() {
         let mut blocks: Vec<Vec<f64>> = Vec::new();
-        // Clean in-window blocks at assorted digits and odd lengths.
-        for (d, n) in [
-            (31usize, 0usize),
-            (31, 1),
-            (31, 5),
-            (40, 64),
-            (2, 127),
-            (62, 31),
+        for (raw, binades, n) in [
+            (1000u64, 10u64, 0usize),
+            (1000, 10, 1),
+            (1000, 10, 5),
+            (1, 40, 64),
+            (1023, 100, 127),
+            (1900, 200, 31),
+            (2040, 6, 33),
         ] {
-            blocks.push(window_values(d, n, (d + n) as u64));
+            blocks.push(spread_values(raw, binades, n, raw + n as u64));
         }
-        // Poisoned blocks: a zero, a subnormal, a NaN, an infinity, and an
-        // out-of-window straggler, each at an awkward position.
+        // Zeros, subnormals, a power of two as the minimum, non-finites and
+        // huge values, each at an awkward position of a clean block.
         for (i, poison) in [
             0.0,
+            -0.0,
             f64::from_bits(7),
+            2f64.powi(-20),
             f64::NAN,
             f64::INFINITY,
-            2f64.powi(300),
+            f64::NEG_INFINITY,
+            -f64::MAX,
         ]
         .into_iter()
         .enumerate()
         {
-            let mut b = window_values(31, 67, 99 + i as u64);
-            let pos = [0usize, 1, 32, 65, 66][i];
-            b[pos] = poison;
+            let mut b = spread_values(1023, 20, 67, 99 + i as u64);
+            b[[0usize, 1, 2, 32, 65, 66, 3, 64][i]] = poison;
             blocks.push(b);
         }
-        // Digit window 63 (raw exponent too high for the kernel constant).
-        blocks.push(window_values(63, 8, 5));
+        blocks.push(vec![0.0, -0.0, 0.0]);
+        blocks.push(vec![f64::from_bits(1), -f64::from_bits(3)]);
         for block in &blocks {
-            let reference = window_digit(SimdTier::Scalar, block);
+            let reference = (
+                scan(SimdTier::Scalar, block),
+                Cascade::plan(SimdTier::Scalar, block),
+            );
             for &tier in supported_tiers() {
+                let got = (scan(tier, block), Cascade::plan(tier, block));
                 assert_eq!(
-                    window_digit(tier, block),
+                    got,
                     reference,
-                    "tier {tier} diverged on block of len {}",
+                    "tier {tier} on a block of len {}",
                     block.len()
                 );
             }
@@ -615,24 +750,89 @@ mod tests {
     }
 
     #[test]
-    fn extraction_is_identical_across_tiers_and_lanes() {
-        for d in [20usize, 33, 62] {
-            let a = 32 * d;
-            let c = f64::from_bits((((a as i64 - 980 + 1023) as u64) << 52) | (1 << 51));
+    fn plan_reads_the_exponent_extremes() {
+        let plan = |block: &[f64]| Cascade::plan(SimdTier::Scalar, block);
+        // pred(1.5) has its LSB at bit 1022, 1.5 its MSB at bit 1074.
+        assert_eq!(plan(&[1.5]), Some(Cascade { a: 1022, parts: 2 }));
+        // pred(1.0) lies one binade lower; zeros are ignored.
+        assert_eq!(plan(&[0.0, 1.0, -0.0]), Some(Cascade { a: 1021, parts: 2 }));
+        // Subnormals sit at bit 0.
+        assert_eq!(plan(&[f64::from_bits(5)]), Some(Cascade { a: 0, parts: 2 }));
+        assert_eq!(plan(&[-0.0, 0.0]), Some(Cascade { a: 0, parts: 2 }));
+        // Span 53 + 31 binades = 84 = 2 * 42 bits; one binade more needs 3.
+        assert_eq!(plan(&[1.5, 1.5 * 2f64.powi(31)]).unwrap().parts(), 2);
+        assert_eq!(plan(&[1.5, 1.5 * 2f64.powi(32)]).unwrap().parts(), 3);
+        // Past the cap, and non-finites, take the per-value kernel.
+        let cap_span = 42 * MAX_PARTS as i32 - 53;
+        assert_eq!(
+            plan(&[1.5, 1.5 * 2f64.powi(cap_span)]).unwrap().parts(),
+            MAX_PARTS
+        );
+        assert_eq!(plan(&[1.5, 1.5 * 2f64.powi(cap_span + 1)]), None);
+        assert_eq!(plan(&[1.0, f64::NAN]), None);
+        assert_eq!(plan(&[f64::NEG_INFINITY]), None);
+        // Above about 2^981 the top grid constant would overflow.
+        assert_eq!(plan(&[1.5 * 2f64.powi(980)]).unwrap().parts(), 2);
+        assert_eq!(plan(&[1.5 * 2f64.powi(982)]), None);
+        assert_eq!(plan(&[f64::MAX]), None);
+    }
+
+    #[test]
+    fn cascade_parts_are_identical_across_tiers_and_lanes() {
+        // Every part count, with tails below one vector group.
+        for (raw, binades) in [
+            (1000u64, 20u64),
+            (1000, 60),
+            (600, 100),
+            (1, 150),
+            (1023, 8),
+        ] {
             for n in [1usize, 2, 3, 7, 63, 64, 65, 255, 1023, 1024] {
-                let sub = window_values(d, n, (3 * d + n) as u64);
-                let reference = extract_scalar::<8>(&sub, c);
+                let sub = spread_values(raw, binades, n, raw * 7 + n as u64);
+                let cascade = Cascade::plan(SimdTier::Scalar, &sub).expect("within the cap");
+                let mut c = [0.0f64; MAX_PARTS];
+                for (l, c) in c.iter_mut().enumerate().take(cascade.parts).skip(1) {
+                    let grid = u64::from(cascade.a + LEVEL_BITS * l as u32);
+                    *c = f64::from_bits(((grid + 1) << 52) | (1 << 51));
+                }
+                let run = |tier, chains| {
+                    // SAFETY: `kernel` returns a kernel of a tier this CPU runs.
+                    unsafe { kernel(tier, chains, cascade.parts)(&sub, &c, cascade.parts) }
+                };
+                let reference = run(SimdTier::Scalar, 1);
+                // The parts sum to the block exactly.
+                let mut parts = crate::Superaccumulator::new();
+                let mut values = crate::Superaccumulator::new();
+                reference.iter().for_each(|&p| parts.add(p));
+                sub.iter().for_each(|&x| values.add(x));
+                assert_eq!(parts.checkpoint(), values.checkpoint());
                 for &tier in supported_tiers() {
-                    for lanes in [1usize, 2, 4, 8] {
-                        let got = extract_sub(tier, lanes, &sub, c);
+                    for chains in [1usize, 2, 4, 8] {
+                        let got = run(tier, chains).map(f64::to_bits);
                         assert_eq!(
-                            (got.0.to_bits(), got.1.to_bits()),
-                            (reference.0.to_bits(), reference.1.to_bits()),
-                            "tier {tier} lanes {lanes} d {d} n {n}"
+                            got,
+                            reference.map(f64::to_bits),
+                            "tier {tier} chains {chains} parts {} n {n}",
+                            cascade.parts
                         );
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn tiers_this_cpu_lacks_run_the_portable_kernels() {
+        let block = spread_values(1000, 60, 300, 11);
+        let reference = Cascade::plan(SimdTier::Scalar, &block);
+        for tier in [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2] {
+            let expect = if tier_supported(tier) {
+                tier
+            } else {
+                SimdTier::Scalar
+            };
+            assert_eq!(runnable(tier), expect);
+            assert_eq!(Cascade::plan(tier, &block), reference, "{tier}");
         }
     }
 

@@ -27,7 +27,7 @@
 //! ```
 
 use crate::dd::DoubleDouble;
-use crate::simd::{self, SimdTier};
+use crate::simd::{self, Cascade, SimdTier};
 use crate::ulp::decompose;
 
 /// Number of base-2³² digits in the register.
@@ -44,13 +44,12 @@ const NORMALIZE_EVERY: u32 = 1 << 30;
 
 const DIGIT_MASK: i64 = 0xffff_ffff;
 
-/// Bit width of the register-resident deposit window used by
-/// [`Superaccumulator::add_slice`]: values whose mantissa's least
+/// Bit width of the register-resident deposit window of the per-value
+/// kernel ([`Superaccumulator::add_block`]): values whose mantissa's least
 /// significant bit falls within 64 bits above the window anchor are
 /// accumulated as `mantissa << s` in wide lane registers instead of being
-/// scattered into the heap-resident digit array. Two digits of coverage is
-/// enough for runs of similar-exponent values (the common case the batched
-/// kernel targets); everything else takes the direct scalar-style deposit.
+/// scattered into the heap-resident digit array; everything else takes the
+/// direct scalar-style deposit.
 const WINDOW_BITS: usize = 64;
 
 /// Independent `i128` lane accumulators interleaved round-robin by the
@@ -60,21 +59,19 @@ const WINDOW_BITS: usize = 64;
 /// split cannot change the accumulated value.
 const ACC_LANES: usize = 4;
 
-/// Elements per spill block of the batched kernel. At most
-/// `BLOCK / ACC_LANES = 512` deposits land in one lane, each below
-/// `2^(53 + WINDOW_BITS - 1) = 2^116`, so a lane's magnitude stays under
-/// `2^126` — `i128` cannot overflow within a block. The same bound keeps
-/// every partial sum of the error-free-extraction kernel exactly
-/// representable (see [`Superaccumulator::add_block_extracted`]).
+/// Elements per block of `add_slice`: the unit one scan plans a cascade
+/// for ([`Cascade::plan`]), and one spill block of the per-value kernel. At
+/// most `BLOCK / ACC_LANES = 512` deposits land in one of its lanes, each
+/// below `2^(53 + WINDOW_BITS - 1) = 2^116`, so a lane's magnitude stays
+/// under `2^126` — `i128` cannot overflow within a block.
 const BLOCK: usize = 2048;
 
-/// Default accumulator-chain count of the error-free-extraction kernel.
-/// Independent chains break the one-FP-add-latency-per-element dependency
-/// chain; each chain folds at most [`simd::SUB_BLOCK`] elements between
-/// deposits, which keeps every partial sum exactly representable (see
-/// [`Superaccumulator::add_block_extracted`]). Callers can narrow or widen
-/// the chain count through [`Superaccumulator::add_slice_lanes`] — the
-/// result is bit-identical either way.
+/// Default accumulator-chain count of the cascade kernel. Independent
+/// chains break the one-FP-add-latency-per-element dependency chain; each
+/// chain folds at most [`simd::SUB_BLOCK`] elements between deposits, which
+/// keeps every partial sum exact (see [`Cascade`]). Callers can narrow or
+/// widen the chain count through [`Superaccumulator::add_slice_lanes`] —
+/// the result is bit-identical either way.
 const FP_LANES: usize = 8;
 
 /// A wide fixed-point accumulator that sums `f64` values exactly.
@@ -179,15 +176,17 @@ impl Superaccumulator {
     /// holds exact integers, so deposit order and grouping cannot matter),
     /// but substantially faster. Work proceeds in [`BLOCK`]-element blocks:
     ///
-    /// * If a cheap branch-free scan proves every value in the block is a
-    ///   normal number whose mantissa lives in one 32-bit digit window
-    ///   (the common case — locally similar exponents), the block runs
-    ///   through the error-free-extraction kernel
-    ///   ([`Self::add_block_extracted`]): six FP add/subs per element split
-    ///   each value exactly onto grid-aligned accumulator chains, and the
-    ///   whole block collapses into a handful of exact deposits.
-    /// * Otherwise the generic kernel ([`Self::add_block`]) deposits each
-    ///   element through [`WINDOW_BITS`]-anchored `i128` lane registers.
+    /// * A branch-free scan reads the block's exponent extremes, and the
+    ///   block splits into as many 42-bit parts as its span needs
+    ///   ([`Cascade`]): three FP add/subs per part and value peel each value
+    ///   exactly onto grid-aligned accumulator chains, and every 1024
+    ///   values collapse into one exact deposit per part. Uniform data
+    ///   takes two parts; data spanning hundreds of binades takes more.
+    /// * A block that holds a NaN or an infinity, spans more than
+    ///   [`simd::MAX_PARTS`] parts, or sits so high that the top grid
+    ///   constant would overflow takes the per-value kernel
+    ///   ([`Self::add_block`]), which deposits each element through
+    ///   [`WINDOW_BITS`]-anchored `i128` lane registers.
     ///
     /// Both hot loops run on the process-wide SIMD dispatch tier
     /// ([`simd::active_tier`]; `REPRO_SIMD` overrides) — every tier is
@@ -204,7 +203,9 @@ impl Superaccumulator {
     }
 
     /// [`Self::add_slice`] with an explicit accumulator-chain count
-    /// (`lanes`, clamped to 1/2/4/8) for the extraction kernel. The lane
+    /// (`lanes`, clamped to 1/2/4/8, and on the SSE2/AVX2 tiers to the
+    /// chains whose accumulators fit the vector registers) for the cascade
+    /// kernel. The lane
     /// count is purely an instruction-level-parallelism knob: narrow widths
     /// serialize on FP-add latency, wide widths overlap chains. The result
     /// is bit-identical for every width.
@@ -226,13 +227,14 @@ impl Superaccumulator {
             // NORMALIZE_EVERY budget so no i64 digit slot can overflow.
             // Each element costs at most one growth unit plus at most
             // 4 * ACC_LANES spill units per BLOCK, so half the remaining
-            // budget in elements always fits.
+            // budget in elements always fits. Cascade deposits go through
+            // `add`, which renormalizes on its own.
             let budget = ((NORMALIZE_EVERY - self.pending) / 2).max(1) as usize;
             let take = rest.len().min(budget);
             let (head, tail) = rest.split_at(take);
             for block in head.chunks(BLOCK) {
-                match simd::window_digit(tier, block) {
-                    Some(d) => self.add_block_extracted(block, d, tier, lanes),
+                match Cascade::plan(tier, block) {
+                    Some(cascade) => cascade.run(tier, lanes, block, &mut |v| self.add(v)),
                     None => self.add_block(block),
                 }
             }
@@ -355,38 +357,6 @@ impl Superaccumulator {
         units
     }
 
-    /// Error-free-extraction kernel: exactly sum a block whose values all
-    /// have their mantissa's LSB inside digit window `d` (see
-    /// [`window_digit`]), i.e. bit positions `p` in `[32d, 32d + 32)`.
-    ///
-    /// Rump–Ogita–Oishi grid extraction: with `C = 1.5 * 2^(52 + g)` and
-    /// round-to-nearest, `q = (x + C) - C` is `x` rounded to a multiple of
-    /// `2^g`, and `x - q` is computed exactly. Values in the window span
-    /// bits `[a, a + 84)` (`a = 32d`), so ONE extraction at `g = a + 42`
-    /// splits each value into two parts that both fit 53 significant bits:
-    ///
-    /// ```text
-    /// x == q + r,   q = k1 * 2^(a+42)  (|k1| <= 2^42 + 1),
-    ///               r = k0 * 2^a       (|k0| <  2^41)
-    /// ```
-    ///
-    /// Parts accumulate in plain `f64` adds that are all **exact**: chains
-    /// fold at most [`simd::SUB_BLOCK`] = 1024 elements per deposit group,
-    /// so a folded `hi` sum stays below `1024 * (2^42 + 1) = 2^52 + 2^10`
-    /// grid units and a folded `lo` sum below `2^51`, inside the `2^53`
-    /// exact-integer range. Each deposit group collapses into two exact
-    /// deposits (one `hi`, one `lo`). No integer ops, no branches, no sign
-    /// special-casing — and because exact additions are associative, every
-    /// dispatch tier and chain count lands the identical register state
-    /// (see [`simd::extract_deposits`]).
-    fn add_block_extracted(&mut self, block: &[f64], d: usize, tier: SimdTier, lanes: usize) {
-        let a = 32 * d; // window base as a bit position (weight 2^(a-1074))
-                        // C = 1.5 * 2^(a + 94 - 1074): grid 2^(a + 42 - 1074).
-        let c = f64::from_bits((((a as i64 - 980 + 1023) as u64) << 52) | (1 << 51));
-        let mut deposit = |v: f64| self.add(v);
-        simd::extract_deposits(tier, lanes, block, c, &mut deposit);
-    }
-
     /// Record a non-finite input (shared by `add` and the batched path).
     #[cold]
     fn note_nonfinite(&mut self, x: f64) {
@@ -466,7 +436,9 @@ impl Superaccumulator {
 
     /// Correctly rounded (round-to-nearest-even) conversion to `f64`.
     ///
-    /// This is the **only** rounding in the whole summation.
+    /// This is the **only** rounding in the whole summation. Allocation-free:
+    /// it normalizes a stack copy of the digits, as [`Self::checkpoint`]
+    /// does.
     pub fn to_f64(&self) -> f64 {
         if self.nan || (self.pos_inf && self.neg_inf) {
             return f64::NAN;
@@ -477,18 +449,17 @@ impl Superaccumulator {
         if self.neg_inf {
             return f64::NEG_INFINITY;
         }
-        let mut work = self.clone();
-        work.normalize();
-        let negative = work.sign_ext == -1;
+        let mut digits = *self.digits;
+        let negative = self.sign_ext + carry_sweep(&mut digits) == -1;
         if negative {
-            work.twos_complement_negate();
+            twos_complement_negate(&mut digits);
         }
         // Find the most significant set bit.
-        let top = match work.digits.iter().rposition(|&d| d != 0) {
+        let top = match digits.iter().rposition(|&d| d != 0) {
             None => return if negative { -0.0 } else { 0.0 },
             Some(t) => t,
         };
-        let msb_in_digit = 63 - (work.digits[top] as u64).leading_zeros() as i32;
+        let msb_in_digit = 63 - (digits[top] as u64).leading_zeros() as i32;
         debug_assert!(msb_in_digit < 32);
         let p = top as i32 * 32 + msb_in_digit; // absolute bit position of MSB
         let e = p - 1074; // binary exponent of the value
@@ -502,12 +473,12 @@ impl Superaccumulator {
         // Mantissa = bits [ulp_pos ..= p]; at most 53 bits. Values whose MSB
         // sits below bit 52 are subnormal-or-smaller and exact.
         let ulp_pos = (p - 52).max(0);
-        let mut mantissa = work.read_bits(ulp_pos as u32, (p - ulp_pos + 1) as u32);
+        let mut mantissa = read_bits(&digits, ulp_pos as u32, (p - ulp_pos + 1) as u32);
         // Round to nearest, ties to even.
         if ulp_pos > 0 {
-            let round_bit = work.read_bits((ulp_pos - 1) as u32, 1) != 0;
+            let round_bit = read_bits(&digits, (ulp_pos - 1) as u32, 1) != 0;
             if round_bit {
-                let sticky = work.any_bit_below((ulp_pos - 1) as u32);
+                let sticky = any_bit_below(&digits, (ulp_pos - 1) as u32);
                 if sticky || (mantissa & 1) == 1 {
                     mantissa += 1;
                 }
@@ -653,52 +624,6 @@ impl Superaccumulator {
         acc.neg_inf = flags[2] == b'1';
         Some(acc)
     }
-
-    /// In-place two's-complement negation of the digit register (used only
-    /// on normalized, negative registers, turning them into their positive
-    /// magnitude).
-    fn twos_complement_negate(&mut self) {
-        let mut carry: i64 = 1;
-        for d in self.digits.iter_mut() {
-            let t = (!*d & DIGIT_MASK) + carry;
-            *d = t & DIGIT_MASK;
-            carry = t >> 32;
-        }
-        // sign_ext was -1; !(-1) = 0 plus carry gives 0: the magnitude fits.
-        self.sign_ext = 0;
-    }
-
-    /// Read `count` bits (≤ 64) starting at absolute bit position `from`.
-    /// Requires a normalized register.
-    fn read_bits(&self, from: u32, count: u32) -> u64 {
-        debug_assert!(count <= 64 && count > 0);
-        let d = (from >> 5) as usize;
-        let r = from & 31;
-        let mut v: u128 = 0;
-        for i in 0..4usize {
-            if d + i < DIGITS {
-                v |= (self.digits[d + i] as u64 as u128) << (32 * i);
-            }
-        }
-        ((v >> r) as u64) & (u64::MAX >> (64 - count))
-    }
-
-    /// `true` if any bit strictly below position `limit` is set.
-    /// Requires a normalized register.
-    fn any_bit_below(&self, limit: u32) -> bool {
-        let d = (limit >> 5) as usize;
-        let r = limit & 31;
-        for i in 0..d {
-            if self.digits[i] != 0 {
-                return true;
-            }
-        }
-        if r == 0 {
-            false
-        } else {
-            (self.digits[d] & ((1i64 << r) - 1)) != 0
-        }
-    }
 }
 
 /// Propagate carries through `digits` so each lies in `[0, 2³²)`; returns
@@ -712,6 +637,41 @@ fn carry_sweep(digits: &mut [i64; DIGITS]) -> i64 {
         *d = low;
     }
     carry
+}
+
+/// In-place two's-complement negation of normalized digits whose sign
+/// extension is `-1`, turning them into their positive magnitude (the
+/// sign extension of the result is 0: the magnitude fits).
+fn twos_complement_negate(digits: &mut [i64; DIGITS]) {
+    let mut carry: i64 = 1;
+    for d in digits.iter_mut() {
+        let t = (!*d & DIGIT_MASK) + carry;
+        *d = t & DIGIT_MASK;
+        carry = t >> 32;
+    }
+}
+
+/// Read `count` bits (≤ 64) of normalized digits starting at absolute bit
+/// position `from`.
+fn read_bits(digits: &[i64; DIGITS], from: u32, count: u32) -> u64 {
+    debug_assert!(count <= 64 && count > 0);
+    let d = (from >> 5) as usize;
+    let r = from & 31;
+    let mut v: u128 = 0;
+    for i in 0..4usize {
+        if d + i < DIGITS {
+            v |= (digits[d + i] as u64 as u128) << (32 * i);
+        }
+    }
+    ((v >> r) as u64) & (u64::MAX >> (64 - count))
+}
+
+/// `true` if any bit of normalized digits strictly below position `limit`
+/// is set.
+fn any_bit_below(digits: &[i64; DIGITS], limit: u32) -> bool {
+    let d = (limit >> 5) as usize;
+    let r = limit & 31;
+    digits[..d].iter().any(|&x| x != 0) || (r != 0 && (digits[d] & ((1i64 << r) - 1)) != 0)
 }
 
 impl Extend<f64> for Superaccumulator {

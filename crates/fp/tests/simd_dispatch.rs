@@ -10,7 +10,8 @@
 //! against each other directly through the explicit-tier entry points.
 
 use proptest::prelude::*;
-use repro_fp::simd::{self, SimdTier};
+use repro_fp::rng::DetRng;
+use repro_fp::simd::{self, Cascade, SimdTier};
 use repro_fp::Superaccumulator;
 
 /// Sum on an explicit tier and chain width, returning the full-precision
@@ -61,7 +62,85 @@ fn hostile() -> impl Strategy<Value = f64> {
     ]
 }
 
+/// The register's exact state after scalar `add`s: the definitional
+/// semantics, down to every digit and non-finite flag.
+fn scalar_checkpoint(values: &[f64]) -> String {
+    let mut acc = Superaccumulator::new();
+    for &x in values {
+        acc.add(x);
+    }
+    acc.checkpoint()
+}
+
+/// `add_slice` on every supported tier × chain width leaves the scalar
+/// register state, byte for byte.
+fn assert_checkpoints_match(values: &[f64], label: &str) {
+    let expect = scalar_checkpoint(values);
+    for &tier in simd::supported_tiers() {
+        for lanes in [1usize, 2, 4, 8] {
+            let mut acc = Superaccumulator::new();
+            acc.add_slice_dispatch(values, tier, lanes);
+            assert_eq!(
+                acc.checkpoint(),
+                expect,
+                "{label}: tier {tier} lanes {lanes} (n = {})",
+                values.len()
+            );
+        }
+    }
+}
+
+/// `n` values with random signs and mantissas, biased exponents in
+/// `[raw, raw + binades]`.
+fn span_values(n: usize, raw: u64, binades: u64, rng: &mut DetRng) -> Vec<f64> {
+    (0..n)
+        .map(|_| {
+            let e = raw + rng.next_u64() % (binades + 1);
+            let mant = rng.next_u64() & ((1 << 52) - 1);
+            let sign = (rng.next_u64() & 1) << 63;
+            f64::from_bits(sign | (e << 52) | mant)
+        })
+        .collect()
+}
+
+/// Blocks for the cascade: exponent spans of 1–260 binades anywhere in
+/// the normal range, lengths around one and two blocks, with ±0,
+/// subnormals, values near ±f64::MAX and non-finites mixed in.
+fn cascade_blocks() -> impl Strategy<Value = Vec<f64>> {
+    let len = prop_oneof![1 => 1usize..300, 2 => 1000usize..1050, 2 => 2030usize..2070];
+    (len, 1u64..=260, any::<u64>(), 0usize..8, any::<u64>()).prop_map(
+        |(n, binades, seed, special, pos)| {
+            let mut rng = DetRng::seed_from_u64(seed);
+            let raw = 1 + rng.next_u64() % (2046 - binades);
+            let mut values = span_values(n, raw, binades, &mut rng);
+            let x = [
+                f64::from_bits(rng.next_u64() % 4096), // +0 or a subnormal
+                -0.0,
+                -f64::from_bits(rng.next_u64() % (1 << 52)),
+                f64::MAX,
+                -f64::MAX / 3.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ][special];
+            // Roughly one block in three gets one special value.
+            if pos % 3 == 0 {
+                let i = (pos / 3) as usize % values.len();
+                values[i] = x;
+            }
+            values
+        },
+    )
+}
+
 proptest! {
+    /// The cascade and its fallbacks leave the scalar register state on
+    /// every tier and chain width, on blocks of every part count.
+    #[test]
+    fn add_slice_leaves_the_scalar_checkpoint(values in cascade_blocks()) {
+        assert_checkpoints_match(&values, "cascade blocks");
+    }
+
     /// All tiers × all chain widths, random lengths (including short tails
     /// under one SIMD block and under one staging chunk).
     #[test]
@@ -187,6 +266,38 @@ fn chain_widths_compose_with_slicing() {
                 expect,
                 "lanes {lanes} split {split}"
             );
+        }
+    }
+}
+
+/// A block whose values span exactly `span` bits: the smallest magnitude's
+/// predecessor has its LSB `span` bits below the largest's MSB bound.
+fn block_with_span(span: i32, n: usize, seed: u64) -> Vec<f64> {
+    let mut rng = DetRng::seed_from_u64(seed);
+    // 1.5 * 2^e: pred has its LSB at bit e + 1022, the value its MSB
+    // bound at e + 1075, so the extremes 1.5 * 2^e0 and 1.5 * 2^e1 span
+    // e1 - e0 + 53 bits.
+    let e0 = -200;
+    let e1 = e0 + span - 53;
+    let mut values = span_values(n, (e0 + 1024) as u64, (e1 - e0 - 2) as u64, &mut rng);
+    values[n / 3] = -1.5 * 2f64.powi(e0);
+    values[2 * n / 3] = 1.5 * 2f64.powi(e1);
+    values
+}
+
+/// Spans at every level-count boundary (42·m bits takes m parts, 42·m + 1
+/// takes m + 1) up to the cap, where the block takes the per-value kernel.
+#[test]
+fn part_count_boundaries_and_the_cap_are_bitwise_identical() {
+    for m in 2..=simd::MAX_PARTS {
+        for (span, parts) in [(42 * m, m), (42 * m + 1, m + 1)] {
+            for n in [1500usize, 2048, 2200] {
+                let values = block_with_span(span as i32, n, (span * n) as u64);
+                let plan = Cascade::plan(SimdTier::Scalar, &values[..n.min(2048)]);
+                let expect = (parts <= simd::MAX_PARTS).then_some(parts);
+                assert_eq!(plan.map(Cascade::parts), expect, "span {span}");
+                assert_checkpoints_match(&values, &format!("span {span}"));
+            }
         }
     }
 }

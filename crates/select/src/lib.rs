@@ -245,17 +245,20 @@ impl AdaptiveReducer {
     /// candidate table always comes from the analytic heuristic audit;
     /// its `chosen` field is *this reducer's* actual choice, so a
     /// calibrated selector that disagrees with the heuristic is recorded
-    /// faithfully.
+    /// faithfully. As in [`AdaptiveReducer::reduce`], the exact rung
+    /// returns the profile's `Σx` without reading the values again.
     pub fn reduce_traced(&self, values: &[f64], scope: &mut repro_obs::Scope) -> Outcome {
         let (algorithm, profile) = self.choose(values);
         flight_decision("reduce_traced", algorithm, values.len());
         let mut explanation = explain::explain(&profile, self.tolerance);
         explanation.chosen = algorithm;
         explain::record_decision(scope, &profile, &explanation);
-        let mut acc = algorithm.new_accumulator();
-        acc.add_slice(values);
+        let sum = match algorithm {
+            EXACT => profile.sum_estimate,
+            _ => algorithm.sum(values),
+        };
         Outcome {
-            sum: acc.finalize(),
+            sum,
             algorithm,
             profile,
         }
@@ -279,6 +282,9 @@ impl AdaptiveReducer {
     /// monitoring: `select.predicted_spread`, `select.realized_spread`,
     /// and `select.spread_drift` (realized − predicted; positive means the
     /// predictor undershot, the dangerous direction).
+    ///
+    /// The given order's sum of the exact rung is the profile's `Σx`; the
+    /// permutation runs still run, since they are the measurement.
     pub fn reduce_telemetry(
         &self,
         values: &[f64],
@@ -296,7 +302,10 @@ impl AdaptiveReducer {
             acc.add_slice(vals);
             acc.finalize()
         };
-        let sum = run(values);
+        let sum = match algorithm {
+            EXACT => profile.sum_estimate,
+            _ => run(values),
+        };
         let (mut lo, mut hi) = (sum, sum);
         // Seed from plan-independent data facts so the measurement (and
         // with it the decision record) is a pure function of the input.

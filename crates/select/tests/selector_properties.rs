@@ -232,5 +232,17 @@ fn bitwise_results_are_the_exact_sum() {
             exact,
             "DS {values:?}"
         );
+        let (trace, _sink) = repro_obs::Trace::to_memory();
+        let mut scope = trace.scope("select");
+        let traced = reducer.reduce_traced(values, &mut scope);
+        assert_eq!(traced.algorithm, repro_select::EXACT, "{values:?}");
+        assert_eq!(traced.sum.to_bits(), exact, "reduce_traced {values:?}");
+        let telemetry = reducer.reduce_telemetry(values, &mut scope, None);
+        assert_eq!(telemetry.algorithm, repro_select::EXACT, "{values:?}");
+        assert_eq!(
+            telemetry.sum.to_bits(),
+            exact,
+            "reduce_telemetry {values:?}"
+        );
     }
 }

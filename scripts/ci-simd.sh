@@ -54,6 +54,11 @@ for tier in scalar sse2 avx2; do
     REPRO_SIMD="$tier" run sum --alg "$alg" --hex --file "$SIMD_DIR/values.txt" \
       | grep -v '^# manifest: ' >> "$SIMD_DIR/numeric-$tier.txt"
   done
+  # The agg engine's shards are superaccumulators fed +-2^30-binade
+  # payloads, which the kernel splits into three or four parts per value:
+  # its agg/digest lines carry those bits.
+  REPRO_SIMD="$tier" run agg loadgen --aggregates 3 --clients 16 --batches 4 \
+    --batch-len 256 --seed 2015 | grep -E '^(agg|digest) ' >> "$SIMD_DIR/numeric-$tier.txt"
 
   ran+=("$tier")
 done
