@@ -279,9 +279,9 @@ pub mod throughput {
     use repro_core::fp::rng::DetRng;
     use repro_core::fp::simd::{supported_tiers, SimdTier};
     use repro_core::fp::Superaccumulator;
-    use repro_core::select::profile::{profile, profile_and_sum};
+    use repro_core::select::profile::profile;
     use repro_core::sum::lanes::{lane_chunks, merge_in_lane_order};
-    use repro_core::sum::{Accumulator, Algorithm, StandardSum};
+    use repro_core::sum::{Accumulator, Algorithm};
 
     /// One measured point of the fixed schema
     /// `op, n, ns_per_elem, bytes_per_sec, seed, git_rev`.
@@ -478,18 +478,6 @@ pub mod throughput {
         out.push(measure("select/profile", &values, seed, &rev, reps, |v| {
             profile(v).sum_estimate
         }));
-        out.push(measure(
-            "select/profile_and_sum",
-            &values,
-            seed,
-            &rev,
-            reps,
-            |v| {
-                let mut acc = StandardSum::new();
-                profile_and_sum(v, &mut acc);
-                acc.finalize()
-            },
-        ));
         // The always-on selection fast path: strided sampled profiling
         // (cost amortized over the *full* n, the number that competes with
         // select/profile), then the cached decision path warm (cache_hit)
@@ -652,7 +640,6 @@ pub mod throughput {
                 "lanes/4",
                 "lanes/8",
                 "select/profile",
-                "select/profile_and_sum",
                 "select/sampled_profile",
                 "select/cache_hit",
                 "select/cache_miss",

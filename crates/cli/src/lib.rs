@@ -1211,8 +1211,7 @@ fn chaos_node_event(
     let mut abs = Superaccumulator::new();
     let mut n = 0usize;
     for part in parts {
-        exact.add_slice(part);
-        abs.add_slice_abs(part);
+        exact.add_slice_pair(&mut abs, part);
         n += part.len();
     }
     let mut fields = vec![
@@ -1309,7 +1308,7 @@ fn run_simd(rest: &[String]) -> Result<String, CliError> {
 /// at the current `REPRO_SCALE` and write the fixed-schema `BENCH_*.json`
 /// document — the repo's perf trajectory, one comparable point per PR.
 /// `--out -` prints the JSON (plus `#` summary lines) instead of writing;
-/// the default target is `BENCH_20.json` in the working directory.
+/// the default target is `BENCH_21.json` in the working directory.
 fn run_bench(o: &Opts) -> Result<String, CliError> {
     use repro_bench::throughput;
     let entries = throughput::run_suite();
@@ -1325,7 +1324,7 @@ fn run_bench(o: &Opts) -> Result<String, CliError> {
         entries.first().map(|e| e.seed).unwrap_or(0),
         entries.first().map(|e| e.git_rev.as_str()).unwrap_or("?"),
     );
-    let out = o.out.as_deref().unwrap_or("BENCH_20.json");
+    let out = o.out.as_deref().unwrap_or("BENCH_21.json");
     if out == "-" {
         Ok(format!("{json}{summary}"))
     } else {

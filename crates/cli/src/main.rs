@@ -1,6 +1,6 @@
 //! The `repro-reduce` binary: thin I/O shell over [`repro_cli::run`].
 
-use std::io::Read;
+use std::io::{ErrorKind, Read, Write};
 
 fn read_file(path: &str) -> Result<String, repro_cli::CliError> {
     if path == "-" {
@@ -29,7 +29,18 @@ fn main() {
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
     match repro_cli::run(&args, &read_file) {
-        Ok(out) => println!("{out}"),
+        Ok(out) => {
+            // A reader that closes early (`| head`) is not an error: stop
+            // quietly. `println!` would panic, and the panic hook would
+            // write a crash dump.
+            let mut stdout = std::io::stdout().lock();
+            if let Err(e) = writeln!(stdout, "{out}").and_then(|()| stdout.flush()) {
+                if e.kind() != ErrorKind::BrokenPipe {
+                    eprintln!("error: writing stdout: {e}");
+                    std::process::exit(1);
+                }
+            }
+        }
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(e.code);

@@ -4,7 +4,7 @@
 //! manifest embedded — and a clean run must leave nothing.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro-reduce"))
@@ -65,6 +65,39 @@ fn panic_mid_reduction_leaves_a_schema_valid_postmortem_with_manifest() {
     assert_eq!(manifest.cmd, "reduce");
     assert_eq!(manifest.n, 128);
     assert_eq!(manifest.seed, 7);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_reader_that_closes_early_ends_the_run_cleanly() {
+    use std::io::{BufRead, BufReader};
+    let dir = temp_dir("pipe");
+    // About 5 MB of values: far more than a pipe buffers, so the write
+    // meets the closed pipe.
+    let mut child = bin()
+        .args(["gen", "--n", "200000", "--seed", "3"])
+        .env("REPRO_POSTMORTEM", &dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn repro-reduce");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read the first line");
+    assert!(!first.is_empty());
+    // The reader is dropped here: `repro-reduce gen … | head -1`.
+    let out = child.wait_with_output().expect("wait for repro-reduce");
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        !dir.join("postmortem.jsonl").exists(),
+        "a closed pipe is not a crash"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -31,11 +31,12 @@ pub fn exact_sum_acc(values: &[f64]) -> Superaccumulator {
     acc
 }
 
-/// The exact absolute-value sum `Σ|xᵢ|`, rounded once.
+/// The exact absolute-value sum `Σ|xᵢ|`, rounded once: the `|x|` register
+/// of [`Superaccumulator::add_slice_pair`].
 pub fn exact_abs_sum(values: &[f64]) -> f64 {
-    let mut acc = Superaccumulator::new();
-    acc.add_slice_abs(values);
-    acc.to_f64()
+    let (mut sum, mut abs) = (Superaccumulator::new(), Superaccumulator::new());
+    sum.add_slice_pair(&mut abs, values);
+    abs.to_f64()
 }
 
 /// Exact sum condition number `k = Σ|xᵢ| / |Σxᵢ|`.
@@ -46,14 +47,13 @@ pub fn condition_number(values: &[f64]) -> f64 {
     if values.is_empty() || values.iter().any(|v| !v.is_finite()) {
         return f64::NAN;
     }
-    let mut sum = exact_sum_acc(values);
+    let (mut sum, mut abs) = (Superaccumulator::new(), Superaccumulator::new());
+    sum.add_slice_pair(&mut abs, values);
     if sum.is_zero() {
         return f64::INFINITY;
     }
     // Form the quotient in double-double to avoid an avoidable half-ulp loss
     // in each operand; a single rounding when converting at the end.
-    let mut abs = Superaccumulator::new();
-    abs.add_slice_abs(values);
     let q = abs.to_dd().div_dd(sum.to_dd().abs());
     q.to_f64()
 }

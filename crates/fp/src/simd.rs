@@ -291,18 +291,50 @@ impl Cascade {
     /// CPU lacks the tier), feeding each sub-block's exact part sums to
     /// `deposit`, top part first.
     pub fn run(self, tier: SimdTier, lanes: usize, block: &[f64], deposit: &mut impl FnMut(f64)) {
+        self.run_kernel(tier, lanes, block, false, |[x, _]| {
+            x[..self.parts].iter().rev().for_each(|&part| deposit(part))
+        });
+    }
+
+    /// [`Cascade::run`] that also sums `|x|`, feeding each sub-block's part
+    /// sums of `x` and of `|x|` to `deposit` in pairs, top part first.
+    ///
+    /// The plan of `|x|` is the plan of `x` (the scan reads sign-free
+    /// words), and the extraction is odd-symmetric: `C_l` is an even
+    /// multiple of the grid step, so the round-to-nearest-even tie of
+    /// `x + C_l` goes the same way for `−x`, and `q_l(−x) = −q_l(x)` at
+    /// every level. The parts of `|x|` are therefore the parts of `x` with
+    /// the sign of `x` flipped into them (`q_l XOR sign(x)`, the residual
+    /// likewise), folded into a second set of exact part sums.
+    pub fn run_pair(
+        self,
+        tier: SimdTier,
+        lanes: usize,
+        block: &[f64],
+        deposit: &mut impl FnMut(f64, f64),
+    ) {
+        self.run_kernel(tier, lanes, block, true, |[x, abs]| {
+            (0..self.parts).rev().for_each(|l| deposit(x[l], abs[l]))
+        });
+    }
+
+    fn run_kernel(
+        self,
+        tier: SimdTier,
+        lanes: usize,
+        block: &[f64],
+        pair: bool,
+        mut deposit: impl FnMut(&PartSums),
+    ) {
         let mut c = [0.0f64; MAX_PARTS];
         for (l, c) in c.iter_mut().enumerate().take(self.parts).skip(1) {
             let grid = u64::from(self.a + LEVEL_BITS * l as u32);
             *c = f64::from_bits(((grid + 1) << 52) | (1 << 51));
         }
-        let kernel = kernel(tier, clamp_lanes(lanes), self.parts);
+        let kernel = kernel(tier, clamp_lanes(lanes), self.parts, pair);
         for sub in block.chunks(SUB_BLOCK) {
             // SAFETY: `kernel` returns a kernel of a tier this CPU runs.
-            let parts = unsafe { kernel(sub, &c, self.parts) };
-            for &part in parts[..self.parts].iter().rev() {
-                deposit(part);
-            }
+            deposit(&unsafe { kernel(sub, &c, self.parts) });
         }
     }
 }
@@ -357,47 +389,68 @@ fn scan_portable(block: &[f64]) -> (i16, i16) {
     (lo, hi)
 }
 
+/// One sub-block's exact part sums, residual first: of `x`, and of `|x|`
+/// (zeros unless the kernel runs the pair pass).
+type PartSums = [[f64; MAX_PARTS]; 2];
+
 /// The cascade over a sub-block tail too short for one vector group,
-/// shared by every tier. Returns the exact part sums, residual first.
+/// shared by every tier. With `PAIR`, also the parts of `|x|`: the parts
+/// of `x` with the sign of `x` flipped into them (see [`Cascade::run_pair`]).
 #[inline(always)]
-fn cascade_tail(tail: &[f64], c: &[f64; MAX_PARTS], parts: usize) -> [f64; MAX_PARTS] {
-    let mut sums = [0.0f64; MAX_PARTS];
+fn cascade_tail<const PAIR: bool>(tail: &[f64], c: &[f64; MAX_PARTS], parts: usize) -> PartSums {
+    let mut sums = [[0.0f64; MAX_PARTS]; 2];
     for &v in tail {
+        let sign = v.to_bits() & SIGN;
         let mut x = v;
         for l in (1..parts).rev() {
             let q = (x + c[l]) - c[l];
-            sums[l] += q;
+            sums[0][l] += q;
+            if PAIR {
+                sums[1][l] += f64::from_bits(q.to_bits() ^ sign);
+            }
             x -= q;
         }
-        sums[0] += x;
+        sums[0][0] += x;
+        if PAIR {
+            sums[1][0] += f64::from_bits(x.to_bits() ^ sign);
+        }
     }
     sums
 }
 
-/// One sub-block's cascade kernel: `(sub, constants, parts) -> part sums`,
-/// residual first; every tier and chain count returns the same bits. The
-/// vector kernels hold their accumulators in registers, so they take the
-/// part count as a const parameter and ignore the run-time one.
-type Kernel = unsafe fn(&[f64], &[f64; MAX_PARTS], usize) -> [f64; MAX_PARTS];
+/// One sub-block's cascade kernel: `(sub, constants, parts) -> part sums`;
+/// every tier and chain count returns the same bits. The vector kernels
+/// hold their accumulators in registers, so they take the part count as a
+/// const parameter and ignore the run-time one. Each kernel body is
+/// instantiated twice: for `x` alone, and for the pair pass
+/// ([`Cascade::run_pair`]).
+type Kernel = unsafe fn(&[f64], &[f64; MAX_PARTS], usize) -> PartSums;
 
 /// The portable cascade over one sub-block of at most [`SUB_BLOCK`]
 /// values. Each level runs as counted loops over a 64-value stack stage
 /// (round, peel, then fold the rounded parts onto `CHAINS` chains) — the
 /// shape the loop vectorizer packs even at baseline SSE2. The levels are a
 /// run-time loop: each is a pass over the stage, so a const part count
-/// would only multiply the code.
-fn cascade_portable<const CHAINS: usize>(
+/// would only multiply the code. With `PAIR`, each level also folds its
+/// parts with the stage's signs flipped in onto a second set of chains.
+fn cascade_portable<const CHAINS: usize, const PAIR: bool>(
     sub: &[f64],
     c: &[f64; MAX_PARTS],
     parts: usize,
-) -> [f64; MAX_PARTS] {
+) -> PartSums {
     debug_assert!(sub.len() <= SUB_BLOCK);
     const STAGE: usize = 64;
-    let mut acc = [[0.0f64; CHAINS]; MAX_PARTS];
+    let mut acc = [[[0.0f64; CHAINS]; MAX_PARTS]; 2];
     let mut chunks = sub.chunks_exact(STAGE);
     for chunk in chunks.by_ref() {
         let mut x = [0.0f64; STAGE];
         x.copy_from_slice(chunk);
+        let mut sign = [0u64; STAGE];
+        if PAIR {
+            for j in 0..STAGE {
+                sign[j] = x[j].to_bits() & SIGN;
+            }
+        }
         for l in (1..parts).rev() {
             let mut q = [0.0f64; STAGE];
             for j in 0..STAGE {
@@ -406,75 +459,108 @@ fn cascade_portable<const CHAINS: usize>(
             for j in 0..STAGE {
                 x[j] -= q[j];
             }
-            for g in 0..STAGE / CHAINS {
-                for j in 0..CHAINS {
-                    acc[l][j] += q[g * CHAINS + j];
-                }
+            fold_chains(&mut acc[0][l], &q);
+            if PAIR {
+                flip_signs(&mut q, &sign);
+                fold_chains(&mut acc[1][l], &q);
             }
         }
-        for g in 0..STAGE / CHAINS {
-            for j in 0..CHAINS {
-                acc[0][j] += x[g * CHAINS + j];
-            }
+        fold_chains(&mut acc[0][0], &x);
+        if PAIR {
+            flip_signs(&mut x, &sign);
+            fold_chains(&mut acc[1][0], &x);
         }
     }
-    let mut sums = cascade_tail(chunks.remainder(), c, parts);
+    let mut sums = cascade_tail::<PAIR>(chunks.remainder(), c, parts);
     // Every fold is exact (SUB_BLOCK bound), so the order is free.
-    for (sum, chains) in sums.iter_mut().zip(acc.iter()).take(parts) {
-        for &v in chains {
-            *sum += v;
+    for (sums, acc) in sums.iter_mut().zip(&acc) {
+        for (sum, chains) in sums.iter_mut().zip(acc).take(parts) {
+            for &v in chains {
+                *sum += v;
+            }
         }
     }
     sums
 }
 
+/// Fold a stage of parts onto `CHAINS` accumulator chains.
+#[inline(always)]
+fn fold_chains<const CHAINS: usize, const STAGE: usize>(acc: &mut [f64; CHAINS], q: &[f64; STAGE]) {
+    for g in 0..STAGE / CHAINS {
+        for j in 0..CHAINS {
+            acc[j] += q[g * CHAINS + j];
+        }
+    }
+}
+
+/// Flip each value's sign bit where `sign` has it set: the parts of `x`
+/// become the parts of `|x|`.
+#[inline(always)]
+fn flip_signs<const STAGE: usize>(q: &mut [f64; STAGE], sign: &[u64; STAGE]) {
+    for j in 0..STAGE {
+        q[j] = f64::from_bits(q[j].to_bits() ^ sign[j]);
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{cascade_tail, MAX_PARTS, SUB_BLOCK};
+    use super::{cascade_tail, PartSums, MAX_PARTS, SUB_BLOCK};
     use std::arch::x86_64::*;
 
     /// One kernel body per vector width: the [`super::Cascade`] recurrence
     /// on `CHAINS` independent vector chains per part, the sub-block tail
-    /// through [`cascade_tail`].
+    /// through [`cascade_tail`]. With `PAIR`, each part is also folded with
+    /// the sign of `x` flipped in, onto a second set of chains (the parts
+    /// of `|x|`, see [`super::Cascade::run_pair`]).
     macro_rules! cascade_kernel {
         ($(#[$attr:meta])* $name:ident, $w:literal, $zero:ident, $set1:ident,
-         $loadu:ident, $storeu:ident, $add:ident, $sub:ident) => {
+         $loadu:ident, $storeu:ident, $add:ident, $sub:ident, $and:ident, $xor:ident) => {
             $(#[$attr])*
-            pub unsafe fn $name<const CHAINS: usize, const PARTS: usize>(
+            pub unsafe fn $name<const CHAINS: usize, const PARTS: usize, const PAIR: bool>(
                 sub: &[f64],
                 c: &[f64; MAX_PARTS],
                 _parts: usize,
-            ) -> [f64; MAX_PARTS] {
+            ) -> PartSums {
                 debug_assert!(sub.len() <= SUB_BLOCK);
                 let mut cv = [$zero(); MAX_PARTS];
                 for (v, &c) in cv[1..PARTS].iter_mut().zip(&c[1..PARTS]) {
                     *v = $set1(c);
                 }
-                let mut acc = [[$zero(); CHAINS]; PARTS];
+                let sign_bit = $set1(-0.0);
+                let mut acc = [[[$zero(); CHAINS]; PARTS]; 2];
                 let mut groups = sub.chunks_exact($w * CHAINS);
                 for group in groups.by_ref() {
                     for j in 0..CHAINS {
                         let mut x = $loadu(group.as_ptr().add($w * j));
+                        let sign = $and(x, sign_bit);
                         for l in (1..PARTS).rev() {
                             let q = $sub($add(x, cv[l]), cv[l]);
-                            acc[l][j] = $add(acc[l][j], q);
+                            acc[0][l][j] = $add(acc[0][l][j], q);
+                            if PAIR {
+                                acc[1][l][j] = $add(acc[1][l][j], $xor(q, sign));
+                            }
                             x = $sub(x, q);
                         }
-                        acc[0][j] = $add(acc[0][j], x);
-                    }
-                }
-                let mut parts = cascade_tail(groups.remainder(), c, PARTS);
-                // Every fold is exact (SUB_BLOCK bound), so the order is free.
-                let mut lanes = [0.0f64; $w];
-                for (part, chains) in parts.iter_mut().zip(acc.iter()) {
-                    for &v in chains {
-                        $storeu(lanes.as_mut_ptr(), v);
-                        for lane in lanes {
-                            *part += lane;
+                        acc[0][0][j] = $add(acc[0][0][j], x);
+                        if PAIR {
+                            acc[1][0][j] = $add(acc[1][0][j], $xor(x, sign));
                         }
                     }
                 }
-                parts
+                let mut sums = cascade_tail::<PAIR>(groups.remainder(), c, PARTS);
+                // Every fold is exact (SUB_BLOCK bound), so the order is free.
+                let mut lanes = [0.0f64; $w];
+                for (sums, acc) in sums.iter_mut().zip(&acc).take(1 + PAIR as usize) {
+                    for (sum, chains) in sums.iter_mut().zip(acc) {
+                        for &v in chains {
+                            $storeu(lanes.as_mut_ptr(), v);
+                            for lane in lanes {
+                                *sum += lane;
+                            }
+                        }
+                    }
+                }
+                sums
             }
         };
     }
@@ -487,7 +573,7 @@ mod x86 {
         /// The CPU must support SSE2.
         #[target_feature(enable = "sse2")]
         cascade_sse2, 2, _mm_setzero_pd, _mm_set1_pd, _mm_loadu_pd, _mm_storeu_pd,
-        _mm_add_pd, _mm_sub_pd
+        _mm_add_pd, _mm_sub_pd, _mm_and_pd, _mm_xor_pd
     );
     cascade_kernel!(
         /// The cascade on `__m256d` chains (four values per chain step).
@@ -497,7 +583,7 @@ mod x86 {
         /// The CPU must support AVX2.
         #[target_feature(enable = "avx2")]
         cascade_avx2, 4, _mm256_setzero_pd, _mm256_set1_pd, _mm256_loadu_pd,
-        _mm256_storeu_pd, _mm256_add_pd, _mm256_sub_pd
+        _mm256_storeu_pd, _mm256_add_pd, _mm256_sub_pd, _mm256_and_pd, _mm256_xor_pd
     );
 
     /// [`super::scan`] on SSE2: the signed 16-bit min/max of every word,
@@ -569,49 +655,64 @@ pub(crate) fn clamp_lanes(lanes: usize) -> usize {
 
 /// Vector accumulators a vector-tier kernel keeps in registers: x86 has 16
 /// vector registers, and the grid constants and per-value temporaries need
-/// the rest. A vector kernel therefore runs at most `8 / parts` chains; more
-/// would spill accumulators to the stack, which measured slower.
+/// the rest. A vector kernel therefore runs at most `8 / parts` chains (`8 /
+/// (2 parts)` for the pair pass); more would spill accumulators to the
+/// stack, which measured slower. One chain of a pair pass past 4 parts
+/// spills some anyway.
 #[cfg(target_arch = "x86_64")]
 const VECTOR_ACCUMULATORS: usize = 8;
 
 /// The vector kernel `$k` for `$chains` requested chains and `$parts`
-/// parts: only the shapes the [`VECTOR_ACCUMULATORS`] cap reaches.
+/// parts: only the shapes the [`VECTOR_ACCUMULATORS`] cap reaches, for `x`
+/// alone or for the pair pass.
 #[cfg(target_arch = "x86_64")]
 macro_rules! vector_kernel {
-    ($k:ident, $chains:expr, $parts:expr) => {
-        match ($chains.min(VECTOR_ACCUMULATORS / $parts), $parts) {
-            (4, _) => $k::<4, 2> as Kernel,
-            (2 | 3, 2) => $k::<2, 2>,
-            (2 | 3, 3) => $k::<2, 3>,
-            (2 | 3, _) => $k::<2, 4>,
-            (_, 2) => $k::<1, 2>,
-            (_, 3) => $k::<1, 3>,
-            (_, 4) => $k::<1, 4>,
-            (_, 5) => $k::<1, 5>,
-            (_, 6) => $k::<1, 6>,
-            (_, 7) => $k::<1, 7>,
-            _ => $k::<1, 8>,
+    ($k:ident, $chains:expr, $parts:expr, $pair:expr) => {
+        match ($pair, $chains.min(VECTOR_ACCUMULATORS / $parts), $parts) {
+            (false, 4, _) => $k::<4, 2, false> as Kernel,
+            (false, 2 | 3, 2) => $k::<2, 2, false>,
+            (false, 2 | 3, 3) => $k::<2, 3, false>,
+            (false, 2 | 3, _) => $k::<2, 4, false>,
+            (false, _, 2) => $k::<1, 2, false>,
+            (false, _, 3) => $k::<1, 3, false>,
+            (false, _, 4) => $k::<1, 4, false>,
+            (false, _, 5) => $k::<1, 5, false>,
+            (false, _, 6) => $k::<1, 6, false>,
+            (false, _, 7) => $k::<1, 7, false>,
+            (false, _, _) => $k::<1, 8, false>,
+            (true, 2..=4, 2) => $k::<2, 2, true>,
+            (true, _, 2) => $k::<1, 2, true>,
+            (true, _, 3) => $k::<1, 3, true>,
+            (true, _, 4) => $k::<1, 4, true>,
+            (true, _, 5) => $k::<1, 5, true>,
+            (true, _, 6) => $k::<1, 6, true>,
+            (true, _, 7) => $k::<1, 7, true>,
+            (true, _, _) => $k::<1, 8, true>,
         }
     };
 }
 
 /// The cascade kernel for `tier`, `chains` accumulator chains (clamped to
-/// 1/2/4/8, and capped on the vector tiers, see [`VECTOR_ACCUMULATORS`])
-/// and `parts` parts (2 to [`MAX_PARTS`]).
-fn kernel(tier: SimdTier, chains: usize, parts: usize) -> Kernel {
+/// 1/2/4/8, and capped on the vector tiers, see [`VECTOR_ACCUMULATORS`]),
+/// `parts` parts (2 to [`MAX_PARTS`]), and `x` alone or the pair pass.
+fn kernel(tier: SimdTier, chains: usize, parts: usize, pair: bool) -> Kernel {
     debug_assert!((2..=MAX_PARTS).contains(&parts));
-    let portable = match clamp_lanes(chains) {
-        1 => cascade_portable::<1> as Kernel,
-        2 => cascade_portable::<2>,
-        4 => cascade_portable::<4>,
-        _ => cascade_portable::<8>,
+    let portable = match (clamp_lanes(chains), pair) {
+        (1, false) => cascade_portable::<1, false> as Kernel,
+        (2, false) => cascade_portable::<2, false>,
+        (4, false) => cascade_portable::<4, false>,
+        (_, false) => cascade_portable::<8, false>,
+        (1, true) => cascade_portable::<1, true>,
+        (2, true) => cascade_portable::<2, true>,
+        (4, true) => cascade_portable::<4, true>,
+        (_, true) => cascade_portable::<8, true>,
     };
     match runnable(tier) {
         SimdTier::Scalar => portable,
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => vector_kernel!(cascade_sse2, chains, parts),
+        SimdTier::Sse2 => vector_kernel!(cascade_sse2, chains, parts, pair),
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => vector_kernel!(cascade_avx2, chains, parts),
+        SimdTier::Avx2 => vector_kernel!(cascade_avx2, chains, parts, pair),
         #[cfg(not(target_arch = "x86_64"))]
         _ => portable,
     }
@@ -795,26 +896,36 @@ mod tests {
                     let grid = u64::from(cascade.a + LEVEL_BITS * l as u32);
                     *c = f64::from_bits(((grid + 1) << 52) | (1 << 51));
                 }
-                let run = |tier, chains| {
+                let run = |tier, chains, pair| {
+                    let kernel = kernel(tier, chains, cascade.parts, pair);
                     // SAFETY: `kernel` returns a kernel of a tier this CPU runs.
-                    unsafe { kernel(tier, chains, cascade.parts)(&sub, &c, cascade.parts) }
+                    unsafe { kernel(&sub, &c, cascade.parts) }.map(|p| p.map(f64::to_bits))
                 };
-                let reference = run(SimdTier::Scalar, 1);
-                // The parts sum to the block exactly.
-                let mut parts = crate::Superaccumulator::new();
-                let mut values = crate::Superaccumulator::new();
-                reference.iter().for_each(|&p| parts.add(p));
-                sub.iter().for_each(|&x| values.add(x));
-                assert_eq!(parts.checkpoint(), values.checkpoint());
+                let [x, abs] = run(SimdTier::Scalar, 1, true).map(|p| p.map(f64::from_bits));
+                // The parts sum to the block exactly, and the pair pass's
+                // second set to its magnitudes.
+                let sum = |values: &mut dyn Iterator<Item = f64>| {
+                    let mut acc = crate::Superaccumulator::new();
+                    values.for_each(|v| acc.add(v));
+                    acc.checkpoint()
+                };
+                assert_eq!(sum(&mut x.into_iter()), sum(&mut sub.iter().copied()));
+                assert_eq!(
+                    sum(&mut abs.into_iter()),
+                    sum(&mut sub.iter().map(|x| x.abs()))
+                );
+                let zeros = [0.0f64.to_bits(); MAX_PARTS];
                 for &tier in supported_tiers() {
                     for chains in [1usize, 2, 4, 8] {
-                        let got = run(tier, chains).map(f64::to_bits);
+                        let label =
+                            format!("tier {tier} chains {chains} parts {} n {n}", cascade.parts);
+                        let [px, pabs] = run(tier, chains, true);
                         assert_eq!(
-                            got,
-                            reference.map(f64::to_bits),
-                            "tier {tier} chains {chains} parts {} n {n}",
-                            cascade.parts
+                            (px, pabs),
+                            (x.map(f64::to_bits), abs.map(f64::to_bits)),
+                            "{label}"
                         );
+                        assert_eq!(run(tier, chains, false), [px, zeros], "{label}");
                     }
                 }
             }

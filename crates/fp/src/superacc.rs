@@ -192,14 +192,14 @@ impl Superaccumulator {
     /// ([`simd::active_tier`]; `REPRO_SIMD` overrides) — every tier is
     /// bit-identical, see the [`simd`] module docs.
     pub fn add_slice(&mut self, values: &[f64]) {
-        self.add_slice_impl(values, simd::active_tier(), FP_LANES);
+        self.add_slice_impl(None, values, simd::active_tier(), FP_LANES);
     }
 
     /// [`Self::add_slice`] on an explicit dispatch tier (bit-identical to
     /// every other tier; used by the cross-tier equivalence tests, the CI
     /// dispatch matrix, and the bench suite's per-tier entries).
     pub fn add_slice_with_tier(&mut self, values: &[f64], tier: SimdTier) {
-        self.add_slice_impl(values, tier, FP_LANES);
+        self.add_slice_impl(None, values, tier, FP_LANES);
     }
 
     /// [`Self::add_slice`] with an explicit accumulator-chain count
@@ -210,17 +210,50 @@ impl Superaccumulator {
     /// serialize on FP-add latency, wide widths overlap chains. The result
     /// is bit-identical for every width.
     pub fn add_slice_lanes(&mut self, values: &[f64], lanes: usize) {
-        self.add_slice_impl(values, simd::active_tier(), lanes);
+        self.add_slice_impl(None, values, simd::active_tier(), lanes);
     }
 
     /// [`Self::add_slice`] with both dispatch knobs explicit — the entry the
     /// cross-tier property tests and the bench suite sweep. Bit-identical
     /// for every `(tier, lanes)` combination.
     pub fn add_slice_dispatch(&mut self, values: &[f64], tier: SimdTier, lanes: usize) {
-        self.add_slice_impl(values, tier, lanes);
+        self.add_slice_impl(None, values, tier, lanes);
     }
 
-    fn add_slice_impl(&mut self, values: &[f64], tier: SimdTier, lanes: usize) {
+    /// Add every value in `values` to `self` and its absolute value to
+    /// `abs`, exactly, in one pass: bitwise identical to `for &x in values
+    /// { self.add(x); abs.add(x.abs()) }`.
+    ///
+    /// Each block is scanned and planned once, for both registers: `|x|`
+    /// spans the binades `x` does, so the plan of `x` is the plan of `|x|`,
+    /// and the cascade folds the parts of `|x|` next to those of `x`
+    /// ([`Cascade::run_pair`]). A block the plan refuses takes the
+    /// per-value kernel for both registers. The condition number's two
+    /// exact sums (`DataProfile`, the telemetry shadows) come from here.
+    pub fn add_slice_pair(&mut self, abs: &mut Self, values: &[f64]) {
+        self.add_slice_impl(Some(abs), values, simd::active_tier(), FP_LANES);
+    }
+
+    /// [`Self::add_slice_pair`] with both dispatch knobs explicit, as
+    /// [`Self::add_slice_dispatch`]. Bit-identical for every `(tier,
+    /// lanes)` combination.
+    pub fn add_slice_pair_dispatch(
+        &mut self,
+        abs: &mut Self,
+        values: &[f64],
+        tier: SimdTier,
+        lanes: usize,
+    ) {
+        self.add_slice_impl(Some(abs), values, tier, lanes);
+    }
+
+    fn add_slice_impl(
+        &mut self,
+        mut abs: Option<&mut Self>,
+        values: &[f64],
+        tier: SimdTier,
+        lanes: usize,
+    ) {
         let mut rest = values;
         while !rest.is_empty() {
             // Keep digit growth since the last normalization under the
@@ -229,38 +262,42 @@ impl Superaccumulator {
             // 4 * ACC_LANES spill units per BLOCK, so half the remaining
             // budget in elements always fits. Cascade deposits go through
             // `add`, which renormalizes on its own.
-            let budget = ((NORMALIZE_EVERY - self.pending) / 2).max(1) as usize;
+            let pending = self.pending.max(abs.as_ref().map_or(0, |a| a.pending));
+            let budget = ((NORMALIZE_EVERY - pending) / 2).max(1) as usize;
             let take = rest.len().min(budget);
             let (head, tail) = rest.split_at(take);
             for block in head.chunks(BLOCK) {
-                match Cascade::plan(tier, block) {
-                    Some(cascade) => cascade.run(tier, lanes, block, &mut |v| self.add(v)),
-                    None => self.add_block(block),
+                match (Cascade::plan(tier, block), abs.as_deref_mut()) {
+                    (Some(cascade), None) => {
+                        cascade.run(tier, lanes, block, &mut |v| self.add(v));
+                    }
+                    (Some(cascade), Some(abs)) => {
+                        cascade.run_pair(tier, lanes, block, &mut |v, a| {
+                            self.add(v);
+                            abs.add(a);
+                        });
+                    }
+                    (None, abs) => {
+                        self.add_block::<false>(block);
+                        if let Some(abs) = abs {
+                            abs.add_block::<true>(block);
+                        }
+                    }
                 }
             }
-            if self.pending >= NORMALIZE_EVERY {
-                self.normalize();
+            for acc in std::iter::once(&mut *self).chain(abs.as_deref_mut()) {
+                if acc.pending >= NORMALIZE_EVERY {
+                    acc.normalize();
+                }
             }
             rest = tail;
         }
     }
 
-    /// Add the absolute value of every element in `values` exactly, staging
-    /// through a stack buffer so telemetry shadows get the batched path
-    /// without a heap allocation.
-    pub fn add_slice_abs(&mut self, values: &[f64]) {
-        let mut buf = [0.0f64; 128];
-        for chunk in values.chunks(buf.len()) {
-            for (slot, &x) in buf.iter_mut().zip(chunk.iter()) {
-                *slot = x.abs();
-            }
-            self.add_slice(&buf[..chunk.len()]);
-        }
-    }
-
     /// One spill block of `add_slice`: at most [`BLOCK`] elements, so the
     /// wide lane registers cannot overflow before the spill at the end.
-    fn add_block(&mut self, block: &[f64]) {
+    /// With `ABS`, adds the absolute values instead.
+    fn add_block<const ABS: bool>(&mut self, block: &[f64]) {
         debug_assert!(block.len() <= BLOCK);
         let mut acc = [0i128; ACC_LANES];
         // Window anchor: bit position of the window's least significant bit,
@@ -272,6 +309,7 @@ impl Superaccumulator {
         // per sub-2^32 chunk spilled from a wide lane.
         let mut units: u32 = 0;
         for &x in block {
+            let x = if ABS { x.abs() } else { x };
             if x == 0.0 {
                 continue;
             }
@@ -1013,18 +1051,6 @@ mod tests {
             let (b, s) = (batched.to_f64(), scalar.to_f64());
             assert!(b.to_bits() == s.to_bits() || (b.is_nan() && s.is_nan()));
         }
-    }
-
-    #[test]
-    fn add_slice_abs_matches_scalar_abs_adds() {
-        let values = hostile_values(99, 777);
-        let mut scalar = Superaccumulator::new();
-        for &x in &values {
-            scalar.add(x.abs());
-        }
-        let mut batched = Superaccumulator::new();
-        batched.add_slice_abs(&values);
-        assert_eq!(batched.to_f64().to_bits(), scalar.to_f64().to_bits());
     }
 
     #[test]

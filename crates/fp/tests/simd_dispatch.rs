@@ -64,28 +64,30 @@ fn hostile() -> impl Strategy<Value = f64> {
 
 /// The register's exact state after scalar `add`s: the definitional
 /// semantics, down to every digit and non-finite flag.
-fn scalar_checkpoint(values: &[f64]) -> String {
+fn scalar_checkpoint(values: impl Iterator<Item = f64>) -> String {
     let mut acc = Superaccumulator::new();
-    for &x in values {
+    for x in values {
         acc.add(x);
     }
     acc.checkpoint()
 }
 
-/// `add_slice` on every supported tier × chain width leaves the scalar
-/// register state, byte for byte.
+/// `add_slice`, and both registers of the pair pass, on every supported
+/// tier × chain width leave the scalar register states of `x` and `|x|`,
+/// byte for byte.
 fn assert_checkpoints_match(values: &[f64], label: &str) {
-    let expect = scalar_checkpoint(values);
+    let expect = scalar_checkpoint(values.iter().copied());
+    let expect_abs = scalar_checkpoint(values.iter().map(|x| x.abs()));
     for &tier in simd::supported_tiers() {
         for lanes in [1usize, 2, 4, 8] {
+            let label = format!("{label}: tier {tier} lanes {lanes} (n = {})", values.len());
             let mut acc = Superaccumulator::new();
             acc.add_slice_dispatch(values, tier, lanes);
-            assert_eq!(
-                acc.checkpoint(),
-                expect,
-                "{label}: tier {tier} lanes {lanes} (n = {})",
-                values.len()
-            );
+            assert_eq!(acc.checkpoint(), expect, "{label}");
+            let (mut sum, mut abs) = (Superaccumulator::new(), Superaccumulator::new());
+            sum.add_slice_pair_dispatch(&mut abs, values, tier, lanes);
+            assert_eq!(sum.checkpoint(), expect, "{label}: pair pass, x");
+            assert_eq!(abs.checkpoint(), expect_abs, "{label}: pair pass, |x|");
         }
     }
 }
@@ -134,11 +136,21 @@ fn cascade_blocks() -> impl Strategy<Value = Vec<f64>> {
 }
 
 proptest! {
-    /// The cascade and its fallbacks leave the scalar register state on
-    /// every tier and chain width, on blocks of every part count.
+    /// The cascade and its fallbacks, for `x` alone and for the pair pass,
+    /// leave the scalar register states on every tier and chain width, on
+    /// blocks of every part count.
     #[test]
     fn add_slice_leaves_the_scalar_checkpoint(values in cascade_blocks()) {
         assert_checkpoints_match(&values, "cascade blocks");
+    }
+
+    /// The pair pass on the hostile mix (subnormals, signed zeros, spreads
+    /// of 600 binades, which take the per-value kernel for both registers).
+    #[test]
+    fn pair_pass_leaves_the_scalar_checkpoints(
+        values in prop::collection::vec(hostile(), 0..800),
+    ) {
+        assert_checkpoints_match(&values, "hostile mix");
     }
 
     /// All tiers × all chain widths, random lengths (including short tails
@@ -286,7 +298,8 @@ fn block_with_span(span: i32, n: usize, seed: u64) -> Vec<f64> {
 }
 
 /// Spans at every level-count boundary (42·m bits takes m parts, 42·m + 1
-/// takes m + 1) up to the cap, where the block takes the per-value kernel.
+/// takes m + 1) up to the cap, where the block takes the per-value kernel;
+/// `x` alone and the pair pass.
 #[test]
 fn part_count_boundaries_and_the_cap_are_bitwise_identical() {
     for m in 2..=simd::MAX_PARTS {

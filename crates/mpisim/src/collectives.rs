@@ -5,7 +5,7 @@ use crate::comm::Comm;
 use crate::fault::{ConfigError, FaultError};
 use repro_fp::rng::DetRng;
 use repro_runtime::{MergeOrder, ReductionPlan, Runtime};
-use repro_select::{DataProfile, HeuristicSelector, Selector, Tolerance};
+use repro_select::{DataProfile, HeuristicSelector, Selector, Tolerance, EXACT};
 use repro_sum::{Accumulator, AlgoAccumulator, Algorithm};
 use repro_tree::topology::{heal, HealedTree};
 use std::any::Any;
@@ -290,6 +290,10 @@ pub fn gather<T: Any + Send>(comm: &mut Comm, value: T, root: usize) -> Option<V
 /// Returns `(sum, chosen_algorithm)` on the root, `None` elsewhere; the
 /// selection itself is visible on all ranks via the returned algorithm in
 /// the root's tuple (ranks needing it can broadcast).
+///
+/// Under [`Tolerance::Bitwise`] the selector returns the exact rung
+/// whatever the data, so no rank profiles and no profile collective runs:
+/// the call is one exact [`reduce_sum`].
 pub fn adaptive_reduce_sum(
     comm: &mut Comm,
     local_values: &[f64],
@@ -297,6 +301,9 @@ pub fn adaptive_reduce_sum(
     root: usize,
     cfg: &ReduceConfig,
 ) -> Option<(f64, Algorithm)> {
+    if tolerance == Tolerance::Bitwise {
+        return reduce_sum(comm, local_values, EXACT, root, cfg).map(|sum| (sum, EXACT));
+    }
     // 1. Profile locally (chunk-parallel on the runtime pool);
     // 2. allreduce the profile (binomial up, bcast down).
     let local = repro_select::profile_parallel(local_values);
@@ -680,6 +687,8 @@ where
 /// the choice, and the reduction runs fault-tolerantly with the chosen
 /// operator. Profiling degrades gracefully — a missing profile can only
 /// make the selection more conservative for the data actually summed.
+/// Under [`Tolerance::Bitwise`] it skips the profile round, as
+/// [`adaptive_reduce_sum`] does: the call is one exact [`ft_reduce_sum`].
 pub fn ft_adaptive_reduce_sum(
     comm: &mut Comm,
     local_values: &[f64],
@@ -687,6 +696,14 @@ pub fn ft_adaptive_reduce_sum(
     root: usize,
     cfg: &ReduceConfig,
 ) -> Result<FtOutcome<(f64, Algorithm)>, FaultError> {
+    if tolerance == Tolerance::Bitwise {
+        let out = ft_reduce_sum(comm, local_values, EXACT, root, cfg)?;
+        return Ok(FtOutcome {
+            value: out.value.map(|sum| (sum, EXACT)),
+            survivors: out.survivors,
+            rounds: out.rounds,
+        });
+    }
     cfg.validate()?;
     let profile = repro_select::profile_parallel(local_values);
     let base = comm.next_op_tag();
@@ -773,8 +790,7 @@ impl<A: Accumulator> ShadowedAcc<A> {
     pub fn over(inner: A, values: &[f64]) -> Self {
         let mut exact = repro_fp::Superaccumulator::new();
         let mut abs = repro_fp::Superaccumulator::new();
-        exact.add_slice(values);
-        abs.add_slice_abs(values);
+        exact.add_slice_pair(&mut abs, values);
         ShadowedAcc {
             inner,
             exact,
@@ -1362,6 +1378,8 @@ mod tests {
 
     #[test]
     fn ft_adaptive_reduce_survives_a_dead_profiler() {
+        // A zero spread budget still profiles (and still selects DS on
+        // this cancelling data), so rank 5 dies at its profile send.
         let values = repro_gen::zero_sum_with_range(10_000, 24, 13);
         let ranks = 6;
         let plan = crate::fault::FaultPlan::new(9)
@@ -1370,12 +1388,12 @@ mod tests {
         let cfg = ReduceConfig::default();
         let report = World::run_report(ranks, &plan, |c| {
             let mine = chunks(&values, c.size(), c.rank());
-            ft_adaptive_reduce_sum(c, mine, Tolerance::Bitwise, 0, &cfg)
+            ft_adaptive_reduce_sum(c, mine, Tolerance::AbsoluteSpread(0.0), 0, &cfg)
         })
         .unwrap();
         let out = report.results[0].as_ref().unwrap();
         let (sum, alg) = out.value.unwrap();
-        assert!(alg.is_reproducible());
+        assert_eq!(alg, EXACT);
         assert!(!out.survivors.contains(&5));
         // The chosen reproducible operator over the survivor inputs,
         // sequentially, must match bitwise.
@@ -1384,5 +1402,56 @@ mod tests {
             reference.add_slice(chunks(&values, ranks, r));
         }
         assert_eq!(sum.to_bits(), reference.finalize().to_bits());
+    }
+
+    #[test]
+    fn bitwise_adaptive_reduces_send_no_profile() {
+        let values = repro_gen::zero_sum_with_range(10_000, 24, 13);
+        let ranks = 6;
+        let plan = crate::fault::FaultPlan::new(9)
+            .with_kill(5, 1)
+            .with_timeouts(Duration::from_millis(10), 2);
+        let cfg = ReduceConfig::default();
+        let (report, events) = World::run_report_traced(ranks, &plan, true, |c| {
+            let mine = chunks(&values, c.size(), c.rank());
+            ft_adaptive_reduce_sum(c, mine, Tolerance::Bitwise, 0, &cfg)
+        })
+        .unwrap();
+        let out = report.results[0].as_ref().unwrap();
+        let (sum, alg) = out.value.unwrap();
+        assert_eq!(alg, EXACT);
+        assert!(!out.survivors.contains(&5));
+        let survivors: Vec<f64> = out
+            .survivors
+            .iter()
+            .flat_map(|&r| chunks(&values, ranks, r).iter().copied())
+            .collect();
+        assert_eq!(sum.to_bits(), repro_fp::exact_sum(&survivors).to_bits());
+        // Per rank, the `(to, tag)` of every send equals one exact reduce's:
+        // a profile round would add one send per non-root rank and a
+        // choice broadcast from the root.
+        let (_, reference) = World::run_report_traced(ranks, &plan, true, |c| {
+            ft_reduce_sum(c, chunks(&values, c.size(), c.rank()), EXACT, 0, &cfg)
+        })
+        .unwrap();
+        let sends = |events: &[repro_obs::Event]| -> Vec<String> {
+            events
+                .iter()
+                .filter(|e| e.kind == "send")
+                .map(|e| format!("{} {:?}", e.sub, &e.fields[..2]))
+                .collect()
+        };
+        assert_eq!(sends(&events), sends(&reference));
+
+        // Fault-free: the root returns the exact sum of every rank's values.
+        let out = World::run(ranks, |c| {
+            let mine = chunks(&values, c.size(), c.rank());
+            adaptive_reduce_sum(c, mine, Tolerance::Bitwise, 0, &cfg)
+        });
+        let (sum, alg) = out[0].unwrap();
+        assert_eq!(
+            (sum.to_bits(), alg),
+            (repro_fp::exact_sum(&values).to_bits(), EXACT)
+        );
     }
 }

@@ -24,8 +24,7 @@ impl NodeShadow {
     fn over(chunk: &[f64]) -> Self {
         let mut exact = Superaccumulator::new();
         let mut abs = Superaccumulator::new();
-        exact.add_slice(chunk);
-        abs.add_slice_abs(chunk);
+        exact.add_slice_pair(&mut abs, chunk);
         NodeShadow {
             exact,
             abs,

@@ -145,25 +145,22 @@ impl AdaptiveReducer {
 
     /// Profile, select, and sequentially reduce.
     ///
-    /// The profile pass speculates: [`profile::profile_and_sum`] computes
-    /// the profile *and* a [`repro_sum::StandardSum`] reduction — the
-    /// cheapest rung of the ladder — in one sweep over the data. When the
-    /// selector then picks ST (the common benign-workload case) the sum is
-    /// already done and the values were read exactly once. When it picks
-    /// the exact rung, the profile's own `Σx` register *is* the DS result,
-    /// so no second pass runs either; only K and CP re-read the values.
-    /// Bitwise identical to the unfused pipeline every way: the fused
-    /// profile equals the serial profile bit-for-bit (which itself equals
-    /// [`profile::profile_parallel`], a tested invariant), the speculative
-    /// accumulator saw the elements in plain slice order, and an exact sum
-    /// has one correctly rounded value.
+    /// The profile is one pass over the values ([`profile::profile`]), and
+    /// its `Σx` register already holds the exact sum, so a choice of the
+    /// exact rung returns the profile's correctly rounded sum without
+    /// reading the values again. ST, K and CP read them once more, after
+    /// the choice. Nothing runs speculatively: an ST pass fused into the
+    /// profile would cost every other choice a full ST pass, and save an
+    /// ST choice only a second read of the values. Bitwise identical to
+    /// the unfused pipeline: the serial profile equals
+    /// [`profile::profile_parallel`] bit for bit (a tested invariant), the
+    /// chosen accumulator sees the elements in slice order, and an exact
+    /// sum has one correctly rounded value.
     pub fn reduce(&self, values: &[f64]) -> Outcome {
-        let mut speculative = repro_sum::StandardSum::new();
-        let profile = profile::profile_and_sum(values, &mut speculative);
+        let profile = profile::profile(values);
         let algorithm = self.selector.choose(&profile, self.tolerance);
         flight_decision("reduce", algorithm, values.len());
         let sum = match algorithm {
-            Algorithm::Standard => speculative.finalize(),
             EXACT => profile.sum_estimate,
             _ => algorithm.sum(values),
         };
@@ -403,8 +400,7 @@ mod tests {
 
     #[test]
     fn fused_reduce_matches_unfused_pipeline_bitwise() {
-        // Covers both speculation outcomes: benign data keeps the fused
-        // StandardSum pass, hostile data escalates and re-reduces.
+        // Benign data takes ST, hostile data escalates and re-reduces.
         let benign: Vec<f64> = (1..1000).map(|i| 1.0 + (i % 10) as f64).collect();
         let hostile = repro_gen::zero_sum_with_range(5_000, 32, 7);
         for (values, expect_st) in [(&benign, true), (&hostile, false)] {

@@ -2,19 +2,18 @@
 //!
 //! The paper's premise is that `n`, `k`, and `dr` are "estimable quantities"
 //! a runtime can afford to compute. This profiler computes them exactly in
-//! one pass: `Σx` and `Σ|x|` fold into two [`Superaccumulator`]s through the
-//! batched `add_slice` and `add_slice_abs` kernels, so `sum_estimate` is the
-//! correctly rounded sum (the DS result itself) and `k` is the quotient of
-//! the two correctly rounded sums. The exponent extremes and `max|x|` come
-//! from a branch-free pass over each block's magnitude bits; only a block
-//! holding a zero, subnormal or non-finite value takes the per-value path.
-//! Because the registers are exact, a profile assembled from chunk partials
-//! is bit-identical to the profile of the whole dataset no matter how the
-//! partials were grouped.
+//! one pass: `Σx` and `Σ|x|` fold into two [`Superaccumulator`]s through
+//! one cascade ([`Superaccumulator::add_slice_pair`]), so `sum_estimate` is
+//! the correctly rounded sum (the DS result itself) and `k` is the quotient
+//! of the two correctly rounded sums. The exponent extremes and `max|x|`
+//! come from a branch-free min/max fold over each block's magnitudes; only
+//! a block whose non-NaN values include a zero, a subnormal or an infinity
+//! (or that has none) takes the per-value path. Because the registers are
+//! exact, a profile assembled from chunk partials is bit-identical to the
+//! profile of the whole dataset no matter how the partials were grouped.
 
 use repro_fp::ulp::exponent;
 use repro_fp::Superaccumulator;
-use repro_sum::Accumulator;
 
 /// Values per profiling block: 4 KiB of f64s, comfortably cache-resident,
 /// and the granularity at which the exponent pass falls back to per-value
@@ -144,22 +143,17 @@ impl DataProfile {
             return;
         }
         self.n += block.len();
-        self.sum_acc.add_slice(block);
-        self.abs_acc.add_slice_abs(block);
-        // Magnitude bit patterns order like the magnitudes, so the block's
-        // extremes are two integer folds with no branch per value.
-        let (lo, hi) = block.iter().fold((i64::MAX, 0i64), |(lo, hi), x| {
-            let m = (x.to_bits() & !(1u64 << 63)) as i64;
-            (lo.min(m), hi.max(m))
-        });
-        let (lo_raw, hi_raw) = ((lo >> 52) as i32, (hi >> 52) as i32);
-        if lo_raw != 0 && hi_raw != 0x7ff {
-            // Every value is normal: each exponent is its biased field.
-            self.min_exp = self.min_exp.min(lo_raw - 1023);
-            self.max_exp = self.max_exp.max(hi_raw - 1023);
-            self.max_abs = self.max_abs.max(f64::from_bits(hi as u64));
+        self.sum_acc.add_slice_pair(&mut self.abs_acc, block);
+        let (lo, hi) = magnitude_extremes(block);
+        if f64::MIN_POSITIVE <= lo && lo <= hi && hi <= f64::MAX {
+            // Every non-NaN value is normal: each exponent is its biased
+            // field, and NaNs count for nothing on either path.
+            let biased = |m: f64| (m.to_bits() >> 52) as i32 - 1023;
+            self.min_exp = self.min_exp.min(biased(lo));
+            self.max_exp = self.max_exp.max(biased(hi));
+            self.max_abs = self.max_abs.max(hi);
         } else {
-            // A zero, subnormal, infinity or NaN: per value.
+            // A zero, subnormal or infinity, or no non-NaN value: per value.
             for &x in block {
                 if let Some(e) = exponent(x) {
                     self.min_exp = self.min_exp.min(e);
@@ -199,30 +193,40 @@ fn condition_estimate(sum: f64, abs_sum: f64) -> f64 {
     }
 }
 
+/// `(min, max)` of `|x|` over the non-NaN values of `block`, `(+inf, 0)`
+/// when there are none. The folds are compare-selects on lane arrays, which
+/// the baseline vectorizer packs into `minpd`/`maxpd`; a NaN loses every
+/// compare, so it never reaches either extreme.
+fn magnitude_extremes(block: &[f64]) -> (f64, f64) {
+    const LANES: usize = 8;
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [0.0f64; LANES];
+    let mut fold = |j: usize, x: f64| {
+        let m = x.abs();
+        lo[j] = if m < lo[j] { m } else { lo[j] };
+        hi[j] = if m > hi[j] { m } else { hi[j] };
+    };
+    let mut chunks = block.chunks_exact(LANES);
+    for chunk in chunks.by_ref() {
+        for (j, &x) in chunk.iter().enumerate() {
+            fold(j, x);
+        }
+    }
+    for &x in chunks.remainder() {
+        fold(0, x);
+    }
+    lo.into_iter()
+        .zip(hi)
+        .fold((f64::INFINITY, 0.0), |(lo, hi), (l, h)| {
+            (if l < lo { l } else { lo }, if h > hi { h } else { hi })
+        })
+}
+
 /// Profile a dataset in one pass.
 pub fn profile(values: &[f64]) -> DataProfile {
     let mut p = DataProfile::empty();
     for block in values.chunks(BLOCK) {
         p.push_slice(block);
-    }
-    p.derive();
-    p
-}
-
-/// Profile a dataset and accumulate it into `acc` in one fused pass.
-///
-/// [`profile`] followed by a separate reduction reads every cache line of
-/// `values` twice; this visits each block once, interleaving the profile
-/// with `acc.add_slice` over L1-sized blocks. Both outputs are bit-identical
-/// to the unfused pair: the profile folds the same blocks as [`profile`],
-/// and block-chunked `add_slice` preserves the accumulator's element order
-/// exactly (the two accumulations are independent — neither reads the
-/// other's state).
-pub fn profile_and_sum<A: Accumulator>(values: &[f64], acc: &mut A) -> DataProfile {
-    let mut p = DataProfile::empty();
-    for block in values.chunks(BLOCK) {
-        p.push_slice(block);
-        acc.add_slice(block);
     }
     p.derive();
     p
@@ -281,57 +285,67 @@ mod tests {
     }
 
     #[test]
-    fn fused_profile_and_sum_is_bitwise_unfused() {
-        use repro_sum::{BinnedSum, KahanSum, StandardSum};
-        for (seed, n) in [
-            (1u64, 0usize),
-            (2, 1),
-            (3, 511),
-            (4, 512),
-            (5, 513),
-            (6, 20_000),
-        ] {
-            let values = repro_gen::zero_sum_with_range(n.max(2), 20, seed);
-            let values = &values[..n];
-            let seq = profile(values);
-            for_each_acc(values, &seq);
-            // Exact operator too: batched add_slice under the fused loop.
-            let mut fused_exact = Superaccumulator::new();
-            let fp = profile_and_sum(values, &mut fused_exact);
-            let mut serial_exact = Superaccumulator::new();
-            serial_exact.add_slice(values);
-            assert_eq!(
-                Accumulator::finalize(&fused_exact).to_bits(),
-                Accumulator::finalize(&serial_exact).to_bits()
-            );
-            assert_eq!(fp.sum_estimate.to_bits(), seq.sum_estimate.to_bits());
-        }
-
-        fn for_each_acc(values: &[f64], seq: &DataProfile) {
-            use repro_sum::Accumulator;
-            fn check<A: Accumulator>(
-                mut fused: A,
-                mut serial: A,
-                values: &[f64],
-                seq: &DataProfile,
-            ) {
-                let p = profile_and_sum(values, &mut fused);
-                serial.add_slice(values);
-                assert_eq!(fused.finalize().to_bits(), serial.finalize().to_bits());
-                assert_eq!(p.n, seq.n);
-                assert_eq!(p.k.to_bits(), seq.k.to_bits());
-                assert_eq!(p.sum_estimate.to_bits(), seq.sum_estimate.to_bits());
-                assert_eq!(p.abs_sum.to_bits(), seq.abs_sum.to_bits());
-                assert_eq!(p.max_abs.to_bits(), seq.max_abs.to_bits());
-                assert_eq!(
-                    (p.min_exp, p.max_exp, p.dr_binades),
-                    (seq.min_exp, seq.max_exp, seq.dr_binades)
-                );
+    fn extremes_fold_matches_the_per_value_reference() {
+        // The per-value path over the whole slice: (min_exp, max_exp,
+        // max_abs bits).
+        fn reference(values: &[f64]) -> (i32, i32, u64) {
+            let (mut lo, mut hi, mut max_abs) = (i32::MAX, i32::MIN, 0.0f64);
+            for &x in values {
+                if let Some(e) = exponent(x) {
+                    lo = lo.min(e);
+                    hi = hi.max(e);
+                }
+                max_abs = max_abs.max(x.abs());
             }
-            check(StandardSum::new(), StandardSum::new(), values, seq);
-            check(KahanSum::new(), KahanSum::new(), values, seq);
-            check(BinnedSum::new(3), BinnedSum::new(3), values, seq);
+            (lo, hi, max_abs.to_bits())
         }
+        // 700 normals: one full 512-value block and a tail whose last four
+        // values sit past the last 8-lane group.
+        let normals: Vec<f64> = (0..700)
+            .map(|i| (i as f64 - 350.5) * 2f64.powi(i % 40 - 20))
+            .collect();
+        let with = |edits: &[(usize, f64)]| {
+            let mut v = normals.clone();
+            edits.iter().for_each(|&(i, x)| v[i] = x);
+            v
+        };
+        let cases = [
+            vec![f64::NAN; 9],
+            vec![-f64::NAN, f64::NAN],
+            vec![0.0, -0.0, 0.0],
+            vec![-0.0; 600],
+            vec![
+                f64::from_bits(1),
+                -f64::from_bits(1 << 40),
+                f64::from_bits(3),
+            ],
+            normals.clone(),
+            with(&[(3, f64::NAN)]),
+            with(&[(600, -f64::NAN)]),
+            with(&[(5, f64::INFINITY)]),
+            with(&[(650, f64::NEG_INFINITY)]),
+            // Straddling the block edge: each side holds the extreme or
+            // the value that sends its block down the per-value path.
+            with(&[(511, 0.0)]),
+            with(&[(512, -0.0)]),
+            with(&[(511, f64::from_bits(7)), (512, 1e300)]),
+            with(&[(511, -1e300), (512, f64::MIN_POSITIVE)]),
+            with(&[(511, f64::NAN), (512, f64::INFINITY)]),
+            with(&[(699, -1e300), (698, 1e-300)]),
+            with(&[(699, f64::MAX), (0, -f64::MIN_POSITIVE)]),
+        ];
+        for values in &cases {
+            let p = profile(values);
+            assert_eq!(
+                (p.min_exp, p.max_exp, p.max_abs.to_bits()),
+                reference(values),
+                "{:?}",
+                &values[..values.len().min(4)]
+            );
+        }
+        // A block with no non-NaN value folds to no extremes at all.
+        assert_eq!(magnitude_extremes(&[f64::NAN; 11]), (f64::INFINITY, 0.0));
+        assert_eq!(magnitude_extremes(&[]), (f64::INFINITY, 0.0));
     }
 
     #[test]

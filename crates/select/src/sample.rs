@@ -21,8 +21,8 @@
 //! compared ([`SampledProfile::bounds`]). When the halves disagree beyond
 //! the [`SampleConfig`] thresholds the bounds are *loose* — the data's
 //! tail is too heavy for 2k points to summarize — and the caller must fall
-//! back to the fused full pass ([`crate::profile::profile_and_sum`]),
-//! which is exactly what [`crate::AdaptiveReducer::reduce_cached`] does.
+//! back to the full profile ([`crate::AdaptiveReducer::reduce`]), which
+//! is exactly what [`crate::AdaptiveReducer::reduce_cached`] does.
 //! When the bounds are tight, [`choose_sampled`] additionally inflates the
 //! extrapolated `Σ|x|` by a safety factor before consulting the selector,
 //! so sampling error pushes the decision toward *more* accuracy, never

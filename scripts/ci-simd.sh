@@ -59,6 +59,16 @@ for tier in scalar sse2 avx2; do
   # its agg/digest lines carry those bits.
   REPRO_SIMD="$tier" run agg loadgen --aggregates 3 --clients 16 --batches 4 \
     --batch-len 256 --seed 2015 | grep -E '^(agg|digest) ' >> "$SIMD_DIR/numeric-$tier.txt"
+  # The selector's decision record on each reduce-small shape carries the
+  # exact profile: Σx and Σ|x| (so k) from the pair pass, and the
+  # magnitude extremes. The rung prices and their source are per tier, so
+  # the `*_cost` and `cost_source` fields are stripped.
+  for shape in 1:0 1e4:8 1e12:16 inf:16; do
+    REPRO_SIMD="$tier" run trace reduce --n 4096 --k "${shape%:*}" --dr "${shape#*:}" \
+      --seed 2015 | grep '"kind":"decision"' \
+      | sed -E 's/,"[A-Za-z]+_cost":[^,]*//g; s/,"cost_source":"[^"]*"//' \
+      >> "$SIMD_DIR/numeric-$tier.txt"
+  done
 
   ran+=("$tier")
 done
