@@ -277,17 +277,16 @@ pub mod sweep {
 /// CI determinism gate asserts.
 pub mod throughput {
     use repro_core::fp::rng::DetRng;
-    use repro_core::fp::simd::{supported_tiers, SimdTier};
+    use repro_core::fp::simd::supported_tiers;
     use repro_core::fp::Superaccumulator;
     use repro_core::select::profile::profile;
-    use repro_core::sum::lanes::{lane_chunks, merge_in_lane_order};
     use repro_core::sum::{Accumulator, Algorithm};
 
     /// One measured point of the fixed schema
     /// `op, n, ns_per_elem, bytes_per_sec, seed, git_rev`.
     #[derive(Clone, Debug)]
     pub struct BenchEntry {
-        /// Operation label (e.g. `sum/ST`, `superacc/batched`, `lanes/4`).
+        /// Operation label (e.g. `sum/ST`, `superacc/batched`, `simd/avx2`).
         pub op: String,
         /// Elements per timed run.
         pub n: usize,
@@ -377,17 +376,10 @@ pub mod throughput {
     /// path on wide-range data ([`wide_workload`]), the batched path once
     /// per supported SIMD dispatch tier (`simd/<tier>` — the
     /// entry *list* follows the machine, which the CI op-coverage check
-    /// probes via `repro-reduce simd --check`), lane widths {1, 4, 8} over
-    /// the exact operator, and the selector's profile pass (serial and
-    /// fused). Entry order is fixed.
-    ///
-    /// The `lanes/N` entries pin the **scalar** tier and use `N` as both
-    /// the contiguous-chunk lane count and the kernel's accumulator-chain
-    /// width: they isolate the instruction-level-parallelism effect of the
-    /// lane rework (one chain serializes on FP-add latency; 4/8 chains
-    /// overlap) from vector dispatch, which the `simd/*` entries measure
-    /// separately at fixed width. `superacc/batched` stays on the active
-    /// tier — it reports what `add_slice` actually delivers here.
+    /// probes via `repro-reduce simd --check`), and the selector's profile
+    /// pass (serial and fused). Entry order is fixed. `superacc/batched`
+    /// stays on the active tier — it reports what `add_slice` actually
+    /// delivers here.
     pub fn run_suite() -> Vec<BenchEntry> {
         let p = super::params();
         let n = p.timing_n;
@@ -450,28 +442,8 @@ pub mod throughput {
                 reps,
                 |v| {
                     let mut acc = Superaccumulator::new();
-                    acc.add_slice_dispatch(v, tier, 8);
+                    acc.add_slice_with_tier(v, tier);
                     acc.to_f64()
-                },
-            ));
-        }
-        for lanes in [1usize, 4, 8] {
-            out.push(measure(
-                &format!("lanes/{lanes}"),
-                &values,
-                seed,
-                &rev,
-                reps,
-                |v| {
-                    let parts: Vec<Superaccumulator> = lane_chunks(v, lanes)
-                        .map(|chunk| {
-                            let mut lane = Superaccumulator::new();
-                            lane.add_slice_dispatch(chunk, SimdTier::Scalar, lanes);
-                            lane
-                        })
-                        .collect();
-                    let acc = merge_in_lane_order(parts).unwrap_or_default();
-                    Accumulator::finalize(&acc)
                 },
             ));
         }
@@ -636,9 +608,6 @@ pub mod throughput {
                 "superacc/batched",
                 "superacc/wide",
                 "simd/scalar", // always supported; other tiers follow the machine
-                "lanes/1",
-                "lanes/4",
-                "lanes/8",
                 "select/profile",
                 "select/sampled_profile",
                 "select/cache_hit",

@@ -1308,7 +1308,7 @@ fn run_simd(rest: &[String]) -> Result<String, CliError> {
 /// at the current `REPRO_SCALE` and write the fixed-schema `BENCH_*.json`
 /// document — the repo's perf trajectory, one comparable point per PR.
 /// `--out -` prints the JSON (plus `#` summary lines) instead of writing;
-/// the default target is `BENCH_21.json` in the working directory.
+/// the default target is `BENCH_22.json` in the working directory.
 fn run_bench(o: &Opts) -> Result<String, CliError> {
     use repro_bench::throughput;
     let entries = throughput::run_suite();
@@ -1324,7 +1324,7 @@ fn run_bench(o: &Opts) -> Result<String, CliError> {
         entries.first().map(|e| e.seed).unwrap_or(0),
         entries.first().map(|e| e.git_rev.as_str()).unwrap_or("?"),
     );
-    let out = o.out.as_deref().unwrap_or("BENCH_21.json");
+    let out = o.out.as_deref().unwrap_or("BENCH_22.json");
     if out == "-" {
         Ok(format!("{json}{summary}"))
     } else {
@@ -1952,7 +1952,7 @@ mod tests {
         for op in [
             "superacc/scalar",
             "superacc/batched",
-            "lanes/4",
+            "simd/scalar",
             "select/profile",
         ] {
             assert!(out.contains(op), "missing {op} in {out}");

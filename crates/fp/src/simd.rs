@@ -29,11 +29,11 @@
 //! more than 1024 elements between deposits ([`SUB_BLOCK`]; the bounds are
 //! on [`Cascade`]). Exact additions are associative, so *any* chain count,
 //! vector width, or fold order yields the same parts — and therefore
-//! bit-identical deposits into the exact register. The lane count below is
-//! purely an instruction-level-parallelism knob (how many independent FP
-//! dependency chains the CPU can overlap), never a semantic one. The scan
-//! is an integer min/max, which no lane split can change, so every tier
-//! also plans every block identically.
+//! bit-identical deposits into the exact register. Each tier's chain count
+//! is purely an instruction-level-parallelism choice (how many independent
+//! FP dependency chains the CPU can overlap), never a semantic one. The
+//! scan is an integer min/max, which no lane split can change, so every
+//! tier also plans every block identically.
 
 // The crate is `deny(unsafe_code)`; the `std::arch` intrinsics live behind
 // `#[target_feature]` functions in this module only, each reachable solely
@@ -209,12 +209,12 @@ pub const SUB_BLOCK: usize = 1024;
 /// `2^(a + 42 l − 1074)` of a block with grid base `a` (see [`Cascade`]).
 const LEVEL_BITS: u32 = 42;
 
-/// Most parts a block splits into before [`Cascade::plan`] sends it to the
-/// per-value deposit kernel instead. Each further part costs every value
-/// three more FP operations; at this cap the cascade still beats the
-/// per-value kernel on its most favourable wide data on the slowest
-/// (portable) tier, and at 9 parts it no longer does (DESIGN.md §5.14
-/// records the measurement).
+/// Most parts a block splits into before [`Cascade::plan`] refuses it and
+/// `add_slice` adds its values one by one. Each further part costs every
+/// value three more FP operations. On outlier data the portable cascade
+/// beats that loop of `add` at 8 parts and still at 9 (DESIGN.md §5.14
+/// records both), so the cap is no break-even: it bounds the kernel set,
+/// and no workload's block needs more than 4 parts.
 pub const MAX_PARTS: usize = 8;
 
 /// Highest grid bit position whose extraction constant `1.5 · 2^(g + 52 −
@@ -248,7 +248,7 @@ const MAX_GRID: u32 = 2045;
 /// deposits. Exact additions are associative, so every tier, chain count
 /// and fold order produces the same parts, bit for bit.
 ///
-/// The plan refuses (and the caller takes the per-value kernel) a block
+/// The plan refuses (and the caller adds each value on its own) a block
 /// that holds a NaN or an infinity, whose top constant `C_{P−1}` would
 /// overflow, or that needs more than [`MAX_PARTS`] parts. A block of zeros
 /// plans two parts at `a = 0` and deposits nothing.
@@ -262,7 +262,7 @@ pub struct Cascade {
 
 impl Cascade {
     /// Scan `block` on dispatch `tier` and plan its cascade, or `None` when
-    /// it must take the per-value kernel. Every tier plans identically; a
+    /// its values must be added one by one. Every tier plans identically; a
     /// tier this CPU lacks runs the portable scan.
     pub fn plan(tier: SimdTier, block: &[f64]) -> Option<Cascade> {
         let (lo, hi) = scan(tier, block);
@@ -286,12 +286,11 @@ impl Cascade {
         self.parts
     }
 
-    /// Extract `block` (the block this cascade was planned on) with `lanes`
-    /// accumulator chains on dispatch `tier` (the portable kernel when this
-    /// CPU lacks the tier), feeding each sub-block's exact part sums to
-    /// `deposit`, top part first.
-    pub fn run(self, tier: SimdTier, lanes: usize, block: &[f64], deposit: &mut impl FnMut(f64)) {
-        self.run_kernel(tier, lanes, block, false, |[x, _]| {
+    /// Extract `block` (the block this cascade was planned on) on dispatch
+    /// `tier` (the portable kernel when this CPU lacks the tier), feeding
+    /// each sub-block's exact part sums to `deposit`, top part first.
+    pub fn run(self, tier: SimdTier, block: &[f64], deposit: &mut impl FnMut(f64)) {
+        self.run_kernel(tier, block, false, |[x, _]| {
             x[..self.parts].iter().rev().for_each(|&part| deposit(part))
         });
     }
@@ -306,14 +305,8 @@ impl Cascade {
     /// every level. The parts of `|x|` are therefore the parts of `x` with
     /// the sign of `x` flipped into them (`q_l XOR sign(x)`, the residual
     /// likewise), folded into a second set of exact part sums.
-    pub fn run_pair(
-        self,
-        tier: SimdTier,
-        lanes: usize,
-        block: &[f64],
-        deposit: &mut impl FnMut(f64, f64),
-    ) {
-        self.run_kernel(tier, lanes, block, true, |[x, abs]| {
+    pub fn run_pair(self, tier: SimdTier, block: &[f64], deposit: &mut impl FnMut(f64, f64)) {
+        self.run_kernel(tier, block, true, |[x, abs]| {
             (0..self.parts).rev().for_each(|l| deposit(x[l], abs[l]))
         });
     }
@@ -321,7 +314,6 @@ impl Cascade {
     fn run_kernel(
         self,
         tier: SimdTier,
-        lanes: usize,
         block: &[f64],
         pair: bool,
         mut deposit: impl FnMut(&PartSums),
@@ -331,7 +323,7 @@ impl Cascade {
             let grid = u64::from(self.a + LEVEL_BITS * l as u32);
             *c = f64::from_bits(((grid + 1) << 52) | (1 << 51));
         }
-        let kernel = kernel(tier, clamp_lanes(lanes), self.parts, pair);
+        let kernel = kernel(tier, self.parts, pair);
         for sub in block.chunks(SUB_BLOCK) {
             // SAFETY: `kernel` returns a kernel of a tier this CPU runs.
             deposit(&unsafe { kernel(sub, &c, self.parts) });
@@ -419,27 +411,23 @@ fn cascade_tail<const PAIR: bool>(tail: &[f64], c: &[f64; MAX_PARTS], parts: usi
 }
 
 /// One sub-block's cascade kernel: `(sub, constants, parts) -> part sums`;
-/// every tier and chain count returns the same bits. The vector kernels
-/// hold their accumulators in registers, so they take the part count as a
-/// const parameter and ignore the run-time one. Each kernel body is
-/// instantiated twice: for `x` alone, and for the pair pass
-/// ([`Cascade::run_pair`]).
+/// every tier returns the same bits. The vector kernels hold their
+/// accumulators in registers, so they take the part count as a const
+/// parameter and ignore the run-time one. Each kernel body is instantiated
+/// twice: for `x` alone, and for the pair pass ([`Cascade::run_pair`]).
 type Kernel = unsafe fn(&[f64], &[f64; MAX_PARTS], usize) -> PartSums;
 
 /// The portable cascade over one sub-block of at most [`SUB_BLOCK`]
 /// values. Each level runs as counted loops over a 64-value stack stage
-/// (round, peel, then fold the rounded parts onto `CHAINS` chains) — the
-/// shape the loop vectorizer packs even at baseline SSE2. The levels are a
+/// (round, peel, then fold the rounded parts onto 8 chains) — the shape
+/// the loop vectorizer packs even at baseline SSE2. The levels are a
 /// run-time loop: each is a pass over the stage, so a const part count
 /// would only multiply the code. With `PAIR`, each level also folds its
 /// parts with the stage's signs flipped in onto a second set of chains.
-fn cascade_portable<const CHAINS: usize, const PAIR: bool>(
-    sub: &[f64],
-    c: &[f64; MAX_PARTS],
-    parts: usize,
-) -> PartSums {
+fn cascade_portable<const PAIR: bool>(sub: &[f64], c: &[f64; MAX_PARTS], parts: usize) -> PartSums {
     debug_assert!(sub.len() <= SUB_BLOCK);
     const STAGE: usize = 64;
+    const CHAINS: usize = 8;
     let mut acc = [[[0.0f64; CHAINS]; MAX_PARTS]; 2];
     let mut chunks = sub.chunks_exact(STAGE);
     for chunk in chunks.by_ref() {
@@ -643,76 +631,50 @@ mod x86 {
 #[cfg(target_arch = "x86_64")]
 use x86::{cascade_avx2, cascade_sse2, scan_avx2, scan_sse2};
 
-/// Clamp a requested lane count to the kernel widths we instantiate.
-pub(crate) fn clamp_lanes(lanes: usize) -> usize {
-    match lanes {
-        0..=1 => 1,
-        2..=3 => 2,
-        4..=7 => 4,
-        _ => 8,
-    }
-}
-
-/// Vector accumulators a vector-tier kernel keeps in registers: x86 has 16
-/// vector registers, and the grid constants and per-value temporaries need
-/// the rest. A vector kernel therefore runs at most `8 / parts` chains (`8 /
-/// (2 parts)` for the pair pass); more would spill accumulators to the
-/// stack, which measured slower. One chain of a pair pass past 4 parts
-/// spills some anyway.
-#[cfg(target_arch = "x86_64")]
-const VECTOR_ACCUMULATORS: usize = 8;
-
-/// The vector kernel `$k` for `$chains` requested chains and `$parts`
-/// parts: only the shapes the [`VECTOR_ACCUMULATORS`] cap reaches, for `x`
-/// alone or for the pair pass.
+/// The vector kernel `$k` for `$parts` parts, for `x` alone or for the
+/// pair pass. x86 has 16 vector registers, and the grid constants and
+/// per-value temporaries need half of them, so a kernel keeps at most 8
+/// accumulators in registers: `max(1, 8 / parts)` chains, and half that
+/// for the pair pass. More would spill accumulators to the stack, which
+/// measured slower. One chain of a pair pass past 4 parts spills some
+/// anyway.
 #[cfg(target_arch = "x86_64")]
 macro_rules! vector_kernel {
-    ($k:ident, $chains:expr, $parts:expr, $pair:expr) => {
-        match ($pair, $chains.min(VECTOR_ACCUMULATORS / $parts), $parts) {
-            (false, 4, _) => $k::<4, 2, false> as Kernel,
-            (false, 2 | 3, 2) => $k::<2, 2, false>,
-            (false, 2 | 3, 3) => $k::<2, 3, false>,
-            (false, 2 | 3, _) => $k::<2, 4, false>,
-            (false, _, 2) => $k::<1, 2, false>,
-            (false, _, 3) => $k::<1, 3, false>,
-            (false, _, 4) => $k::<1, 4, false>,
-            (false, _, 5) => $k::<1, 5, false>,
-            (false, _, 6) => $k::<1, 6, false>,
-            (false, _, 7) => $k::<1, 7, false>,
-            (false, _, _) => $k::<1, 8, false>,
-            (true, 2..=4, 2) => $k::<2, 2, true>,
-            (true, _, 2) => $k::<1, 2, true>,
-            (true, _, 3) => $k::<1, 3, true>,
-            (true, _, 4) => $k::<1, 4, true>,
-            (true, _, 5) => $k::<1, 5, true>,
-            (true, _, 6) => $k::<1, 6, true>,
-            (true, _, 7) => $k::<1, 7, true>,
-            (true, _, _) => $k::<1, 8, true>,
+    ($k:ident, $parts:expr, $pair:expr) => {
+        match ($pair, $parts) {
+            (false, 2) => $k::<4, 2, false> as Kernel,
+            (false, 3) => $k::<2, 3, false>,
+            (false, 4) => $k::<2, 4, false>,
+            (false, 5) => $k::<1, 5, false>,
+            (false, 6) => $k::<1, 6, false>,
+            (false, 7) => $k::<1, 7, false>,
+            (false, _) => $k::<1, 8, false>,
+            (true, 2) => $k::<2, 2, true>,
+            (true, 3) => $k::<1, 3, true>,
+            (true, 4) => $k::<1, 4, true>,
+            (true, 5) => $k::<1, 5, true>,
+            (true, 6) => $k::<1, 6, true>,
+            (true, 7) => $k::<1, 7, true>,
+            (true, _) => $k::<1, 8, true>,
         }
     };
 }
 
-/// The cascade kernel for `tier`, `chains` accumulator chains (clamped to
-/// 1/2/4/8, and capped on the vector tiers, see [`VECTOR_ACCUMULATORS`]),
-/// `parts` parts (2 to [`MAX_PARTS`]), and `x` alone or the pair pass.
-fn kernel(tier: SimdTier, chains: usize, parts: usize, pair: bool) -> Kernel {
+/// The cascade kernel for `tier`, `parts` parts (2 to [`MAX_PARTS`]), and
+/// `x` alone or the pair pass.
+fn kernel(tier: SimdTier, parts: usize, pair: bool) -> Kernel {
     debug_assert!((2..=MAX_PARTS).contains(&parts));
-    let portable = match (clamp_lanes(chains), pair) {
-        (1, false) => cascade_portable::<1, false> as Kernel,
-        (2, false) => cascade_portable::<2, false>,
-        (4, false) => cascade_portable::<4, false>,
-        (_, false) => cascade_portable::<8, false>,
-        (1, true) => cascade_portable::<1, true>,
-        (2, true) => cascade_portable::<2, true>,
-        (4, true) => cascade_portable::<4, true>,
-        (_, true) => cascade_portable::<8, true>,
+    let portable = if pair {
+        cascade_portable::<true> as Kernel
+    } else {
+        cascade_portable::<false>
     };
     match runnable(tier) {
         SimdTier::Scalar => portable,
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => vector_kernel!(cascade_sse2, chains, parts, pair),
+        SimdTier::Sse2 => vector_kernel!(cascade_sse2, parts, pair),
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => vector_kernel!(cascade_avx2, chains, parts, pair),
+        SimdTier::Avx2 => vector_kernel!(cascade_avx2, parts, pair),
         #[cfg(not(target_arch = "x86_64"))]
         _ => portable,
     }
@@ -863,7 +825,7 @@ mod tests {
         // Span 53 + 31 binades = 84 = 2 * 42 bits; one binade more needs 3.
         assert_eq!(plan(&[1.5, 1.5 * 2f64.powi(31)]).unwrap().parts(), 2);
         assert_eq!(plan(&[1.5, 1.5 * 2f64.powi(32)]).unwrap().parts(), 3);
-        // Past the cap, and non-finites, take the per-value kernel.
+        // Past the cap, and non-finites, values are added one by one.
         let cap_span = 42 * MAX_PARTS as i32 - 53;
         assert_eq!(
             plan(&[1.5, 1.5 * 2f64.powi(cap_span)]).unwrap().parts(),
@@ -880,7 +842,8 @@ mod tests {
 
     #[test]
     fn cascade_parts_are_identical_across_tiers_and_lanes() {
-        // Every part count, with tails below one vector group.
+        // Every part count, with tails below one vector group. Each tier
+        // runs its own chain count and vector-lane width.
         for (raw, binades) in [
             (1000u64, 20u64),
             (1000, 60),
@@ -896,12 +859,12 @@ mod tests {
                     let grid = u64::from(cascade.a + LEVEL_BITS * l as u32);
                     *c = f64::from_bits(((grid + 1) << 52) | (1 << 51));
                 }
-                let run = |tier, chains, pair| {
-                    let kernel = kernel(tier, chains, cascade.parts, pair);
+                let run = |tier, pair| {
+                    let kernel = kernel(tier, cascade.parts, pair);
                     // SAFETY: `kernel` returns a kernel of a tier this CPU runs.
                     unsafe { kernel(&sub, &c, cascade.parts) }.map(|p| p.map(f64::to_bits))
                 };
-                let [x, abs] = run(SimdTier::Scalar, 1, true).map(|p| p.map(f64::from_bits));
+                let [x, abs] = run(SimdTier::Scalar, true).map(|p| p.map(f64::from_bits));
                 // The parts sum to the block exactly, and the pair pass's
                 // second set to its magnitudes.
                 let sum = |values: &mut dyn Iterator<Item = f64>| {
@@ -916,16 +879,59 @@ mod tests {
                 );
                 let zeros = [0.0f64.to_bits(); MAX_PARTS];
                 for &tier in supported_tiers() {
-                    for chains in [1usize, 2, 4, 8] {
-                        let label =
-                            format!("tier {tier} chains {chains} parts {} n {n}", cascade.parts);
-                        let [px, pabs] = run(tier, chains, true);
-                        assert_eq!(
-                            (px, pabs),
-                            (x.map(f64::to_bits), abs.map(f64::to_bits)),
-                            "{label}"
-                        );
-                        assert_eq!(run(tier, chains, false), [px, zeros], "{label}");
+                    let label = format!("tier {tier} parts {} n {n}", cascade.parts);
+                    let [px, pabs] = run(tier, true);
+                    assert_eq!(
+                        (px, pabs),
+                        (x.map(f64::to_bits), abs.map(f64::to_bits)),
+                        "{label}"
+                    );
+                    assert_eq!(run(tier, false), [px, zeros], "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_counts_are_bitwise_equivalent() {
+        // ±0 and subnormals among ~500-binade spans (blocks the plan
+        // refuses), and narrow spans (blocks the cascade runs).
+        let hostile = |seed: u64, n: usize| -> Vec<f64> {
+            let mut rng = DetRng::seed_from_u64(seed);
+            (0..n)
+                .map(|i| match i % 9 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::from_bits(rng.next_u64() % 1024 + 1),
+                    _ => {
+                        let m = rng.next_f64() - 0.5;
+                        m * 2f64.powi((rng.next_u64() % 500) as i32 - 250)
+                    }
+                })
+                .collect()
+        };
+        for seed in [1u64, 2015] {
+            for n in [0usize, 1, 5, 127, 1024, 4097, 10_000] {
+                for values in [hostile(seed, n), spread_values(1000, 60, n, seed)] {
+                    let reference = crate::Superaccumulator::from_values(values.iter().copied())
+                        .to_f64()
+                        .to_bits();
+                    for &tier in supported_tiers() {
+                        for lanes in [1usize, 2, 4, 8] {
+                            // Contiguous lanes, each its own register,
+                            // merged in lane order.
+                            let mut acc = crate::Superaccumulator::new();
+                            for chunk in values.chunks(n.div_ceil(lanes).max(1)) {
+                                let mut lane = crate::Superaccumulator::new();
+                                lane.add_slice_with_tier(chunk, tier);
+                                acc.merge(&lane);
+                            }
+                            assert_eq!(
+                                acc.to_f64().to_bits(),
+                                reference,
+                                "seed {seed} n {n} tier {tier} lanes {lanes}"
+                            );
+                        }
                     }
                 }
             }
@@ -945,16 +951,5 @@ mod tests {
             assert_eq!(runnable(tier), expect);
             assert_eq!(Cascade::plan(tier, &block), reference, "{tier}");
         }
-    }
-
-    #[test]
-    fn clamp_lanes_picks_instantiated_widths() {
-        assert_eq!(clamp_lanes(0), 1);
-        assert_eq!(clamp_lanes(1), 1);
-        assert_eq!(clamp_lanes(3), 2);
-        assert_eq!(clamp_lanes(4), 4);
-        assert_eq!(clamp_lanes(7), 4);
-        assert_eq!(clamp_lanes(8), 8);
-        assert_eq!(clamp_lanes(100), 8);
     }
 }

@@ -44,35 +44,9 @@ const NORMALIZE_EVERY: u32 = 1 << 30;
 
 const DIGIT_MASK: i64 = 0xffff_ffff;
 
-/// Bit width of the register-resident deposit window of the per-value
-/// kernel ([`Superaccumulator::add_block`]): values whose mantissa's least
-/// significant bit falls within 64 bits above the window anchor are
-/// accumulated as `mantissa << s` in wide lane registers instead of being
-/// scattered into the heap-resident digit array; everything else takes the
-/// direct scalar-style deposit.
-const WINDOW_BITS: usize = 64;
-
-/// Independent `i128` lane accumulators interleaved round-robin by the
-/// batched kernel. Consecutive same-exponent deposits would otherwise
-/// serialize on one read-modify-write chain; four disjoint chains let the
-/// CPU overlap them. Integer addition is exact and commutative, so the
-/// split cannot change the accumulated value.
-const ACC_LANES: usize = 4;
-
 /// Elements per block of `add_slice`: the unit one scan plans a cascade
-/// for ([`Cascade::plan`]), and one spill block of the per-value kernel. At
-/// most `BLOCK / ACC_LANES = 512` deposits land in one of its lanes, each
-/// below `2^(53 + WINDOW_BITS - 1) = 2^116`, so a lane's magnitude stays
-/// under `2^126` — `i128` cannot overflow within a block.
+/// for ([`Cascade::plan`]).
 const BLOCK: usize = 2048;
-
-/// Default accumulator-chain count of the cascade kernel. Independent
-/// chains break the one-FP-add-latency-per-element dependency chain; each
-/// chain folds at most [`simd::SUB_BLOCK`] elements between deposits, which
-/// keeps every partial sum exact (see [`Cascade`]). Callers can narrow or
-/// widen the chain count through [`Superaccumulator::add_slice_lanes`] —
-/// the result is bit-identical either way.
-const FP_LANES: usize = 8;
 
 /// A wide fixed-point accumulator that sums `f64` values exactly.
 ///
@@ -149,15 +123,11 @@ impl Superaccumulator {
         let c0 = (v & 0xffff_ffff) as i64;
         let c1 = ((v >> 32) & 0xffff_ffff) as i64;
         let c2 = ((v >> 64) & 0xffff_ffff) as i64;
-        if sign > 0 {
-            self.digits[d] += c0;
-            self.digits[d + 1] += c1;
-            self.digits[d + 2] += c2;
-        } else {
-            self.digits[d] -= c0;
-            self.digits[d + 1] -= c1;
-            self.digits[d + 2] -= c2;
-        }
+        // m is 0 for +x and -1 for -x: (c ^ m) - m negates without a branch.
+        let m = i64::from(sign) >> 1;
+        self.digits[d] += (c0 ^ m) - m;
+        self.digits[d + 1] += (c1 ^ m) - m;
+        self.digits[d + 2] += (c2 ^ m) - m;
         self.pending += 1;
         if self.pending >= NORMALIZE_EVERY {
             self.normalize();
@@ -174,7 +144,7 @@ impl Superaccumulator {
     ///
     /// Bitwise identical to `for &x in values { self.add(x) }` (the register
     /// holds exact integers, so deposit order and grouping cannot matter),
-    /// but substantially faster. Work proceeds in [`BLOCK`]-element blocks:
+    /// but substantially faster. Work proceeds in blocks of 2048 values:
     ///
     /// * A branch-free scan reads the block's exponent extremes, and the
     ///   block splits into as many 42-bit parts as its span needs
@@ -184,40 +154,25 @@ impl Superaccumulator {
     ///   takes two parts; data spanning hundreds of binades takes more.
     /// * A block that holds a NaN or an infinity, spans more than
     ///   [`simd::MAX_PARTS`] parts, or sits so high that the top grid
-    ///   constant would overflow takes the per-value kernel
-    ///   ([`Self::add_block`]), which deposits each element through
-    ///   [`WINDOW_BITS`]-anchored `i128` lane registers.
+    ///   constant would overflow is a loop of [`Self::add`].
     ///
-    /// Both hot loops run on the process-wide SIMD dispatch tier
+    /// The scan and the cascade run on the process-wide SIMD dispatch tier
     /// ([`simd::active_tier`]; `REPRO_SIMD` overrides) — every tier is
     /// bit-identical, see the [`simd`] module docs.
     pub fn add_slice(&mut self, values: &[f64]) {
-        self.add_slice_impl(None, values, simd::active_tier(), FP_LANES);
+        self.add_slice_with_tier(values, simd::active_tier());
     }
 
     /// [`Self::add_slice`] on an explicit dispatch tier (bit-identical to
     /// every other tier; used by the cross-tier equivalence tests, the CI
     /// dispatch matrix, and the bench suite's per-tier entries).
     pub fn add_slice_with_tier(&mut self, values: &[f64], tier: SimdTier) {
-        self.add_slice_impl(None, values, tier, FP_LANES);
-    }
-
-    /// [`Self::add_slice`] with an explicit accumulator-chain count
-    /// (`lanes`, clamped to 1/2/4/8, and on the SSE2/AVX2 tiers to the
-    /// chains whose accumulators fit the vector registers) for the cascade
-    /// kernel. The lane
-    /// count is purely an instruction-level-parallelism knob: narrow widths
-    /// serialize on FP-add latency, wide widths overlap chains. The result
-    /// is bit-identical for every width.
-    pub fn add_slice_lanes(&mut self, values: &[f64], lanes: usize) {
-        self.add_slice_impl(None, values, simd::active_tier(), lanes);
-    }
-
-    /// [`Self::add_slice`] with both dispatch knobs explicit — the entry the
-    /// cross-tier property tests and the bench suite sweep. Bit-identical
-    /// for every `(tier, lanes)` combination.
-    pub fn add_slice_dispatch(&mut self, values: &[f64], tier: SimdTier, lanes: usize) {
-        self.add_slice_impl(None, values, tier, lanes);
+        for block in values.chunks(BLOCK) {
+            match Cascade::plan(tier, block) {
+                Some(cascade) => cascade.run(tier, block, &mut |v| self.add(v)),
+                None => block.iter().for_each(|&x| self.add(x)),
+            }
+        }
     }
 
     /// Add every value in `values` to `self` and its absolute value to
@@ -227,175 +182,31 @@ impl Superaccumulator {
     /// Each block is scanned and planned once, for both registers: `|x|`
     /// spans the binades `x` does, so the plan of `x` is the plan of `|x|`,
     /// and the cascade folds the parts of `|x|` next to those of `x`
-    /// ([`Cascade::run_pair`]). A block the plan refuses takes the
-    /// per-value kernel for both registers. The condition number's two
-    /// exact sums (`DataProfile`, the telemetry shadows) come from here.
+    /// ([`Cascade::run_pair`]). A block the plan refuses is a loop of
+    /// [`Self::add`] on both registers. The condition number's two exact
+    /// sums (`DataProfile`, the telemetry shadows) come from here.
     pub fn add_slice_pair(&mut self, abs: &mut Self, values: &[f64]) {
-        self.add_slice_impl(Some(abs), values, simd::active_tier(), FP_LANES);
+        self.add_slice_pair_with_tier(abs, values, simd::active_tier());
     }
 
-    /// [`Self::add_slice_pair`] with both dispatch knobs explicit, as
-    /// [`Self::add_slice_dispatch`]. Bit-identical for every `(tier,
-    /// lanes)` combination.
-    pub fn add_slice_pair_dispatch(
-        &mut self,
-        abs: &mut Self,
-        values: &[f64],
-        tier: SimdTier,
-        lanes: usize,
-    ) {
-        self.add_slice_impl(Some(abs), values, tier, lanes);
-    }
-
-    fn add_slice_impl(
-        &mut self,
-        mut abs: Option<&mut Self>,
-        values: &[f64],
-        tier: SimdTier,
-        lanes: usize,
-    ) {
-        let mut rest = values;
-        while !rest.is_empty() {
-            // Keep digit growth since the last normalization under the
-            // NORMALIZE_EVERY budget so no i64 digit slot can overflow.
-            // Each element costs at most one growth unit plus at most
-            // 4 * ACC_LANES spill units per BLOCK, so half the remaining
-            // budget in elements always fits. Cascade deposits go through
-            // `add`, which renormalizes on its own.
-            let pending = self.pending.max(abs.as_ref().map_or(0, |a| a.pending));
-            let budget = ((NORMALIZE_EVERY - pending) / 2).max(1) as usize;
-            let take = rest.len().min(budget);
-            let (head, tail) = rest.split_at(take);
-            for block in head.chunks(BLOCK) {
-                match (Cascade::plan(tier, block), abs.as_deref_mut()) {
-                    (Some(cascade), None) => {
-                        cascade.run(tier, lanes, block, &mut |v| self.add(v));
-                    }
-                    (Some(cascade), Some(abs)) => {
-                        cascade.run_pair(tier, lanes, block, &mut |v, a| {
-                            self.add(v);
-                            abs.add(a);
-                        });
-                    }
-                    (None, abs) => {
-                        self.add_block::<false>(block);
-                        if let Some(abs) = abs {
-                            abs.add_block::<true>(block);
-                        }
-                    }
-                }
+    /// [`Self::add_slice_pair`] on an explicit dispatch tier, as
+    /// [`Self::add_slice_with_tier`]. Bit-identical for every tier.
+    pub fn add_slice_pair_with_tier(&mut self, abs: &mut Self, values: &[f64], tier: SimdTier) {
+        for block in values.chunks(BLOCK) {
+            match Cascade::plan(tier, block) {
+                Some(cascade) => cascade.run_pair(tier, block, &mut |v, a| {
+                    self.add(v);
+                    abs.add(a);
+                }),
+                None => block.iter().for_each(|&x| {
+                    self.add(x);
+                    abs.add(x.abs());
+                }),
             }
-            for acc in std::iter::once(&mut *self).chain(abs.as_deref_mut()) {
-                if acc.pending >= NORMALIZE_EVERY {
-                    acc.normalize();
-                }
-            }
-            rest = tail;
         }
     }
 
-    /// One spill block of `add_slice`: at most [`BLOCK`] elements, so the
-    /// wide lane registers cannot overflow before the spill at the end.
-    /// With `ABS`, adds the absolute values instead.
-    fn add_block<const ABS: bool>(&mut self, block: &[f64]) {
-        debug_assert!(block.len() <= BLOCK);
-        let mut acc = [0i128; ACC_LANES];
-        // Window anchor: bit position of the window's least significant bit,
-        // always 32-aligned. `usize::MAX` marks the window as unanchored.
-        let mut anchor = usize::MAX;
-        let mut lane = 0usize;
-        // Digit-growth units toward the `pending` budget: one per direct
-        // deposit (three sub-2^32 chunks, same as a scalar `add`) plus one
-        // per sub-2^32 chunk spilled from a wide lane.
-        let mut units: u32 = 0;
-        for &x in block {
-            let x = if ABS { x.abs() } else { x };
-            if x == 0.0 {
-                continue;
-            }
-            if !x.is_finite() {
-                self.note_nonfinite(x);
-                continue;
-            }
-            let (sign, mantissa, shift) = decompose(x);
-            // Bit position of the mantissa's least significant bit.
-            let p = (shift + 1074) as usize;
-            if anchor == usize::MAX {
-                // First deposit anchors the window one digit below its own,
-                // leaving 32 bits of headroom for downward exponent drift.
-                anchor = ((p >> 5).saturating_sub(1)) << 5;
-            }
-            let s = p.wrapping_sub(anchor);
-            if s < WINDOW_BITS {
-                // In-window: a single shifted add on a lane register.
-                let v = (mantissa as i128) << s;
-                let slot = &mut acc[lane & (ACC_LANES - 1)];
-                if sign > 0 {
-                    *slot += v;
-                } else {
-                    *slot -= v;
-                }
-                lane = lane.wrapping_add(1);
-            } else {
-                // Out of window: deposit straight into the digit array
-                // (the scalar path minus its per-element bookkeeping).
-                let d = p >> 5;
-                let r = p & 31;
-                let v = (mantissa as u128) << r;
-                let c0 = (v & 0xffff_ffff) as i64;
-                let c1 = ((v >> 32) & 0xffff_ffff) as i64;
-                let c2 = ((v >> 64) & 0xffff_ffff) as i64;
-                if sign > 0 {
-                    self.digits[d] += c0;
-                    self.digits[d + 1] += c1;
-                    self.digits[d + 2] += c2;
-                } else {
-                    self.digits[d] -= c0;
-                    self.digits[d + 1] -= c1;
-                    self.digits[d + 2] -= c2;
-                }
-                units += 1;
-            }
-        }
-        if anchor != usize::MAX {
-            let base = anchor >> 5;
-            for a in acc {
-                units += self.deposit_wide(a, base);
-            }
-        }
-        self.pending = self.pending.saturating_add(units);
-    }
-
-    /// Spill one wide lane register into the digit array at digit `base`.
-    ///
-    /// Returns the number of sub-2^32 chunks deposited (each perturbs one
-    /// digit, so it counts as that many units toward the `pending` budget).
-    /// `|acc| < 2^126` (see [`BLOCK`]) splits into at most four chunks, and
-    /// in-window deposits have digit index at most `base + 1 <= 64`, so
-    /// `base + 3` stays within the register.
-    fn deposit_wide(&mut self, acc: i128, base: usize) -> u32 {
-        if acc == 0 {
-            return 0;
-        }
-        let neg = acc < 0;
-        let mut mag = acc.unsigned_abs();
-        let mut i = base;
-        let mut units = 0;
-        while mag != 0 {
-            let chunk = (mag & 0xffff_ffff) as i64;
-            if neg {
-                self.digits[i] -= chunk;
-            } else {
-                self.digits[i] += chunk;
-            }
-            mag >>= 32;
-            i += 1;
-            units += 1;
-        }
-        units
-    }
-
-    /// Record a non-finite input (shared by `add` and the batched path).
+    /// Record a non-finite input of [`Self::add`].
     #[cold]
     fn note_nonfinite(&mut self, x: f64) {
         if x.is_nan() {

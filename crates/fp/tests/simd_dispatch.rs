@@ -1,9 +1,14 @@
 //! Dispatch-equivalence property tests: every SIMD tier this machine
-//! supports, at every accumulator-chain width, must produce results
-//! **bit-identical** to the portable scalar kernel — on hostile data
-//! (subnormals, signed zeros, non-finites, mixed exponents, adversarial
-//! cancellation) and at awkward lengths (odd widths, short tails below one
-//! SIMD block, exact block multiples).
+//! supports, each with its own vector width and accumulator-chain count,
+//! must leave the register **bit-identical** to scalar
+//! [`Superaccumulator::add`] — on hostile data (subnormals, signed zeros,
+//! non-finites, mixed exponents, adversarial cancellation) and at awkward
+//! lengths (odd widths, short tails below one SIMD block, exact block
+//! multiples).
+//!
+//! Blocks the cascade refuses are themselves a loop of `add`, so on those
+//! blocks the reference is the code under test; `oracle_agreement.rs` in
+//! `repro-hp` checks them against an independent exact sum.
 //!
 //! These are the tests the CI `simd` job runs once per `REPRO_SIMD` tier;
 //! running them under one process here additionally cross-checks tiers
@@ -14,13 +19,12 @@ use repro_fp::rng::DetRng;
 use repro_fp::simd::{self, Cascade, SimdTier};
 use repro_fp::Superaccumulator;
 
-/// Sum on an explicit tier and chain width, returning the full-precision
-/// readout (`to_dd` exposes the sub-ulp residual, so a divergence anywhere
-/// in the top ~106 bits of the register is caught, not just in the rounded
-/// result).
-fn sum_with(values: &[f64], tier: SimdTier, lanes: usize) -> (u64, u64, u64) {
+/// Sum on an explicit tier, returning the full-precision readout (`to_dd`
+/// exposes the sub-ulp residual, so a divergence anywhere in the top ~106
+/// bits of the register is caught, not just in the rounded result).
+fn sum_with(values: &[f64], tier: SimdTier) -> (u64, u64, u64) {
     let mut acc = Superaccumulator::new();
-    acc.add_slice_dispatch(values, tier, lanes);
+    acc.add_slice_with_tier(values, tier);
     let dd = acc.to_dd();
     (acc.to_f64().to_bits(), dd.hi.to_bits(), dd.lo.to_bits())
 }
@@ -38,15 +42,13 @@ fn reference(values: &[f64]) -> (u64, u64, u64) {
 fn assert_all_dispatches_match(values: &[f64], label: &str) {
     let expect = reference(values);
     for &tier in simd::supported_tiers() {
-        for lanes in [1usize, 2, 3, 4, 7, 8] {
-            let got = sum_with(values, tier, lanes);
-            assert_eq!(
-                got,
-                expect,
-                "{label}: tier {tier} lanes {lanes} diverged (n = {})",
-                values.len()
-            );
-        }
+        let got = sum_with(values, tier);
+        assert_eq!(
+            got,
+            expect,
+            "{label}: tier {tier} diverged (n = {})",
+            values.len()
+        );
     }
 }
 
@@ -73,22 +75,19 @@ fn scalar_checkpoint(values: impl Iterator<Item = f64>) -> String {
 }
 
 /// `add_slice`, and both registers of the pair pass, on every supported
-/// tier × chain width leave the scalar register states of `x` and `|x|`,
-/// byte for byte.
+/// tier leave the scalar register states of `x` and `|x|`, byte for byte.
 fn assert_checkpoints_match(values: &[f64], label: &str) {
     let expect = scalar_checkpoint(values.iter().copied());
     let expect_abs = scalar_checkpoint(values.iter().map(|x| x.abs()));
     for &tier in simd::supported_tiers() {
-        for lanes in [1usize, 2, 4, 8] {
-            let label = format!("{label}: tier {tier} lanes {lanes} (n = {})", values.len());
-            let mut acc = Superaccumulator::new();
-            acc.add_slice_dispatch(values, tier, lanes);
-            assert_eq!(acc.checkpoint(), expect, "{label}");
-            let (mut sum, mut abs) = (Superaccumulator::new(), Superaccumulator::new());
-            sum.add_slice_pair_dispatch(&mut abs, values, tier, lanes);
-            assert_eq!(sum.checkpoint(), expect, "{label}: pair pass, x");
-            assert_eq!(abs.checkpoint(), expect_abs, "{label}: pair pass, |x|");
-        }
+        let label = format!("{label}: tier {tier} (n = {})", values.len());
+        let mut acc = Superaccumulator::new();
+        acc.add_slice_with_tier(values, tier);
+        assert_eq!(acc.checkpoint(), expect, "{label}");
+        let (mut sum, mut abs) = (Superaccumulator::new(), Superaccumulator::new());
+        sum.add_slice_pair_with_tier(&mut abs, values, tier);
+        assert_eq!(sum.checkpoint(), expect, "{label}: pair pass, x");
+        assert_eq!(abs.checkpoint(), expect_abs, "{label}: pair pass, |x|");
     }
 }
 
@@ -136,16 +135,16 @@ fn cascade_blocks() -> impl Strategy<Value = Vec<f64>> {
 }
 
 proptest! {
-    /// The cascade and its fallbacks, for `x` alone and for the pair pass,
-    /// leave the scalar register states on every tier and chain width, on
-    /// blocks of every part count.
+    /// The cascade and its fallback, for `x` alone and for the pair pass,
+    /// leave the scalar register states on every tier, on blocks of every
+    /// part count.
     #[test]
     fn add_slice_leaves_the_scalar_checkpoint(values in cascade_blocks()) {
         assert_checkpoints_match(&values, "cascade blocks");
     }
 
     /// The pair pass on the hostile mix (subnormals, signed zeros, spreads
-    /// of 600 binades, which take the per-value kernel for both registers).
+    /// of 600 binades, which the cascade refuses for both registers).
     #[test]
     fn pair_pass_leaves_the_scalar_checkpoints(
         values in prop::collection::vec(hostile(), 0..800),
@@ -153,8 +152,9 @@ proptest! {
         assert_checkpoints_match(&values, "hostile mix");
     }
 
-    /// All tiers × all chain widths, random lengths (including short tails
-    /// under one SIMD block and under one staging chunk).
+    /// All tiers, each at its own vector and chain width, random lengths
+    /// (including short tails under one SIMD block and under one staging
+    /// chunk).
     #[test]
     fn tiers_and_lane_widths_are_bitwise_identical(
         values in prop::collection::vec(hostile(), 0..600),
@@ -163,7 +163,7 @@ proptest! {
     }
 
     /// Adversarial cancellation: every value appears with its negation, in
-    /// an interleave the extraction kernel sees as same-window blocks. The
+    /// an interleave that keeps each pair inside one block. The
     /// exact total is zero; any tier that loses a bit anywhere misses it.
     #[test]
     fn cancellation_to_zero_on_every_tier(
@@ -178,7 +178,7 @@ proptest! {
         assert_all_dispatches_match(&values, "cancellation");
         for &tier in simd::supported_tiers() {
             let mut acc = Superaccumulator::new();
-            acc.add_slice_dispatch(&values, tier, 8);
+            acc.add_slice_with_tier(&values, tier);
             prop_assert!(acc.is_zero(), "tier {} missed exact zero", tier);
         }
     }
@@ -196,17 +196,12 @@ proptest! {
         let expect_nan = special.is_nan();
         let expect = reference(&values);
         for &tier in simd::supported_tiers() {
-            for lanes in [1usize, 4, 8] {
-                let mut acc = Superaccumulator::new();
-                acc.add_slice_dispatch(&values, tier, lanes);
-                if expect_nan {
-                    prop_assert!(acc.to_f64().is_nan(), "tier {tier} lanes {lanes}");
-                } else {
-                    prop_assert_eq!(
-                        acc.to_f64().to_bits(), expect.0,
-                        "tier {} lanes {}", tier, lanes
-                    );
-                }
+            let mut acc = Superaccumulator::new();
+            acc.add_slice_with_tier(&values, tier);
+            if expect_nan {
+                prop_assert!(acc.to_f64().is_nan(), "tier {tier}");
+            } else {
+                prop_assert_eq!(acc.to_f64().to_bits(), expect.0, "tier {}", tier);
             }
         }
     }
@@ -214,7 +209,7 @@ proptest! {
 
 /// Deterministic sweep of the length edge cases around every internal
 /// granularity: the 8-element SIMD group, the 64-element staging chunk, the
-/// 1024-element deposit group, and the 2048-element spill block.
+/// 1024-element deposit group, and the 2048-element plan block.
 #[test]
 fn block_boundary_widths_are_bitwise_identical() {
     let mut rng = repro_fp::rng::DetRng::seed_from_u64(2015);
@@ -236,9 +231,9 @@ fn block_boundary_widths_are_bitwise_identical() {
     }
 }
 
-/// Same-window data (the extraction kernel's fast path) at every tier and
-/// width: locally-similar exponents are exactly the case the SSE2/AVX2
-/// kernels accelerate, so pin them hardest.
+/// Narrow-span data (two-part cascades) at every tier: locally-similar
+/// exponents are exactly the case the SSE2/AVX2 kernels accelerate, so pin
+/// them hardest.
 #[test]
 fn extraction_fast_path_is_bitwise_identical() {
     let mut rng = repro_fp::rng::DetRng::seed_from_u64(7);
@@ -256,9 +251,9 @@ fn extraction_fast_path_is_bitwise_identical() {
     }
 }
 
-/// `lanes_n`-style worker counts over the public exact APIs stay bitwise
-/// identical (the repro-sum façade is exercised in its own crate; this
-/// pins the fp-level primitive it builds on).
+/// A slice fed in two unequal pieces, on every tier (each at its own chain
+/// width), leaves the register one `add_slice` of the whole does: the block
+/// cut moves with the split, the bits do not.
 #[test]
 fn chain_widths_compose_with_slicing() {
     let mut rng = repro_fp::rng::DetRng::seed_from_u64(99);
@@ -266,17 +261,16 @@ fn chain_widths_compose_with_slicing() {
         .map(|_| (rng.next_f64() - 0.5) * 2f64.powi((rng.next_u64() % 200) as i32 - 100))
         .collect();
     let expect = reference(&values);
-    for lanes in [1usize, 2, 4, 8] {
-        // Feed in two unequal pieces to exercise mid-stream state carry.
+    for &tier in simd::supported_tiers() {
         for split in [1usize, 513, 2048, 9_999] {
             let mut acc = Superaccumulator::new();
-            acc.add_slice_lanes(&values[..split], lanes);
-            acc.add_slice_lanes(&values[split..], lanes);
+            acc.add_slice_with_tier(&values[..split], tier);
+            acc.add_slice_with_tier(&values[split..], tier);
             let dd = acc.to_dd();
             assert_eq!(
                 (acc.to_f64().to_bits(), dd.hi.to_bits(), dd.lo.to_bits()),
                 expect,
-                "lanes {lanes} split {split}"
+                "tier {tier} split {split}"
             );
         }
     }
@@ -298,8 +292,8 @@ fn block_with_span(span: i32, n: usize, seed: u64) -> Vec<f64> {
 }
 
 /// Spans at every level-count boundary (42·m bits takes m parts, 42·m + 1
-/// takes m + 1) up to the cap, where the block takes the per-value kernel;
-/// `x` alone and the pair pass.
+/// takes m + 1) up to the cap, past which the block is added value by
+/// value; `x` alone and the pair pass.
 #[test]
 fn part_count_boundaries_and_the_cap_are_bitwise_identical() {
     for m in 2..=simd::MAX_PARTS {

@@ -78,3 +78,53 @@ proptest! {
         prop_assert!(ba.sub(&ba).is_zero());
     }
 }
+
+/// `len` mixed-sign values with random mantissas and biased exponents in
+/// `lo..=hi`. Every 16th value is a signed zero; at `lo = 0`, the
+/// subnormal exponent, the next one is always a subnormal.
+fn spread(len: usize, lo: u64, hi: u64, rng: &mut repro_fp::rng::DetRng) -> Vec<f64> {
+    (0..len)
+        .map(|i| {
+            let sign = (rng.next_u64() & 1) << 63;
+            let mantissa = rng.next_u64() % (1 << 52);
+            let e = match i % 16 {
+                0 => return f64::from_bits(sign),
+                1 => lo,
+                _ => lo + rng.next_u64() % (hi - lo + 1),
+            };
+            f64::from_bits(sign | (e << 52) | mantissa)
+        })
+        .collect()
+}
+
+/// Blocks the cascade refuses are a loop of scalar `add`, the very code
+/// `repro-fp`'s dispatch tests take as their reference. So check them here
+/// against the independent oracle, both registers of the pair pass: blocks
+/// from the subnormals up to biased exponent 320, 450 and 2000 need 9, 12
+/// and 49 parts, past `MAX_PARTS`. At n = 4500 one call mixes refused
+/// blocks with a planned middle block.
+#[test]
+fn refused_blocks_match_the_oracle() {
+    use repro_fp::simd::{Cascade, SimdTier};
+    use repro_fp::{exact_abs_sum, exact_sum};
+    let mut rng = repro_fp::rng::DetRng::seed_from_u64(2015);
+    for top in [320u64, 450, 2000] {
+        for n in [2048usize, 4500] {
+            let mut values = spread(n, 0, top, &mut rng);
+            if n > 4096 {
+                // 30 binades and no subnormals: a two-part cascade.
+                values.splice(2048..4096, spread(2048, 1000, 1030, &mut rng));
+            }
+            for (b, block) in values.chunks(2048).enumerate() {
+                let parts = Cascade::plan(SimdTier::Scalar, block).map(Cascade::parts);
+                let expect = (b == 1).then_some(2);
+                assert_eq!(parts, expect, "top {top} n {n} block {b}");
+            }
+            let abs: Vec<f64> = values.iter().map(|x| x.abs()).collect();
+            let oracle = |v: &[f64]| repro_hp::sum_exact(v).to_bits();
+            let label = format!("top {top} n {n}");
+            assert_eq!(exact_sum(&values).to_bits(), oracle(&values), "{label}");
+            assert_eq!(exact_abs_sum(&values).to_bits(), oracle(&abs), "{label}");
+        }
+    }
+}

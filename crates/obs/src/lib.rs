@@ -25,7 +25,7 @@
 //!   histograms kept in ordered maps, so a snapshot renders identically on
 //!   every platform.
 //! * **Validation** ([`validate_trace`]) re-parses a JSONL trace with the
-//!   built-in parser ([`json::parse`]) and checks the schema contract:
+//!   built-in parser ([`Json::parse`]) and checks the schema contract:
 //!   every line parses, `sub`/`seq`/`kind` are present and well-typed, and
 //!   logical timestamps are contiguous per subsystem — except a head gap
 //!   exactly matching a declared ring-eviction drop counter (see

@@ -119,7 +119,7 @@ proptest! {
         let values = hostile(seed, dr);
         let reference = repro_fp::exact_sum(&values);
         for lanes in [1usize, 2, 4, 8] {
-            let laned = repro_sum::accumulate_lanes_exact(&values, lanes).to_f64();
+            let laned = accumulate_lanes(repro_fp::Superaccumulator::new, &values, lanes).to_f64();
             prop_assert_eq!(laned.to_bits(), reference.to_bits(), "lanes = {}", lanes);
         }
         for workers in WORKER_LADDER {

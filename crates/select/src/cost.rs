@@ -43,10 +43,11 @@ const BASELINE_JSON: &str = include_str!("../../../BENCH_06.json");
 pub enum CostSource {
     /// ns/element from a committed `BENCH_*.json` baseline, normalized to
     /// ST. `tier` is the SIMD dispatch tier active when the model was
-    /// built: the eight operator kernels themselves are tier-independent
-    /// (none routes through the dispatched superaccumulator hot path), but
-    /// the tier selects which `simd/<tier>` baseline entry prices the
-    /// exact-summation machinery ([`CostModel::exact_path_ns`]).
+    /// built. Each operator's price is its one `sum/<op>` entry, read the
+    /// same at every tier, though DS runs on the dispatched
+    /// superaccumulator (its `sum/DS` price predates that, see the module
+    /// docs). The tier selects which `simd/<tier>` baseline entry prices
+    /// the exact-summation machinery ([`CostModel::exact_path_ns`]).
     Baseline {
         /// Which committed baseline file.
         file: &'static str,
@@ -261,8 +262,8 @@ mod tests {
             assert!(exact > 0.0);
             assert!(m.profile_pass_ns().unwrap() > exact);
         }
-        // Relative rankings don't move with the tier: operator kernels are
-        // tier-independent (none routes through the dispatched hot path).
+        // Relative rankings don't move with the tier: each operator's price
+        // is its one `sum/<op>` entry, DS's included, read at every tier.
         let a = CostModel::baseline(SimdTier::Scalar).unwrap();
         let b = CostModel::baseline(SimdTier::Avx2).unwrap();
         for alg in Algorithm::ALL {

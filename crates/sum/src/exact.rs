@@ -16,8 +16,8 @@ impl Accumulator for Superaccumulator {
         Superaccumulator::add(self, x);
     }
 
-    /// Route slices through the batched digit-window kernel (bit-identical
-    /// to the default per-element loop, substantially faster).
+    /// Route slices through the batched cascade kernel (bit-identical to
+    /// the default per-element loop, substantially faster).
     fn add_slice(&mut self, values: &[f64]) {
         Superaccumulator::add_slice(self, values);
     }

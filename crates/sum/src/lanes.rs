@@ -97,6 +97,7 @@ pub fn merge_in_lane_order<A: Accumulator>(parts: Vec<A>) -> Option<A> {
 mod tests {
     use super::*;
     use crate::{BinnedSum, KahanSum, StandardSum};
+    use repro_fp::Superaccumulator;
 
     fn data(n: usize) -> Vec<f64> {
         (0..n)
@@ -110,19 +111,36 @@ mod tests {
 
     #[test]
     fn reproducible_operator_is_lane_invariant() {
-        for n in [0usize, 1, 3, 4, 7, 8, 9, 31, 1000, 4096, 4099] {
-            let values = data(n);
-            let mut scalar = BinnedSum::new(3);
-            scalar.add_slice(&values);
+        fn check<A: Accumulator>(name: &str, make: impl Fn() -> A, values: &[f64]) {
+            let mut scalar = make();
+            scalar.add_slice(values);
             let reference = scalar.finalize().to_bits();
             for lanes in [1usize, 2, 4, 5, 8, 16] {
-                let acc = accumulate_lanes(|| BinnedSum::new(3), &values, lanes);
+                let acc = accumulate_lanes(&make, values, lanes);
                 assert_eq!(
                     acc.finalize().to_bits(),
                     reference,
-                    "BinnedSum diverged at n={n} lanes={lanes}"
+                    "{name} diverged at n={} lanes={lanes}",
+                    values.len()
                 );
             }
+        }
+        for n in [0usize, 1, 3, 4, 7, 8, 9, 31, 1000, 4096, 4099] {
+            let values = data(n);
+            check("BinnedSum", || BinnedSum::new(3), &values);
+            check("Superaccumulator", Superaccumulator::new, &values);
+            // Spans of ~500 binades with ±0 and subnormals: blocks the
+            // cascade refuses.
+            let wide: Vec<f64> = values
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| match i % 9 {
+                    0 => -0.0,
+                    1 => f64::from_bits(i as u64),
+                    _ => x * 2f64.powi((i % 7) as i32 * 80 - 240),
+                })
+                .collect();
+            check("Superaccumulator", Superaccumulator::new, &wide);
         }
     }
 

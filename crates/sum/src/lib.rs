@@ -56,7 +56,6 @@ pub mod kahan;
 pub mod lanes;
 pub mod pairwise;
 pub mod prerounded;
-pub mod simd;
 pub mod standard;
 
 mod algorithm;
@@ -71,7 +70,6 @@ pub use dot::{dot2, dot_exact, dot_reproducible, dot_standard};
 pub use intervalsum::IntervalSum;
 pub use kahan::{KahanSum, NeumaierSum};
 pub use pairwise::PairwiseSum;
-pub use simd::{accumulate_lanes_exact, exact_sum_lanes};
 pub use standard::StandardSum;
 
 /// A mergeable summation state: the shape of an MPI custom reduction

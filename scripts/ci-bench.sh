@@ -3,7 +3,7 @@
 # scale, validate the BENCH JSON schema, and prove the harness itself is
 # deterministic — two same-seed runs must agree byte-for-byte once the
 # timing fields (the only nondeterministic outputs) are stripped. Then run
-# once at default scale and compare against the committed BENCH_20/BENCH_21
+# once at default scale and compare against the committed BENCH_21/BENCH_22
 # baselines: schema, op coverage, seed, and n must match, and the ns/elem
 # deltas are rendered as a table (to $GITHUB_STEP_SUMMARY when set). No
 # wall-clock thresholds anywhere: CI runners share cores, so asserting on
@@ -30,7 +30,6 @@ grep -q '"schema": "repro-bench-throughput-v1"' "$BENCH_DIR/bench-a.json" \
   || { echo "bench output lacks the schema marker" >&2; exit 1; }
 required_ops=(sum/ST sum/PW sum/K sum/N sum/CP sum/DD sum/PR sum/DS
               superacc/scalar superacc/batched superacc/wide simd/scalar
-              lanes/1 lanes/4 lanes/8
               select/profile
               select/sampled_profile select/cache_hit select/cache_miss
               obs/noop obs/ring obs/jsonl
@@ -72,7 +71,7 @@ ns_of() { # $1 = file, $2 = op — empty when the op is absent
   sed -nE 's|.*"op": "'"$2"'", "n": [0-9]+, "ns_per_elem": ([0-9]+(\.[0-9]+)?).*|\1|p' "$1"
 }
 
-baseline=BENCH_21.json
+baseline=BENCH_22.json
 [ -f "$baseline" ] || { echo "committed baseline $baseline is missing" >&2; exit 1; }
 
 grep -q '"schema": "repro-bench-throughput-v1"' "$baseline" \
@@ -108,14 +107,14 @@ table="$BENCH_DIR/baseline-delta.md"
 {
   echo "### Bench vs committed baselines (ns/elem)"
   echo ""
-  echo "| op | BENCH_20 | BENCH_21 | this run | Δ vs 21 |"
+  echo "| op | BENCH_21 | BENCH_22 | this run | Δ vs 22 |"
   echo "|---|---|---|---|---|"
   while read -r op; do
-    b20=$(ns_of BENCH_20.json "$op"); b21=$(ns_of "$baseline" "$op")
+    b21=$(ns_of BENCH_21.json "$op"); b22=$(ns_of "$baseline" "$op")
     now=$(ns_of "$BENCH_DIR/bench-default.json" "$op")
-    delta=$(awk -v a="$b21" -v b="$now" \
+    delta=$(awk -v a="$b22" -v b="$now" \
       'BEGIN { if (a == "" || b == "") print "n/a"; else printf "%+.1f%%", (b - a) / a * 100 }')
-    echo "| $op | ${b20:-–} | ${b21:-–} | ${now:-–} | $delta |"
+    echo "| $op | ${b21:-–} | ${b22:-–} | ${now:-–} | $delta |"
   done < <(ops_of "$baseline")
 } > "$table"
 cat "$table"
