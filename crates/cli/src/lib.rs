@@ -178,7 +178,9 @@ Defaults scale with REPRO_SCALE.
 Limits, checked before anything is allocated or started ('replay' exits
 2 on a manifest beyond them): --n generates at least 2 and at most
 134217728 (2^27) values, over a --dr of at most 560 decades, for a --k
-that is a number or inf (not nan); --ranks
+that is a number or inf (not nan); --tolerance is 0, positive or inf
+(not nan, not negative); calibrate --perms is at least 2 and at most
+1048576 (2^20); --ranks
 and agg --workers are at most 1024 each (one thread apiece); an agg
 schedule holds at most 16777216 (2^24) batches (aggregates x clients x
 batches) of at most 134217728 (2^27) values (--batch-len).
@@ -284,10 +286,10 @@ fn parse_opts(
             }
             "--tolerance" => {
                 let t = r.text()?;
-                tolerance = Some(
+                tolerance = Some(spread_budget(
                     t.parse::<f64>()
                         .map_err(|_| err(format!("bad tolerance: {t:?}")))?,
-                );
+                )?);
             }
             "--relative" => relative = true,
             "--bitwise" => bitwise = true,
@@ -300,7 +302,7 @@ fn parse_opts(
             "--dr" => o.dr = generated_dr(r.value()?)?,
             "--file-x" => o.file_x = Some(r.text()?),
             "--file-y" => o.file_y = Some(r.text()?),
-            "--perms" => o.perms = r.value()?,
+            "--perms" => o.perms = permutation_count(r.value()?)?,
             "--seed" => o.seed = r.value()?,
             "--ranks" => o.ranks = Some(rank_count(r.value()?)?),
             "--drop" => o.drop = r.value()?,
@@ -351,6 +353,9 @@ const MAX_THREADS: u64 = 1024;
 const MAX_AGG_BATCHES: u64 = 1 << 24;
 /// The most values in one agg batch (`--batch-len`).
 const MAX_BATCH_LEN: u64 = 1 << 27;
+/// The most leaf permutations `calibrate` measures per cell and operator
+/// (`--perms`); each worker holds one error per permutation.
+const MAX_PERMS: u64 = 1 << 20;
 
 /// `v` as a count, or an error naming `what` when it exceeds `max`. The
 /// flag path reports it with exit 1; `replay` re-raises it with exit 2.
@@ -386,6 +391,28 @@ fn generated_k(k: f64) -> Result<f64, CliError> {
         return Err(err("--k NaN is not a condition number"));
     }
     Ok(k)
+}
+
+/// A `--tolerance`: a spread, so zero, positive or infinite. NaN names no
+/// budget, and no spread is negative.
+fn spread_budget(t: f64) -> Result<f64, CliError> {
+    if t >= 0.0 {
+        Ok(t)
+    } else {
+        Err(err(format!(
+            "--tolerance {t} is not a spread (0, positive or inf)"
+        )))
+    }
+}
+
+/// The permutations `calibrate` measures per cell: a spread needs two
+/// results at least.
+fn permutation_count(perms: u64) -> Result<u64, CliError> {
+    if perms < 2 {
+        return Err(err(format!("--perms {perms} is below the minimum of 2")));
+    }
+    at_most("--perms", perms, MAX_PERMS)?;
+    Ok(perms)
 }
 
 /// The rank count of a simulated world, which starts one thread per rank.
@@ -991,7 +1018,9 @@ fn trace_reduce_with_manifest(o: &Opts) -> Result<(String, RunManifest), CliErro
     stats.publish(&registry, "runtime");
 
     manifest.algorithm = outcome.algorithm.abbrev().to_string();
-    manifest.cost_source = repro_core::select::explain(&outcome.profile, tol).cost_source;
+    manifest.cost_source = repro_core::select::CostModel::default()
+        .source()
+        .to_string();
     manifest.selector_bits = Some(outcome.sum.to_bits());
     manifest.result_bits = Some(sum.to_bits());
 
@@ -2878,9 +2907,24 @@ mod tests {
             &["gen", "--n", "4", "--k", "nan"],
             &["trace", "reduce", "--n", "64", "--k", "NaN"],
             &["report", "--n", "64", "--k", "nan"],
+            // A budget is a spread: not NaN, not negative.
+            &["select", "--tolerance", "nan", "1", "2"],
+            &["select", "--tolerance", "-1", "1", "2"],
+            &["select", "--tolerance", "-1e-9", "--relative", "1", "2"],
+            &["verify", "--tolerance", "NaN", "1", "2"],
+            &["trace", "reduce", "--n", "64", "--tolerance", "nan"],
+            // A spread needs two permutations; the cap bounds the errors
+            // each worker holds.
+            &["calibrate", "--perms", "0"],
+            &["calibrate", "--perms", "1"],
+            &["calibrate", "--perms", "18446744073709551615"],
         ] {
             let e = run_cmd(args).unwrap_err();
             assert_eq!(e.code, 1, "{args:?}: {e}");
+        }
+        for t in ["inf", "0"] {
+            let out = run_cmd(&["select", "--tolerance", t, "1", "2"]).unwrap();
+            assert!(out.contains("# selected:"), "--tolerance {t}: {out}");
         }
         // The bounds themselves are in the domain, and so is every k that
         // is not NaN.
@@ -2905,6 +2949,15 @@ mod tests {
         for m in [reduce(1, 0), reduce(64, 561), chaos(1, 0), chaos(64, 561)] {
             let e = replay_err(&m);
             assert_eq!(e.code, 2, "{} n={} dr={}: {e}", m.cmd, m.n, m.dr);
+        }
+        // A manifest's tolerance is a spread too.
+        let out = run_cmd(&["trace", "reduce", "--n", "64"]).unwrap();
+        for tolerance in ["abs:NaN", "rel:NaN", "abs:-1"] {
+            let mut m = RunManifest::parse(manifest_line(&out)).expect("manifest parses");
+            m.tolerance = tolerance.to_string();
+            let e = replay_err(&m);
+            assert_eq!(e.code, 2, "{tolerance}: {e}");
+            assert!(e.msg.contains("tolerance"), "{tolerance}: {e}");
         }
         // An embedded input was never generated: its length is no bound.
         let out = run_cmd(&["trace", "reduce", "5"]).unwrap();
@@ -2936,6 +2989,11 @@ mod tests {
         assert_eq!(generated_dr(561).unwrap_err().code, 1);
         assert_eq!(rank_count(1024).unwrap(), 1024);
         assert!(rank_count(1025).is_err());
+        assert_eq!(permutation_count(2).unwrap(), 2);
+        assert_eq!(permutation_count(1 << 20).unwrap(), 1 << 20);
+        for bad in [0, 1, (1 << 20) + 1, u64::MAX] {
+            assert_eq!(permutation_count(bad).unwrap_err().code, 1, "{bad}");
+        }
         // The largest default schedule, `REPRO_SCALE=full`, fits.
         let full = repro_core::agg::LoadSpec {
             aggregates: 8,

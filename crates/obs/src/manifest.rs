@@ -80,7 +80,8 @@ pub struct RunManifest {
     pub tolerance: String,
     /// Selected algorithm (abbreviation, e.g. `PR`).
     pub algorithm: String,
-    /// Where the selector's cost model came from (its `CostSource` label).
+    /// Where the selector's cost model came from (`CostModel::source`,
+    /// e.g. `BENCH_06.json@avx2`).
     pub cost_source: String,
     /// Active SIMD dispatch tier label.
     pub simd_tier: String,

@@ -14,11 +14,12 @@
 //! *which* operator runs, and every operator is a deterministic function
 //! of the input, so a hit is bitwise identical to the miss that populated
 //! it (property-tested). The failure mode is a *stale* decision — a
-//! fingerprint populated by data whose realized spread no longer matches
-//! — and the realized-spread telemetry from
-//! [`crate::AdaptiveReducer::reduce_telemetry`] closes that loop:
-//! [`DecisionCache::invalidate_misprediction`] evicts the entry and
-//! counts the misprediction, so the next same-shaped reduction re-selects.
+//! fingerprint populated by data whose realized spread no longer matches.
+//! [`DecisionCache::invalidate_misprediction`] evicts such an entry and
+//! counts the misprediction, so the next same-shaped reduction re-selects;
+//! no serving path calls it yet. The realized-spread telemetry from
+//! [`crate::AdaptiveReducer::reduce_telemetry`] measures the drift but
+//! evicts nothing.
 
 use crate::profile::DataProfile;
 use crate::selector::Tolerance;

@@ -242,13 +242,22 @@ pub fn try_calibrate(cfg: &CalibrationConfig) -> Result<CalibrationTable, Calibr
                 .map(move |(di, &dr)| (ki, k, di, dr))
         })
         .collect();
+    let refuse = |message: String| CalibrationError {
+        n: cfg.n,
+        k: f64::NAN,
+        dr: 0,
+        message,
+    };
     if coords.is_empty() {
-        return Err(CalibrationError {
-            n: cfg.n,
-            k: f64::NAN,
-            dr: 0,
-            message: "empty calibration grid (no k or dr targets)".into(),
-        });
+        return Err(refuse("empty calibration grid (no k or dr targets)".into()));
+    }
+    if cfg.permutations < 2 {
+        // One result per cell has no spread: every entry would read 0,
+        // and a selector would take that for "ST fits every budget".
+        return Err(refuse(format!(
+            "{} permutations measure no spread (at least 2)",
+            cfg.permutations
+        )));
     }
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -488,6 +497,18 @@ mod tests {
         };
         let err = try_calibrate(&cfg).expect_err("nothing to calibrate");
         assert!(err.to_string().contains("empty calibration grid"), "{err}");
+    }
+
+    #[test]
+    fn fewer_than_two_permutations_is_an_error_not_a_zero_table() {
+        for permutations in [0, 1] {
+            let cfg = CalibrationConfig {
+                permutations,
+                ..small_cfg()
+            };
+            let err = try_calibrate(&cfg).expect_err("one result has no spread");
+            assert!(err.to_string().contains("at least 2"), "{err}");
+        }
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Per-algorithm cost model.
 //!
 //! The selector needs to know the *price* side of the tradeoff — and that
-//! price must track the machine, not a constant. The default model is
+//! price must track the machine, not a constant. The model is
 //! **calibrated**: per-operator ns/element from the committed
 //! `BENCH_06.json` throughput baseline (the tracked harness behind
 //! `repro-reduce bench`), normalized so recursive summation costs 1.0. The
-//! old flop-count ratios survive only as the no-baseline fallback
-//! ([`CostModel::static_flops`]); when the baseline is suspect on new
-//! hardware, re-run `repro-reduce bench` and commit the new file. Every
-//! model carries a [`CostSource`] so decision records can say which numbers
-//! ranked the candidates.
+//! baseline is compiled in, so the model never reads the filesystem; when
+//! it is suspect on new hardware, re-run `repro-reduce bench` and commit the
+//! new file. Every model carries a source label (`BENCH_06.json@avx2`) so
+//! decision records can say which numbers ranked the candidates.
 //!
 //! DS keeps its `sum/DS` price from `BENCH_06.json`, which was measured on
 //! the expansion kernel that DS ran on then. DS now runs on the
@@ -20,11 +19,11 @@
 //! when no cheaper rung fits. Pricing DS by data shape waits for
 //! throughput entries timed on wide-range data.
 //!
-//! The stale-constant bug this replaces was not cosmetic: the baseline
-//! measures Composite at ~2.1× ST while the flop ratios guessed 6× (vs
-//! Kahan's measured ~3.9×, guessed 4×), so the static table ranked CP after
-//! K and the selector systematically over-paid for mid-tolerance workloads
-//! after the PR 5/6 hot-path work.
+//! Measured prices replaced flop-count ratios, and the difference was not
+//! cosmetic: the baseline measures Composite at ~2.1× ST while the flop
+//! ratios guessed 6× (vs Kahan's measured ~3.9×, guessed 4×), so the flop
+//! table ranked CP after K and the selector systematically over-paid for
+//! mid-tolerance workloads.
 
 use repro_fp::simd::{self, SimdTier};
 use repro_sum::Algorithm;
@@ -37,92 +36,30 @@ pub const BASELINE_FILE: &str = "BENCH_06.json";
 /// model needs no filesystem access (and cannot drift from the commit).
 const BASELINE_JSON: &str = include_str!("../../../BENCH_06.json");
 
-/// Where a [`CostModel`]'s numbers came from — logged with every decision
-/// record so rankings are auditable.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CostSource {
-    /// ns/element from a committed `BENCH_*.json` baseline, normalized to
-    /// ST. `tier` is the SIMD dispatch tier active when the model was
-    /// built. Each operator's price is its one `sum/<op>` entry, read the
-    /// same at every tier, though DS runs on the dispatched
-    /// superaccumulator (its `sum/DS` price predates that, see the module
-    /// docs). The tier selects which `simd/<tier>` baseline entry prices
-    /// the exact-summation machinery ([`CostModel::exact_path_ns`]).
-    Baseline {
-        /// Which committed baseline file.
-        file: &'static str,
-        /// The active dispatch tier the model was resolved for.
-        tier: SimdTier,
-    },
-    /// Static flop-count ratios — the pre-calibration constants, kept as
-    /// the fallback when no baseline parses.
-    StaticFlops,
-}
-
-impl CostSource {
-    /// Compact label for decision records (`BENCH_06.json@avx2`,
-    /// `static-flops`).
-    pub fn label(&self) -> String {
-        match self {
-            CostSource::Baseline { file, tier } => format!("{file}@{tier}"),
-            CostSource::StaticFlops => "static-flops".into(),
-        }
-    }
-}
-
 /// Relative cost per algorithm (ST = 1).
 #[derive(Clone, Debug)]
 pub struct CostModel {
     entries: Vec<(Algorithm, f64)>,
-    source: CostSource,
-    /// Absolute ns/element of ST in the source, when the source measured
-    /// one (converts the relative entries back to absolute costs).
-    st_ns: Option<f64>,
-    /// Baseline ns/element of the tier-dispatched exact superaccumulator
-    /// path (`simd/<tier>`), when the source's tier was benchmarked.
-    exact_ns: Option<f64>,
-    /// Baseline ns/element of the full profiling pass (`select/profile`).
-    profile_ns: Option<f64>,
+    /// `{file}@{tier}`: the baseline file, and the SIMD dispatch tier active
+    /// when the model was built.
+    source: String,
 }
 
 impl Default for CostModel {
     /// The calibrated model from the committed [`BASELINE_FILE`] at the
-    /// active SIMD tier, falling back to [`CostModel::static_flops`] if the
-    /// baseline fails to parse. Resolved once per process and cached.
+    /// active SIMD tier, resolved once per process and cached. The baseline
+    /// is compiled in, and a unit test asserts that it parses.
     fn default() -> Self {
         static DEFAULT: OnceLock<CostModel> = OnceLock::new();
         DEFAULT
             .get_or_init(|| {
-                CostModel::baseline(simd::active_tier()).unwrap_or_else(CostModel::static_flops)
+                CostModel::baseline(simd::active_tier()).expect("the committed baseline parses")
             })
             .clone()
     }
 }
 
 impl CostModel {
-    /// Flop-count based relative costs (ST = 1): K adds 4 flops per
-    /// element, CP 6, PR ~4 per live bin plus renormalization traffic.
-    /// Kept only as the no-baseline fallback — measured reality disagrees
-    /// (see [`CostModel::baseline`]).
-    pub fn static_flops() -> Self {
-        Self {
-            entries: vec![
-                (Algorithm::Standard, 1.0),
-                (Algorithm::Pairwise, 1.3),
-                (Algorithm::Kahan, 4.0),
-                (Algorithm::Neumaier, 5.0),
-                (Algorithm::Composite, 6.0),
-                (Algorithm::DoubleDouble, 8.0),
-                (Algorithm::PR, 14.0),
-                (Algorithm::Distill, 25.0),
-            ],
-            source: CostSource::StaticFlops,
-            st_ns: None,
-            exact_ns: None,
-            profile_ns: None,
-        }
-    }
-
     /// The calibrated model from the embedded committed baseline, `None`
     /// if the baseline is missing an operator or does not parse.
     pub fn baseline(tier: SimdTier) -> Option<Self> {
@@ -131,11 +68,12 @@ impl CostModel {
 
     /// Parse a `repro-bench-throughput-v1` document into a cost model:
     /// every `sum/<op>` entry becomes a relative cost (normalized to
-    /// `sum/ST`), `simd/<tier>` and `select/profile` ride along as the
-    /// exact-path and profiling price tags. Returns `None` unless all
-    /// eight operators are present with positive finite timings —
-    /// a half-parsed baseline must not silently rank candidates.
-    pub fn from_baseline_json(json: &str, file: &'static str, tier: SimdTier) -> Option<Self> {
+    /// `sum/ST`). Each operator's price is its one `sum/<op>` entry, read
+    /// the same at every tier; `tier` only names the tier in the source
+    /// label. Returns `None` unless all eight operators are present with
+    /// positive finite timings — a half-parsed baseline must not silently
+    /// rank candidates.
+    pub fn from_baseline_json(json: &str, file: &str, tier: SimdTier) -> Option<Self> {
         let doc = repro_obs::Json::parse(json.trim()).ok()?;
         if doc.get("schema")?.as_str()? != "repro-bench-throughput-v1" {
             return None;
@@ -158,15 +96,13 @@ impl CostModel {
         }
         Some(Self {
             entries: rel,
-            source: CostSource::Baseline { file, tier },
-            st_ns: Some(st),
-            exact_ns: ns_of(&format!("simd/{}", tier.label())),
-            profile_ns: ns_of("select/profile"),
+            source: format!("{file}@{tier}"),
         })
     }
 
-    /// Where this model's numbers came from.
-    pub fn source(&self) -> &CostSource {
+    /// Where this model's numbers came from, as decision records print it
+    /// (`BENCH_06.json@avx2`).
+    pub fn source(&self) -> &str {
         &self.source
     }
 
@@ -180,29 +116,11 @@ impl CostModel {
             .unwrap_or_else(|| 1.0 + alg.cost_rank() as f64 * 3.0)
     }
 
-    /// Absolute ns/element of `alg`, when the source measured time (the
-    /// baseline does; flop ratios have no clock).
-    pub fn absolute_ns(&self, alg: Algorithm) -> Option<f64> {
-        self.st_ns.map(|st| st * self.cost(alg))
-    }
-
-    /// ns/element of the dispatched exact superaccumulator hot path at the
-    /// source's SIMD tier, when that tier appears in the baseline.
-    pub fn exact_path_ns(&self) -> Option<f64> {
-        self.exact_ns
-    }
-
-    /// ns/element of the full profiling pass in the baseline — what the
-    /// sampled profiler (see [`crate::sample`]) is amortizing away.
-    pub fn profile_pass_ns(&self) -> Option<f64> {
-        self.profile_ns
-    }
-
-    /// Rank algorithms cheapest-first.
-    pub fn by_cost(&self, algorithms: &[Algorithm]) -> Vec<Algorithm> {
-        let mut v = algorithms.to_vec();
-        v.sort_by(|a, b| self.cost(*a).total_cmp(&self.cost(*b)));
-        v
+    /// `algorithms` ranked cheapest first; equal prices keep their order.
+    /// Sorted in place on the stack: ranking the ladder allocates nothing.
+    pub fn by_cost<const N: usize>(&self, mut algorithms: [Algorithm; N]) -> [Algorithm; N] {
+        algorithms.sort_by(|a, b| self.cost(*a).total_cmp(&self.cost(*b)));
+        algorithms
     }
 }
 
@@ -213,54 +131,28 @@ mod tests {
     #[test]
     fn default_is_calibrated_from_the_committed_baseline() {
         let m = CostModel::default();
-        assert!(
-            matches!(m.source(), CostSource::Baseline { file, .. } if *file == BASELINE_FILE),
-            "default should come from the committed baseline, got {:?}",
-            m.source()
+        assert_eq!(
+            m.source(),
+            format!("{BASELINE_FILE}@{}", simd::active_tier()),
+            "default should come from the committed baseline"
         );
         // Normalized to ST.
         assert_eq!(m.cost(Algorithm::Standard), 1.0);
         // The measured post-PR-6 ordering: CP's fused kernel undercuts
         // Kahan (this is the stale-constant fix — the flop ratios had K
         // cheaper than CP).
-        let ordered = m.by_cost(&Algorithm::PAPER_SET);
+        let ordered = m.by_cost(Algorithm::PAPER_SET);
         let labels: Vec<&str> = ordered.iter().map(|a| a.abbrev()).collect();
         assert_eq!(labels, ["ST", "CP", "K", "PR"]);
         assert!(m.cost(Algorithm::Composite) < m.cost(Algorithm::Kahan));
-        // Absolute costs reconstruct the baseline's ns/elem.
-        let st_abs = m.absolute_ns(Algorithm::Standard).unwrap();
-        assert!((0.1..10.0).contains(&st_abs), "implausible ST ns {st_abs}");
     }
 
     #[test]
-    fn static_fallback_preserves_paper_flop_ordering() {
-        let m = CostModel::static_flops();
-        assert_eq!(*m.source(), CostSource::StaticFlops);
-        assert_eq!(m.source().label(), "static-flops");
-        let ordered = m.by_cost(&Algorithm::PAPER_SET);
-        let labels: Vec<&str> = ordered.iter().map(|a| a.abbrev()).collect();
-        assert_eq!(labels, ["ST", "K", "CP", "PR"]);
-        assert_eq!(m.absolute_ns(Algorithm::Standard), None);
-    }
-
-    #[test]
-    fn baseline_carries_tier_price_tags() {
-        // The committed baseline was measured on an AVX2 box, so every tier
-        // column is present; the tier argument picks which one prices the
-        // exact path.
+    fn baseline_labels_its_tier_and_prices_every_tier_alike() {
+        // The label names the tier the model was resolved for.
         for &tier in &[SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2] {
             let m = CostModel::baseline(tier).expect("committed baseline parses");
-            assert_eq!(
-                *m.source(),
-                CostSource::Baseline {
-                    file: BASELINE_FILE,
-                    tier
-                }
-            );
-            assert!(m.source().label().contains(tier.label()));
-            let exact = m.exact_path_ns().expect("tier column present");
-            assert!(exact > 0.0);
-            assert!(m.profile_pass_ns().unwrap() > exact);
+            assert_eq!(m.source(), format!("{BASELINE_FILE}@{}", tier.label()));
         }
         // Relative rankings don't move with the tier: each operator's price
         // is its one `sum/<op>` entry, DS's included, read at every tier.

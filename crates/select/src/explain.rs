@@ -4,13 +4,13 @@
 //! Runtime selection only earns trust if its decisions can be audited; an
 //! [`Explanation`] records the tolerance budget, every candidate's
 //! predicted spread and relative cost, and which constraint eliminated the
-//! cheaper candidates. The CLI's `profile` command and the examples render
-//! these; tests assert the explanation is *faithful* (re-running the
-//! selector reproduces the explained choice).
+//! cheaper candidates. The CLI's `select --explain` and the examples render
+//! these. An explanation is *faithful* by construction: it records the
+//! same ladder walk [`HeuristicSelector::choose`](crate::Selector::choose)
+//! takes, and tests pin that the two agree.
 
-use crate::cost::CostModel;
 use crate::profile::DataProfile;
-use crate::selector::{predicted_spread, Tolerance, EXACT, LADDER};
+use crate::selector::{HeuristicSelector, Tolerance};
 use repro_sum::Algorithm;
 
 /// One candidate's audit row.
@@ -31,8 +31,8 @@ pub struct CandidateVerdict {
 pub struct Explanation {
     /// The tolerance requested.
     pub tolerance: Tolerance,
-    /// The absolute budget the tolerance resolved to (`None` for bitwise,
-    /// which short-circuits candidate comparison).
+    /// The absolute budget the tolerance resolved to (`None` where only a
+    /// reproducible rung fits, see [`Tolerance::budget`]).
     pub budget: Option<f64>,
     /// Candidates in the order the selector considered them (cheapest
     /// first); the chosen one is the first with `fits == true`.
@@ -40,8 +40,7 @@ pub struct Explanation {
     /// The decision.
     pub chosen: Algorithm,
     /// Which cost numbers ranked the candidates
-    /// ([`crate::cost::CostSource::label`]): the calibrated baseline or the
-    /// static flop-ratio fallback.
+    /// ([`crate::cost::CostModel::source`], e.g. `BENCH_06.json@avx2`).
     pub cost_source: String,
 }
 
@@ -74,38 +73,10 @@ impl Explanation {
     }
 }
 
-/// Explain a heuristic selection: same decision procedure as
-/// [`crate::selector::Selector::choose`] on the
-/// [`crate::selector::HeuristicSelector`], with every intermediate
-/// recorded.
+/// Explain a heuristic selection: the default [`HeuristicSelector`]'s
+/// ladder walk, with every rung recorded.
 pub fn explain(profile: &DataProfile, tolerance: Tolerance) -> Explanation {
-    let costs = CostModel::default();
-    let budget = tolerance.budget(profile.sum_estimate);
-    let mut candidates = Vec::new();
-    let mut chosen = None;
-    for alg in costs.by_cost(&LADDER) {
-        let spread = predicted_spread(alg, profile);
-        let fits = match budget {
-            Some(b) => spread <= b,
-            None => alg.is_reproducible(),
-        };
-        if fits && chosen.is_none() {
-            chosen = Some(alg);
-        }
-        candidates.push(CandidateVerdict {
-            algorithm: alg,
-            predicted_spread: spread,
-            relative_cost: costs.cost(alg),
-            fits,
-        });
-    }
-    Explanation {
-        tolerance,
-        budget,
-        candidates,
-        chosen: chosen.unwrap_or(EXACT),
-        cost_source: costs.source().label(),
-    }
+    HeuristicSelector::default().explain(profile, tolerance)
 }
 
 /// Emit one selection as a structured `decision` event: the input profile
@@ -171,7 +142,7 @@ pub fn record_decision_with_spread(
 mod tests {
     use super::*;
     use crate::profile::profile;
-    use crate::selector::{HeuristicSelector, Selector};
+    use crate::selector::{Selector, EXACT};
 
     fn check_faithful(values: &[f64], tol: Tolerance) -> Explanation {
         let p = profile(values);
@@ -254,11 +225,7 @@ mod tests {
             parsed.get("cost_source").unwrap().as_str(),
             Some(e.cost_source.as_str())
         );
-        assert!(
-            e.cost_source.contains("BENCH") || e.cost_source == "static-flops",
-            "{}",
-            e.cost_source
-        );
+        assert!(e.cost_source.starts_with("BENCH_"), "{}", e.cost_source);
         // Every candidate appears with spread, cost, and verdict.
         for c in &e.candidates {
             let key = c.algorithm.abbrev();

@@ -22,7 +22,8 @@
 //!      which replays the paper's grid methodology (Figure 8) at
 //!      calibration time.
 //! 3. [`AdaptiveReducer`] packages the whole thing: profile, choose,
-//!    reduce, report.
+//!    reduce, report. It is driven by the [`HeuristicSelector`]; its traced
+//!    entry points record the same ladder walk that made the choice.
 //! 4. [`verified::VerifiedReducer`] trusts measurements over models: reduce
 //!    under two independent orders, escalate until the runs agree within
 //!    tolerance — the paper's reproducibility definition, enforced at
@@ -64,13 +65,13 @@ pub use cache::{DecisionCache, Fingerprint};
 pub use calibrate::{
     calibrate, try_calibrate, CalibrationConfig, CalibrationError, CalibrationTable,
 };
-pub use cost::{CostModel, CostSource};
+pub use cost::CostModel;
 pub use explain::{explain, record_decision, Explanation};
 pub use profile::{profile, profile_parallel, DataProfile};
-use repro_sum::{Accumulator, Algorithm};
+use repro_sum::Algorithm;
 pub use sample::{choose_sampled, SampleConfig, SampledProfile};
 pub use selector::{HeuristicSelector, Selector, Tolerance, EXACT};
-pub use subtree::{BudgetSplit, SubtreeAdaptive, SubtreeOutcome};
+pub use subtree::{SubtreeAdaptive, SubtreeOutcome};
 pub use verified::{VerifiedOutcome, VerifiedReducer};
 
 /// The result of one adaptive reduction.
@@ -84,9 +85,11 @@ pub struct Outcome {
     pub profile: DataProfile,
 }
 
-/// Profile → select → reduce, in one object.
+/// Profile → select → reduce, in one object, driven by the
+/// [`HeuristicSelector`].
+#[derive(Debug)]
 pub struct AdaptiveReducer {
-    selector: Box<dyn Selector + Send + Sync>,
+    selector: HeuristicSelector,
     tolerance: Tolerance,
 }
 
@@ -103,35 +106,11 @@ fn flight_decision(path: &str, algorithm: Algorithm, n: usize) {
     });
 }
 
-impl std::fmt::Debug for AdaptiveReducer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdaptiveReducer")
-            .field("tolerance", &self.tolerance)
-            .finish_non_exhaustive()
-    }
-}
-
 impl AdaptiveReducer {
     /// An adaptive reducer driven by the analytic heuristic selector.
     pub fn heuristic(tolerance: Tolerance) -> Self {
         Self {
-            selector: Box::new(HeuristicSelector::default()),
-            tolerance,
-        }
-    }
-
-    /// An adaptive reducer driven by a measured calibration table.
-    pub fn calibrated(table: CalibrationTable, tolerance: Tolerance) -> Self {
-        Self {
-            selector: Box::new(selector::CalibratedSelector::new(table)),
-            tolerance,
-        }
-    }
-
-    /// An adaptive reducer with a custom selector.
-    pub fn with_selector(selector: Box<dyn Selector + Send + Sync>, tolerance: Tolerance) -> Self {
-        Self {
-            selector,
+            selector: HeuristicSelector::default(),
             tolerance,
         }
     }
@@ -159,7 +138,14 @@ impl AdaptiveReducer {
     pub fn reduce(&self, values: &[f64]) -> Outcome {
         let profile = profile::profile(values);
         let algorithm = self.selector.choose(&profile, self.tolerance);
-        flight_decision("reduce", algorithm, values.len());
+        Self::finish("reduce", values, algorithm, profile)
+    }
+
+    /// Flight-record the decision, then reduce with it: the exact rung
+    /// returns the full profile's `Σx`, and every other rung reads the
+    /// values once more.
+    fn finish(path: &str, values: &[f64], algorithm: Algorithm, profile: DataProfile) -> Outcome {
+        flight_decision(path, algorithm, values.len());
         let sum = match algorithm {
             EXACT => profile.sum_estimate,
             _ => algorithm.sum(values),
@@ -169,6 +155,16 @@ impl AdaptiveReducer {
             algorithm,
             profile,
         }
+    }
+
+    /// The traced entry points' shared step: profile on the shared pool,
+    /// walk the ladder once with every rung recorded, and reduce with the
+    /// walk's choice. The caller emits the `decision` event.
+    fn reduce_explained(&self, path: &str, values: &[f64]) -> (Outcome, Explanation) {
+        let profile = profile::profile_parallel(values);
+        let explanation = self.selector.explain(&profile, self.tolerance);
+        let outcome = Self::finish(path, values, explanation.chosen, profile);
+        (outcome, explanation)
     }
 
     /// The always-on fast path: **sampled** profile → **decision cache** →
@@ -210,12 +206,7 @@ impl AdaptiveReducer {
             let algorithm = match cache.lookup(&fp) {
                 Some(alg) => alg,
                 None => {
-                    match sample::choose_sampled(
-                        self.selector.as_ref(),
-                        self.tolerance,
-                        &sampled,
-                        &cfg,
-                    ) {
+                    match sample::choose_sampled(&self.selector, self.tolerance, &sampled, &cfg) {
                         Some(alg) => {
                             cache.insert(fp, alg);
                             alg
@@ -238,27 +229,14 @@ impl AdaptiveReducer {
 
     /// Like [`AdaptiveReducer::reduce`], but emitting one `decision`
     /// event into `scope` for the selection (see
-    /// [`explain::record_decision`]) before reducing. The record's
-    /// candidate table always comes from the analytic heuristic audit;
-    /// its `chosen` field is *this reducer's* actual choice, so a
-    /// calibrated selector that disagrees with the heuristic is recorded
-    /// faithfully. As in [`AdaptiveReducer::reduce`], the exact rung
-    /// returns the profile's `Σx` without reading the values again.
+    /// [`explain::record_decision`]). The record is the walk that made the
+    /// choice: its candidate table and its `chosen` field come from one
+    /// pass down the ladder. As in [`AdaptiveReducer::reduce`], the exact
+    /// rung returns the profile's `Σx` without reading the values again.
     pub fn reduce_traced(&self, values: &[f64], scope: &mut repro_obs::Scope) -> Outcome {
-        let (algorithm, profile) = self.choose(values);
-        flight_decision("reduce_traced", algorithm, values.len());
-        let mut explanation = explain::explain(&profile, self.tolerance);
-        explanation.chosen = algorithm;
-        explain::record_decision(scope, &profile, &explanation);
-        let sum = match algorithm {
-            EXACT => profile.sum_estimate,
-            _ => algorithm.sum(values),
-        };
-        Outcome {
-            sum,
-            algorithm,
-            profile,
-        }
+        let (outcome, explanation) = self.reduce_explained("reduce_traced", values);
+        explain::record_decision(scope, &outcome.profile, &explanation);
+        outcome
     }
 
     /// Permutations measured by [`AdaptiveReducer::reduce_telemetry`]
@@ -289,33 +267,21 @@ impl AdaptiveReducer {
         registry: Option<&repro_obs::Registry>,
     ) -> Outcome {
         use repro_fp::rng::DetRng;
-        let (algorithm, profile) = self.choose(values);
-        flight_decision("reduce_telemetry", algorithm, values.len());
-        let mut explanation = explain::explain(&profile, self.tolerance);
-        explanation.chosen = algorithm;
-
-        let run = |vals: &[f64]| {
-            let mut acc = algorithm.new_accumulator();
-            acc.add_slice(vals);
-            acc.finalize()
-        };
-        let sum = match algorithm {
-            EXACT => profile.sum_estimate,
-            _ => run(values),
-        };
-        let (mut lo, mut hi) = (sum, sum);
+        let (outcome, explanation) = self.reduce_explained("reduce_telemetry", values);
+        let algorithm = outcome.algorithm;
+        let (mut lo, mut hi) = (outcome.sum, outcome.sum);
         // Seed from plan-independent data facts so the measurement (and
         // with it the decision record) is a pure function of the input.
-        let mut rng = DetRng::seed_from_u64(0x2015 ^ profile.n as u64);
+        let mut rng = DetRng::seed_from_u64(0x2015 ^ outcome.profile.n as u64);
         let mut shuffled = values.to_vec();
         for _ in 0..Self::REALIZED_SPREAD_RUNS {
             rng.shuffle(&mut shuffled);
-            let s = run(&shuffled);
+            let s = algorithm.sum(&shuffled);
             lo = lo.min(s);
             hi = hi.max(s);
         }
         let realized = hi - lo;
-        explain::record_decision_with_spread(scope, &profile, &explanation, Some(realized));
+        explain::record_decision_with_spread(scope, &outcome.profile, &explanation, Some(realized));
 
         if let Some(registry) = registry {
             let predicted = explanation
@@ -328,11 +294,7 @@ impl AdaptiveReducer {
             registry.gauge_set("select.realized_spread", realized);
             registry.gauge_set("select.spread_drift", realized - predicted);
         }
-        Outcome {
-            sum,
-            algorithm,
-            profile,
-        }
+        outcome
     }
 }
 
@@ -378,6 +340,7 @@ pub fn recommendations(values: &[f64]) -> Vec<Recommendation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repro_sum::Accumulator;
 
     #[test]
     fn recommendations_cover_the_ladder() {
@@ -468,6 +431,52 @@ mod tests {
         let text = repro_obs::render_jsonl(&sink.drain());
         let parsed = repro_obs::Json::parse(text.lines().next().unwrap()).unwrap();
         assert_eq!(parsed.get("realized_spread").unwrap().as_num(), Some(0.0));
+    }
+
+    /// One traced decision's bytes, pinned: a change to the walk, to a
+    /// price or to the field order fails here, not only in a diff of two
+    /// builds' output. The input is perfbench's `reduce-small` (1e12, 16)
+    /// shape; the cost source names the active tier.
+    #[test]
+    fn traced_decision_bytes_are_pinned() {
+        const DECISION: &str = concat!(
+            r#"{"sub":"select","seq":0,"kind":"decision","n":4096,"#,
+            r#""k":999999730689.2627,"dr_binades":56,"max_abs":6382121768.268746,"#,
+            r#""abs_sum":999999730689.2627,"sum_estimate":1,"#,
+            r#""tolerance":"RelativeSpread(1e-14)","budget":0.00000000000001,"#,
+            r#""ST_spread":0.007105425444033121,"ST_cost":1,"ST_fits":false,"#,
+            r#""CP_spread":0.000000000000000050487084337427187,"#,
+            r#""CP_cost":2.14474386339381,"CP_fits":true,"#,
+            r#""K_spread":0.00022204454512603504,"K_cost":3.8916755602988253,"#,
+            r#""K_fits":false,"#,
+            r#""DS_spread":0,"DS_cost":30.618596584845246,"DS_fits":true,"#,
+            r#""cost_source":"BENCH_06.json@TIER","chosen":"CP"}"#,
+            "\n",
+        );
+        const RENDER: &str = "\
+tolerance: RelativeSpread(1e-14)
+budget (absolute spread): 1e-14
+cost model: BENCH_06.json@TIER
+  ST           cost   1.0x  predicted spread     7.105e-3  exceeds budget
+  CP           cost   2.1x  predicted spread    5.049e-17  <- CHOSEN (cheapest that fits)
+  K            cost   3.9x  predicted spread     2.220e-4  exceeds budget
+  DS           cost  30.6x  predicted spread      0.000e0  fits (but costlier)
+chosen: CP
+";
+        let at_tier = format!("@{}", repro_fp::simd::active_tier());
+        let values = repro_gen::grid_cell(4096, 1e12, 16, 2015, 1e16);
+        let tolerance = Tolerance::RelativeSpread(1e-14);
+        let (trace, sink) = repro_obs::Trace::to_memory();
+        let mut scope = trace.scope("select");
+        let out = AdaptiveReducer::heuristic(tolerance).reduce_traced(&values, &mut scope);
+        assert_eq!(
+            repro_obs::render_jsonl(&sink.drain()),
+            DECISION.replace("@TIER", &at_tier)
+        );
+        assert_eq!(
+            explain(&out.profile, tolerance).render(),
+            RENDER.replace("@TIER", &at_tier)
+        );
     }
 
     #[test]

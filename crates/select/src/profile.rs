@@ -93,21 +93,6 @@ impl DataProfile {
         }
     }
 
-    /// Incrementally fold one value into the profile — the streaming
-    /// counterpart of [`DataProfile::merge`]. Bitwise-equivalent to having
-    /// included `x` in the profiled slice: the registers are exact, so
-    /// `profile(xs)` equals any interleaving of [`DataProfile::add`] and
-    /// [`DataProfile::merge`] calls covering the same multiset of values,
-    /// bit for bit.
-    ///
-    /// Each call re-derives the public estimates, which rounds both
-    /// registers: a few hundred ns per value. Callers holding a slice
-    /// should use [`profile`], which derives once per slice.
-    pub fn add(&mut self, x: f64) {
-        self.push_slice(std::slice::from_ref(&x));
-        self.derive();
-    }
-
     /// Merge a sibling partial profile (for distributed profiling: each
     /// rank profiles its chunk, the profiles reduce, every rank selects
     /// from the same global profile).
@@ -432,25 +417,29 @@ mod tests {
             assert_eq!(a.max_exp, b.max_exp);
             assert_eq!(a, b);
         }
+        // Fold one value at a time: merge its one-value profile.
+        fn add(p: &mut DataProfile, x: f64) {
+            p.merge(&profile(std::slice::from_ref(&x)));
+        }
         let values = repro_gen::zero_sum_with_range(777, 24, 9);
         let batch = profile(&values);
         // Pure streaming.
         let mut inc = DataProfile::empty();
         for &x in &values {
-            inc.add(x);
+            add(&mut inc, x);
         }
         assert_bitwise_same(&inc, &batch);
-        // Interleaved add + merge, arbitrary split points.
+        // Interleaved per-value and slice merges, arbitrary split points.
         let mut mixed = profile(&values[..100]);
         for &x in &values[100..300] {
-            mixed.add(x);
+            add(&mut mixed, x);
         }
         mixed.merge(&profile(&values[300..]));
         assert_bitwise_same(&mixed, &batch);
         // And the streaming profile keeps merging like any other partial.
         let mut half = DataProfile::empty();
         for &x in &values[..400] {
-            half.add(x);
+            add(&mut half, x);
         }
         half.merge(&profile(&values[400..]));
         assert_bitwise_same(&half, &batch);

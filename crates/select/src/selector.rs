@@ -3,6 +3,7 @@
 
 use crate::calibrate::CalibrationTable;
 use crate::cost::CostModel;
+use crate::explain::{CandidateVerdict, Explanation};
 use crate::profile::DataProfile;
 use repro_fp::UNIT_ROUNDOFF;
 use repro_sum::Algorithm;
@@ -48,7 +49,8 @@ impl std::fmt::Display for Tolerance {
     }
 }
 
-/// Parses the [`Display`](std::fmt::Display) spelling back.
+/// Parses the [`Display`](std::fmt::Display) spelling back. A spread is
+/// zero, positive or infinite: NaN and negative spreads are refused.
 impl std::str::FromStr for Tolerance {
     type Err = String;
 
@@ -58,7 +60,10 @@ impl std::str::FromStr for Tolerance {
             return Ok(Tolerance::Bitwise);
         }
         let (kind, t) = s.split_once(':').ok_or_else(bad)?;
-        let t = t.parse().map_err(|_| bad())?;
+        let t: f64 = t.parse().map_err(|_| bad())?;
+        if t.is_nan() || t < 0.0 {
+            return Err(bad());
+        }
         match kind {
             "abs" => Ok(Tolerance::AbsoluteSpread(t)),
             "rel" => Ok(Tolerance::RelativeSpread(t)),
@@ -73,8 +78,9 @@ impl std::str::FromStr for Tolerance {
 pub const EXACT: Algorithm = Algorithm::Distill;
 
 /// The serving ladder: the paper's ST, K and CP, and [`EXACT`] as the
-/// reproducible rung. [`HeuristicSelector`] and [`crate::explain::explain`]
-/// walk it cheapest first under their cost model. PR stays in
+/// reproducible rung. [`HeuristicSelector`] walks it cheapest first under
+/// its cost model, for a choice and for its audit
+/// ([`crate::explain::explain`]) alike. PR stays in
 /// [`Algorithm::PAPER_SET`] for the figures and the oracle tests, but no
 /// selector serves it: the exact sum is more reproducible and, measured,
 /// cheaper on every data shape.
@@ -125,16 +131,57 @@ pub fn predicted_spread(alg: Algorithm, p: &DataProfile) -> f64 {
     }
 }
 
+impl HeuristicSelector {
+    /// The ladder walk: every rung of [`LADDER`], cheapest first under
+    /// [`HeuristicSelector::costs`], with its predicted spread and whether
+    /// it fits `tolerance`'s budget (under no budget, only a reproducible
+    /// rung fits). The ladder is ranked on the stack on each call, so the
+    /// walk allocates nothing. [`Selector::choose`] stops at the first rung
+    /// that fits; [`HeuristicSelector::explain`] records every rung.
+    fn walk<'a>(
+        &'a self,
+        profile: &'a DataProfile,
+        tolerance: Tolerance,
+    ) -> impl Iterator<Item = CandidateVerdict> + 'a {
+        let budget = tolerance.budget(profile.sum_estimate);
+        self.costs
+            .by_cost(LADDER)
+            .into_iter()
+            .map(move |algorithm| {
+                let spread = predicted_spread(algorithm, profile);
+                CandidateVerdict {
+                    algorithm,
+                    predicted_spread: spread,
+                    relative_cost: self.costs.cost(algorithm),
+                    fits: match budget {
+                        Some(b) => spread <= b,
+                        None => algorithm.is_reproducible(),
+                    },
+                }
+            })
+    }
+
+    /// The choice with every rung of its walk recorded.
+    pub(crate) fn explain(&self, profile: &DataProfile, tolerance: Tolerance) -> Explanation {
+        let candidates: Vec<CandidateVerdict> = self.walk(profile, tolerance).collect();
+        Explanation {
+            tolerance,
+            budget: tolerance.budget(profile.sum_estimate),
+            chosen: first_fit(candidates.iter().copied()),
+            candidates,
+            cost_source: self.costs.source().to_string(),
+        }
+    }
+}
+
+/// The first rung that fits, or [`EXACT`] where none does.
+fn first_fit(mut rungs: impl Iterator<Item = CandidateVerdict>) -> Algorithm {
+    rungs.find(|c| c.fits).map_or(EXACT, |c| c.algorithm)
+}
+
 impl Selector for HeuristicSelector {
     fn choose(&self, profile: &DataProfile, tolerance: Tolerance) -> Algorithm {
-        let Some(budget) = tolerance.budget(profile.sum_estimate) else {
-            return EXACT;
-        };
-        self.costs
-            .by_cost(&LADDER)
-            .into_iter()
-            .find(|&alg| predicted_spread(alg, profile) <= budget)
-            .unwrap_or(EXACT)
+        first_fit(self.walk(profile, tolerance))
     }
 }
 
@@ -172,17 +219,15 @@ impl Selector for CalibratedSelector {
             return EXACT;
         };
         let cell = self.table.nearest(profile.k, profile.dr_decades());
-        let mut candidates: Vec<(Algorithm, f64)> = cell
-            .spread
+        // The cheapest entry that fits; among equal prices, the first in
+        // table order.
+        cell.spread
             .iter()
-            .copied()
-            .filter(|(alg, _)| !alg.is_reproducible())
-            .collect();
-        candidates.sort_by(|a, b| self.costs.cost(a.0).total_cmp(&self.costs.cost(b.0)));
-        candidates
-            .into_iter()
-            .find(|&(_, measured)| self.rescale(measured, profile.n) <= budget)
-            .map_or(EXACT, |(alg, _)| alg)
+            .filter(|&&(alg, measured)| {
+                !alg.is_reproducible() && self.rescale(measured, profile.n) <= budget
+            })
+            .min_by(|a, b| self.costs.cost(a.0).total_cmp(&self.costs.cost(b.0)))
+            .map_or(EXACT, |&(alg, _)| alg)
     }
 }
 
@@ -205,7 +250,7 @@ mod tests {
     #[test]
     fn the_ladder_is_cost_ordered_and_ends_at_the_exact_rung() {
         let costs = CostModel::default();
-        let walk = costs.by_cost(&LADDER);
+        let walk = costs.by_cost(LADDER);
         assert_eq!(walk.len(), LADDER.len());
         assert!(LADDER.iter().all(|alg| walk.contains(alg)));
         assert!(walk
@@ -248,11 +293,16 @@ mod tests {
             (Tolerance::AbsoluteSpread(1e-3), "abs:0.001"),
             (Tolerance::RelativeSpread(1e-8), "rel:0.00000001"),
             (Tolerance::AbsoluteSpread(f64::INFINITY), "abs:inf"),
+            (Tolerance::AbsoluteSpread(0.0), "abs:0"),
         ] {
             assert_eq!(tol.to_string(), text);
             assert_eq!(text.parse::<Tolerance>(), Ok(tol));
         }
-        for bad in ["", "Bitwise", "bitwise ", "abs:", "rel:x", "abs 1", "tol:1"] {
+        // A spread is not NaN and not negative.
+        for bad in [
+            "", "Bitwise", "bitwise ", "abs:", "rel:x", "abs 1", "tol:1", "abs:NaN", "rel:NaN",
+            "abs:-1", "abs:-inf",
+        ] {
             assert!(bad.parse::<Tolerance>().is_err(), "{bad:?}");
         }
     }

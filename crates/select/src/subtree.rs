@@ -16,17 +16,6 @@ use crate::{profile, DataProfile};
 use repro_fp::Superaccumulator;
 use repro_sum::{Accumulator, Algorithm};
 
-/// How the global tolerance is divided among subtrees.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BudgetSplit {
-    /// Each of `c` chunks gets `t / c`: chunk spreads add linearly in the
-    /// worst case, so the global bound is unconditional.
-    Linear,
-    /// Each chunk gets `t / √c`: chunk errors across independent reduction
-    /// orders add in quadrature; tighter budgets, probabilistic guarantee.
-    Quadrature,
-}
-
 /// Per-chunk record of what the adaptive reduction did.
 #[derive(Clone, Debug)]
 pub struct ChunkReport {
@@ -80,44 +69,34 @@ pub struct SubtreeAdaptive<S: Selector> {
     selector: S,
     tolerance: Tolerance,
     chunk_size: usize,
-    budget_split: BudgetSplit,
 }
 
 impl<S: Selector> SubtreeAdaptive<S> {
     /// New adaptive reducer: subtrees of `chunk_size` values, global
-    /// `tolerance`, conservative linear budget split.
+    /// `tolerance`, split linearly among the subtrees.
     pub fn new(selector: S, tolerance: Tolerance, chunk_size: usize) -> Self {
         assert!(chunk_size >= 1);
         Self {
             selector,
             tolerance,
             chunk_size,
-            budget_split: BudgetSplit::Linear,
         }
     }
 
-    /// Use a different budget-splitting rule.
-    pub fn with_budget_split(mut self, split: BudgetSplit) -> Self {
-        self.budget_split = split;
-        self
-    }
-
-    /// The tolerance each individual chunk must meet.
+    /// The tolerance each individual chunk must meet: each of `c` chunks
+    /// gets `t / c`. Chunk spreads add linearly in the worst case, so the
+    /// global bound is unconditional.
     fn chunk_tolerance(&self, num_chunks: usize) -> Tolerance {
         let c = num_chunks.max(1) as f64;
-        let divide = |t: f64| match self.budget_split {
-            BudgetSplit::Linear => t / c,
-            BudgetSplit::Quadrature => t / c.sqrt(),
-        };
         match self.tolerance {
             Tolerance::Bitwise => Tolerance::Bitwise,
-            Tolerance::AbsoluteSpread(t) => Tolerance::AbsoluteSpread(divide(t)),
+            Tolerance::AbsoluteSpread(t) => Tolerance::AbsoluteSpread(t / c),
             // Relative tolerances cannot be divided safely per chunk (the
             // chunk sums' magnitudes are unknown a priori); translate to the
-            // chunk's own relative budget unchanged — the exact top-level
-            // combine keeps the composition sound for the common case where
-            // chunk magnitudes are comparable to the total.
-            Tolerance::RelativeSpread(r) => Tolerance::RelativeSpread(divide(r)),
+            // chunk's own relative budget, split the same way — the exact
+            // top-level combine keeps the composition sound for the common
+            // case where chunk magnitudes are comparable to the total.
+            Tolerance::RelativeSpread(r) => Tolerance::RelativeSpread(r / c),
         }
     }
 
@@ -244,15 +223,7 @@ mod tests {
             Tolerance::AbsoluteSpread(1.0),
             10,
         );
-        match r.chunk_tolerance(4) {
-            Tolerance::AbsoluteSpread(t) => assert_eq!(t, 0.25),
-            _ => panic!(),
-        }
-        let r = r.with_budget_split(BudgetSplit::Quadrature);
-        match r.chunk_tolerance(4) {
-            Tolerance::AbsoluteSpread(t) => assert_eq!(t, 0.5),
-            _ => panic!(),
-        }
+        assert_eq!(r.chunk_tolerance(4), Tolerance::AbsoluteSpread(0.25));
     }
 
     #[test]

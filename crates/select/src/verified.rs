@@ -46,37 +46,26 @@ pub struct VerifiedOutcome {
 #[derive(Clone, Debug)]
 pub struct VerifiedReducer {
     tolerance: Tolerance,
-    /// Escalation ladder, cheapest first.
-    ladder: Vec<Algorithm>,
     seed: u64,
 }
 
 impl VerifiedReducer {
-    /// New verified reducer over the paper's algorithm ladder.
+    /// New verified reducer over the paper's algorithm ladder,
+    /// [`Algorithm::PAPER_SET`], cheapest first.
     pub fn new(tolerance: Tolerance, seed: u64) -> Self {
-        Self {
-            tolerance,
-            ladder: Algorithm::PAPER_SET.to_vec(),
-            seed,
-        }
-    }
-
-    /// Use a custom escalation ladder (cheapest first; the last entry
-    /// should be reproducible or verification may fail outright).
-    pub fn with_ladder(mut self, ladder: Vec<Algorithm>) -> Self {
-        assert!(!ladder.is_empty());
-        self.ladder = ladder;
-        self
+        Self { tolerance, seed }
     }
 
     /// Reduce with verification. Returns `None` only if even the last
-    /// ladder entry disagrees with itself beyond the tolerance (impossible
-    /// for a reproducible final rung under [`Tolerance::Bitwise`]).
+    /// ladder entry, PR, disagrees with itself beyond the tolerance. PR's
+    /// two runs agree bitwise, so that takes a spread budget and a result
+    /// that is not finite (a NaN or an infinity in the input), whose
+    /// difference is NaN.
     pub fn reduce(&self, values: &[f64]) -> Option<VerifiedOutcome> {
         let mut rng = DetRng::seed_from_u64(self.seed);
         let mut shuffled = values.to_vec();
         let mut disagreements = Vec::new();
-        for &alg in &self.ladder {
+        for alg in Algorithm::PAPER_SET {
             // Run 1: given order. Run 2: independent random order.
             let first = run(alg, values);
             rng.shuffle(&mut shuffled);
@@ -153,12 +142,13 @@ mod tests {
     }
 
     #[test]
-    fn ladder_without_reproducible_rung_can_fail() {
-        let values = repro_gen::zero_sum_with_range(20_000, 32, 5);
-        let r = VerifiedReducer::new(Tolerance::Bitwise, 4).with_ladder(vec![Algorithm::Standard]);
+    fn nan_input_fails_every_rung() {
+        let mut values = repro_gen::zero_sum_with_range(2_000, 16, 5);
+        values[700] = f64::NAN;
+        let r = VerifiedReducer::new(Tolerance::AbsoluteSpread(1.0), 4);
         assert!(
             r.reduce(&values).is_none(),
-            "ST cannot self-agree bitwise here"
+            "a NaN disagreement fits no budget"
         );
     }
 

@@ -14,8 +14,8 @@
 //!    streaming re-selection sees the same profile no matter how the
 //!    chunk partials were grouped.
 //! 4. Sampling is the per-value profile, bit for bit: `collect` equals a
-//!    reference that folds the same strided ordinals into its halves with
-//!    [`DataProfile::add`], special values included.
+//!    reference that folds the same strided ordinals into its halves one
+//!    value at a time ([`add`]), special values included.
 
 use proptest::prelude::*;
 use repro_select::sample::{choose_sampled, SampleConfig, SampledProfile};
@@ -24,6 +24,12 @@ use repro_select::{
     profile, AdaptiveReducer, CostModel, DataProfile, DecisionCache, HeuristicSelector, Selector,
     Tolerance,
 };
+
+/// Fold one value into a profile: merge its one-value profile, which
+/// re-derives the estimates after every value.
+fn add(p: &mut DataProfile, x: f64) {
+    p.merge(&profile(std::slice::from_ref(&x)));
+}
 
 /// Workloads large enough that the sampler actually strides (the default
 /// target is 2048), drawn from families with real shape variety.
@@ -150,14 +156,14 @@ proptest! {
     }
 
     /// Promise 3, incremental flavor: a partial built by streaming
-    /// [`DataProfile::add`] merges identically to one built by batch
-    /// [`profile`] — the add/merge/batch paths are interchangeable.
+    /// [`add`] merges identically to one built by batch [`profile`] — the
+    /// per-value and batch paths are interchangeable.
     #[test]
     fn streamed_and_batch_partials_merge_identically(values in large_workload(), cut_frac in 0.1f64..0.9) {
         let cut = (cut_frac * values.len() as f64) as usize;
         let mut streamed = DataProfile::empty();
         for &x in &values[..cut] {
-            streamed.add(x);
+            add(&mut streamed, x);
         }
         streamed.merge(&profile(&values[cut..]));
         let mut batched = profile(&values[..cut]);
@@ -198,7 +204,7 @@ fn misprediction_eviction_forces_reselection() {
 
 /// Promise 4: `SampledProfile::collect`, which derives each half's
 /// estimates once, equals the reference that folds the same strided
-/// ordinals (even to half A, odd to half B) with `DataProfile::add` and so
+/// ordinals (even to half A, odd to half B) with [`add`] and so
 /// re-derives after every value. Every field counts, the halves' binned
 /// accumulator state included.
 #[test]
@@ -217,9 +223,9 @@ fn collect_equals_the_per_value_add_reference() {
         let mut ordinal = 0usize;
         while idx < n {
             if ordinal % 2 == 0 {
-                half_a.add(values[idx]);
+                add(&mut half_a, values[idx]);
             } else {
-                half_b.add(values[idx]);
+                add(&mut half_b, values[idx]);
             }
             ordinal += 1;
             idx += stride;
