@@ -496,12 +496,13 @@ pub mod throughput {
         // *is* the per-event cost: a disabled scope (the price of leaving
         // instrumentation in a hot path — `event_with` skips field
         // construction entirely, so this is a branch, not an allocation),
-        // the flight recorder's bounded ring (the always-on cost ceiling),
-        // and a full JSONL render into a discarded writer (what
-        // `--trace`-style streaming would pay).
+        // `FlightRecorder::record_with` on a private recorder with the
+        // global one's capacity (the path every always-on event takes, on
+        // a full ring), and what a traced CLI run pays: record into
+        // memory, then `render_jsonl`.
         {
-            use repro_core::obs::{f, JsonlSink, RingSink, Trace};
-            use std::sync::Arc;
+            use repro_core::obs::flight::DEFAULT_RING_CAPACITY;
+            use repro_core::obs::{f, render_jsonl, FlightRecorder, Trace};
             out.push(measure("obs/noop", &values, seed, &rev, reps, |v| {
                 let trace = Trace::disabled();
                 let mut scope = trace.scope("bench");
@@ -511,21 +512,19 @@ pub mod throughput {
                 v.len() as f64
             }));
             out.push(measure("obs/ring", &values, seed, &rev, reps, |v| {
-                let ring = Arc::new(RingSink::new(1024));
-                let trace = Trace::to_sink(ring);
-                let mut scope = trace.scope("bench");
+                let recorder = FlightRecorder::new(DEFAULT_RING_CAPACITY);
                 for (i, &x) in v.iter().enumerate() {
-                    scope.event("e", vec![f("i", i as u64), f("x", x)]);
+                    recorder.record_with("bench", "e", || vec![f("i", i as u64), f("x", x)]);
                 }
                 v.len() as f64
             }));
             out.push(measure("obs/jsonl", &values, seed, &rev, reps, |v| {
-                let trace = Trace::to_sink(Arc::new(JsonlSink::new(std::io::sink())));
+                let (trace, sink) = Trace::to_memory();
                 let mut scope = trace.scope("bench");
                 for (i, &x) in v.iter().enumerate() {
                     scope.event("e", vec![f("i", i as u64), f("x", x)]);
                 }
-                v.len() as f64
+                render_jsonl(&sink.drain()).len() as f64
             }));
         }
         // The aggregation engine's serving-path costs, amortized per

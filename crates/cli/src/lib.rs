@@ -665,9 +665,7 @@ fn run_values(
         "verify" => {
             let values = need_values(o)?;
             let reducer = VerifiedReducer::new(o.tolerance.unwrap_or(Tolerance::Bitwise), o.seed);
-            let out = reducer
-                .reduce(values)
-                .ok_or_else(|| err("no algorithm on the ladder satisfied the tolerance"))?;
+            let out = reducer.reduce(values);
             let ladder = out
                 .disagreements
                 .iter()
@@ -1337,7 +1335,7 @@ fn run_simd(rest: &[String]) -> Result<String, CliError> {
 /// at the current `REPRO_SCALE` and write the fixed-schema `BENCH_*.json`
 /// document — the repo's perf trajectory, one comparable point per PR.
 /// `--out -` prints the JSON (plus `#` summary lines) instead of writing;
-/// the default target is `BENCH_22.json` in the working directory.
+/// the default target is `BENCH_24.json` in the working directory.
 fn run_bench(o: &Opts) -> Result<String, CliError> {
     use repro_bench::throughput;
     let entries = throughput::run_suite();
@@ -1353,7 +1351,7 @@ fn run_bench(o: &Opts) -> Result<String, CliError> {
         entries.first().map(|e| e.seed).unwrap_or(0),
         entries.first().map(|e| e.git_rev.as_str()).unwrap_or("?"),
     );
-    let out = o.out.as_deref().unwrap_or("BENCH_22.json");
+    let out = o.out.as_deref().unwrap_or("BENCH_24.json");
     if out == "-" {
         Ok(format!("{json}{summary}"))
     } else {
@@ -2925,6 +2923,18 @@ mod tests {
         for t in ["inf", "0"] {
             let out = run_cmd(&["select", "--tolerance", t, "1", "2"]).unwrap();
             assert!(out.contains("# selected:"), "--tolerance {t}: {out}");
+        }
+        // Two runs with the same bits agree under every budget, also where
+        // both are infinite: exit 0 on the first rung.
+        for args in [
+            &["verify", "--tolerance", "1", "inf", "1"][..],
+            &["verify", "--tolerance", "1", "1e308", "1e308", "-1e308"],
+        ] {
+            let out = run_cmd(args).unwrap();
+            assert!(
+                out.lines().any(|l| l == "# ST: disagreement 0"),
+                "{args:?}: {out}"
+            );
         }
         // The bounds themselves are in the domain, and so is every k that
         // is not NaN.

@@ -1281,6 +1281,72 @@ mod tests {
                 "{topo:?}"
             );
         }
+        // ST carries no reproducibility of its own, so only an identical
+        // merge association gives identical bits: the healed tree of a
+        // fault-free run must be the plain tree, at every root.
+        let values = repro_gen::zero_sum_with_range(3000, 24, 5);
+        for topo in [ReduceTopology::Binomial, ReduceTopology::Chain] {
+            let cfg = ReduceConfig {
+                topology: topo,
+                ..Default::default()
+            };
+            for size in 1..=11 {
+                for root in [0, size / 2, size - 1] {
+                    let plain = World::run(size, |c| {
+                        let mine = chunks(&values, c.size(), c.rank());
+                        reduce_sum(c, mine, Algorithm::Standard, root, &cfg)
+                    });
+                    let report = World::run_report(size, &crate::fault::FaultPlan::new(0), |c| {
+                        let mine = chunks(&values, c.size(), c.rank());
+                        ft_reduce_sum(c, mine, Algorithm::Standard, root, &cfg)
+                    })
+                    .unwrap();
+                    let ft = report.results[root].as_ref().unwrap().value.unwrap();
+                    assert_eq!(
+                        ft.to_bits(),
+                        plain[root].unwrap().to_bits(),
+                        "{topo:?} size {size} root {root}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The binomial reduce is the workspace's one merge schedule laid over
+    /// ranks: rank partials fold exactly as `merge_in_lane_order` folds
+    /// lanes. ST shows any other association (at 7 ranks its binomial and
+    /// chain results differ on this data).
+    #[test]
+    fn binomial_reduce_follows_the_lane_merge_order() {
+        let values = repro_gen::zero_sum_with_range(3000, 24, 5);
+        let reduce = |size: usize, topology: ReduceTopology| {
+            let cfg = ReduceConfig {
+                topology,
+                ..Default::default()
+            };
+            World::run(size, |c| {
+                let mine = chunks(&values, c.size(), c.rank());
+                reduce_sum(c, mine, Algorithm::Standard, 0, &cfg)
+            })[0]
+                .unwrap()
+        };
+        for size in 1..=11 {
+            let partials = (0..size)
+                .map(|r| local_accumulate(chunks(&values, size, r), Algorithm::Standard))
+                .collect();
+            let lanes = repro_sum::lanes::merge_in_lane_order(partials)
+                .unwrap()
+                .finalize();
+            assert_eq!(
+                reduce(size, ReduceTopology::Binomial).to_bits(),
+                lanes.to_bits(),
+                "size {size}"
+            );
+        }
+        assert_ne!(
+            reduce(7, ReduceTopology::Binomial).to_bits(),
+            reduce(7, ReduceTopology::Chain).to_bits()
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use crate::event::{f, Event, Value};
 use crate::metrics::Registry;
-use crate::sink::Sink;
+use crate::sink::render_jsonl;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -71,13 +71,10 @@ pub struct RingSnapshot {
     pub recorded: u64,
 }
 
-/// A bounded per-subsystem ring-buffer [`Sink`]: fixed capacity per
-/// subsystem, overwrite-oldest on overflow, per-subsystem drop counters.
-///
-/// Also usable as a plain trace sink (the `obs/ring` bench entry measures
-/// exactly that), but its main consumer is the [`FlightRecorder`], which
-/// assigns logical timestamps itself so independent subsystems can record
-/// without sharing a [`crate::Scope`].
+/// The [`FlightRecorder`]'s bounded per-subsystem ring buffer: fixed
+/// capacity per subsystem, overwrite-oldest on overflow, per-subsystem
+/// drop counters. It assigns logical timestamps itself, so independent
+/// subsystems can record without sharing a [`crate::Scope`].
 pub struct RingSink {
     capacity: usize,
     rings: Mutex<BTreeMap<String, Ring>>,
@@ -124,32 +121,13 @@ impl RingSink {
         }
     }
 
-    fn account(&self, event: &Event) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        self.bytes
-            .fetch_add(estimate_event_bytes(event), Ordering::Relaxed);
-    }
-
-    fn push_event(&self, event: Event) {
-        self.account(&event);
-        self.with_rings(|rings| {
-            let ring = rings.entry(event.sub.clone()).or_insert_with(Ring::new);
-            if ring.events.len() == self.capacity {
-                ring.events.pop_front();
-                ring.dropped += 1;
-            }
-            ring.recorded += 1;
-            ring.events.push_back(event);
-        });
-    }
-
     /// Record an event, assigning the subsystem's next logical timestamp
     /// (events ever recorded for that subsystem). The first retained event
     /// after eviction therefore has `seq == dropped`, which is exactly the
     /// contract [`crate::validate_trace`] checks against the declared drop
-    /// counter.
+    /// counter. The event is accounted, then moved into its ring.
     pub fn push_assigning(&self, sub: &str, kind: &str, fields: Vec<(String, Value)>) {
-        let event = self.with_rings(|rings| {
+        self.with_rings(|rings| {
             let ring = rings.entry(sub.to_string()).or_insert_with(Ring::new);
             let event = Event {
                 sub: sub.to_string(),
@@ -158,15 +136,16 @@ impl RingSink {
                 wall_us: None,
                 fields,
             };
+            self.events.fetch_add(1, Ordering::Relaxed);
+            self.bytes
+                .fetch_add(estimate_event_bytes(&event), Ordering::Relaxed);
             if ring.events.len() == self.capacity {
                 ring.events.pop_front();
                 ring.dropped += 1;
             }
             ring.recorded += 1;
-            ring.events.push_back(event.clone());
-            event
+            ring.events.push_back(event);
         });
-        self.account(&event);
     }
 
     /// Copy out every ring, sorted by subsystem name.
@@ -182,12 +161,6 @@ impl RingSink {
                 })
                 .collect()
         })
-    }
-}
-
-impl Sink for RingSink {
-    fn record(&self, event: Event) {
-        self.push_event(event);
     }
 }
 
@@ -211,8 +184,8 @@ fn estimate_event_bytes(event: &Event) -> u64 {
 /// needed to turn its contents into an actionable post-mortem (the current
 /// run's manifest, a dump directory, an enabled flag).
 ///
-/// Subsystems record through [`record`] (the free function, which hits the
-/// process-global instance); the CLI parks the active run's manifest with
+/// Subsystems record through [`record_with`] (the free function, which hits
+/// the process-global instance); the CLI parks the active run's manifest with
 /// [`FlightRecorder::set_manifest_json`] so a crash dump carries enough
 /// context for `repro-reduce replay`.
 pub struct FlightRecorder {
@@ -241,8 +214,9 @@ impl FlightRecorder {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Enable or disable recording. Disabled, [`FlightRecorder::record`]
-    /// and [`FlightRecorder::dump`] are no-ops.
+    /// Enable or disable recording. Disabled,
+    /// [`FlightRecorder::record_with`] and [`FlightRecorder::dump`] are
+    /// no-ops.
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
@@ -288,19 +262,9 @@ impl FlightRecorder {
     }
 
     /// Record one event under `sub`, assigning the subsystem's next
-    /// logical timestamp. One atomic load and an early return when
-    /// disabled.
-    pub fn record(&self, sub: &str, kind: &str, fields: Vec<(String, Value)>) {
-        if !self.enabled() {
-            return;
-        }
-        self.ring.push_assigning(sub, kind, fields);
-    }
-
-    /// Record one event with lazily built fields: when recording is
+    /// logical timestamp. The fields are built lazily: when recording is
     /// disabled the closure never runs, so hot paths pay one atomic load
-    /// and a branch — no `Vec`, no key `String`s. Prefer this over
-    /// [`FlightRecorder::record`] anywhere the call sits inside a loop.
+    /// and a branch — no `Vec`, no key `String`s.
     #[inline]
     pub fn record_with(
         &self,
@@ -389,16 +353,9 @@ impl FlightRecorder {
             push_head(&mut head, "metric", vec![f("line", line)]);
         }
 
-        let mut out = String::new();
-        for event in &head {
-            out.push_str(&event.to_json());
-            out.push('\n');
-        }
+        let mut out = render_jsonl(&head);
         for snap in &snaps {
-            for event in &snap.events {
-                out.push_str(&event.to_json());
-                out.push('\n');
-            }
+            out.push_str(&render_jsonl(&snap.events));
         }
         out
     }
@@ -449,17 +406,11 @@ pub fn global() -> &'static FlightRecorder {
     })
 }
 
-/// Record one event on the process-global recorder. This is the call the
-/// instrumented subsystems use; when the recorder is disabled it costs one
-/// atomic load (plus the caller's field construction).
-pub fn record(sub: &str, kind: &str, fields: Vec<(String, Value)>) {
-    global().record(sub, kind, fields);
-}
-
 /// Record one event on the process-global recorder with lazily built
-/// fields. Disabled cost is one atomic load and a branch — field
-/// construction is skipped entirely, which is what keeps always-on
-/// instrumentation affordable on per-batch ingest paths.
+/// fields: the call the instrumented subsystems use. Disabled cost is one
+/// atomic load and a branch — field construction is skipped entirely,
+/// which is what keeps always-on instrumentation affordable on per-batch
+/// ingest paths.
 #[inline]
 pub fn record_with(sub: &str, kind: &str, fields: impl FnOnce() -> Vec<(String, Value)>) {
     global().record_with(sub, kind, fields);
@@ -491,11 +442,9 @@ pub fn install_panic_hook() {
                 .map(|l| format!("{}:{}", l.file(), l.line()))
                 .unwrap_or_else(|| "unknown".to_string());
             let recorder = global();
-            recorder.record(
-                "process",
-                "panic",
-                vec![f("msg", msg), f("location", location)],
-            );
+            recorder.record_with("process", "panic", || {
+                vec![f("msg", msg), f("location", location)]
+            });
             recorder.incident("panic");
             previous(info);
         }));
@@ -506,8 +455,6 @@ pub fn install_panic_hook() {
 mod tests {
     use super::*;
     use crate::json::validate_trace;
-    use crate::trace::Trace;
-    use std::sync::Arc;
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
@@ -540,23 +487,10 @@ mod tests {
     }
 
     #[test]
-    fn ring_works_as_a_plain_trace_sink() {
-        let ring = Arc::new(RingSink::new(4));
-        let trace = Trace::to_sink(ring.clone());
-        let mut scope = trace.scope("runtime");
-        for i in 0..6u64 {
-            scope.event("chunk", vec![f("i", i)]);
-        }
-        let snap = &ring.snapshot()[0];
-        assert_eq!(snap.dropped, 2);
-        assert_eq!(snap.events.first().unwrap().seq, 2);
-    }
-
-    #[test]
     fn postmortem_validates_including_evicted_rings() {
         let rec = FlightRecorder::new(2);
         for i in 0..5u64 {
-            rec.record("runtime", "reduce", vec![f("i", i)]);
+            rec.record_with("runtime", "reduce", || vec![f("i", i)]);
         }
         rec.record_with("select", "decision", || vec![f("alg", "PR")]);
         rec.set_manifest_json(Some("{\"schema\":\"repro-manifest-v1\"}".to_string()));
@@ -569,13 +503,32 @@ mod tests {
         assert!(text.contains(POSTMORTEM_SCHEMA), "{text}");
         assert!(text.contains("\"kind\":\"manifest\""), "{text}");
         assert!(text.contains("obs.overhead.events"), "{text}");
+        // The bytes themselves: header, manifest, one `drops` record per
+        // ring, the self-accounting metrics, then each ring's retained
+        // events under their original (post-eviction) timestamps.
+        assert_eq!(text, PINNED_POSTMORTEM, "{text}");
     }
+
+    const PINNED_POSTMORTEM: &str = r#"{"sub":"flight","seq":0,"kind":"postmortem","schema":"repro-postmortem-v1","reason":"test","retained":3,"subsystems":2,"capacity":2}
+{"sub":"flight","seq":1,"kind":"manifest","manifest":"{\"schema\":\"repro-manifest-v1\"}"}
+{"sub":"flight","seq":2,"kind":"drops","target":"runtime","dropped":3,"recorded":5}
+{"sub":"flight","seq":3,"kind":"drops","target":"select","dropped":0,"recorded":1}
+{"sub":"flight","seq":4,"kind":"metric","line":"gauge obs.overhead.bytes 347"}
+{"sub":"flight","seq":5,"kind":"metric","line":"gauge obs.overhead.dropped.runtime 3"}
+{"sub":"flight","seq":6,"kind":"metric","line":"gauge obs.overhead.dropped.select 0"}
+{"sub":"flight","seq":7,"kind":"metric","line":"gauge obs.overhead.dumps 0"}
+{"sub":"flight","seq":8,"kind":"metric","line":"gauge obs.overhead.events 6"}
+{"sub":"flight","seq":9,"kind":"metric","line":"gauge obs.overhead.events.runtime 5"}
+{"sub":"flight","seq":10,"kind":"metric","line":"gauge obs.overhead.events.select 1"}
+{"sub":"runtime","seq":3,"kind":"reduce","i":3}
+{"sub":"runtime","seq":4,"kind":"reduce","i":4}
+{"sub":"select","seq":0,"kind":"decision","alg":"PR"}
+"#;
 
     #[test]
     fn disabled_recorder_records_and_dumps_nothing() {
         let rec = FlightRecorder::new(4);
         rec.set_enabled(false);
-        rec.record("runtime", "reduce", vec![]);
         rec.record_with("runtime", "reduce", || {
             panic!("fields must not be built when disabled")
         });
@@ -588,7 +541,7 @@ mod tests {
     #[test]
     fn dump_without_directory_is_a_noop() {
         let rec = FlightRecorder::new(4);
-        rec.record("runtime", "reduce", vec![]);
+        rec.record_with("runtime", "reduce", Vec::new);
         assert!(rec.dump("test").is_none());
     }
 
@@ -597,9 +550,9 @@ mod tests {
         let build = || {
             let rec = FlightRecorder::new(3);
             for i in 0..7u64 {
-                rec.record("a", "e", vec![f("i", i)]);
+                rec.record_with("a", "e", || vec![f("i", i)]);
             }
-            rec.record("b", "e", vec![]);
+            rec.record_with("b", "e", Vec::new);
             rec.render_postmortem("r")
         };
         assert_eq!(build(), build());

@@ -17,10 +17,9 @@
 //!   each thread (pool worker, simulated rank) its own scope and
 //!   concatenating buffers in a deterministic order afterwards, never by
 //!   interleaving live.
-//! * **Sinks** ([`Sink`]) decouple recording from output: [`MemorySink`]
-//!   for tests and deterministic post-processing, [`JsonlSink`] for
-//!   streaming JSON Lines, [`NoopSink`] so a disabled trace costs one
-//!   branch per call site.
+//! * **Buffering**: an enabled trace records into one [`MemorySink`], and
+//!   output is rendered from it afterwards with [`render_jsonl`]; a
+//!   disabled trace holds no buffer, so it costs one branch per call site.
 //! * **Metrics** ([`Registry`]) are counters, gauges, and fixed-bucket
 //!   histograms kept in ordered maps, so a snapshot renders identically on
 //!   every platform.
@@ -87,6 +86,6 @@ pub use manifest::{FaultSpec, RunManifest};
 pub use metrics::{
     HistogramSnapshot, MetricsSnapshot, Registry, TIME_BUCKET_EDGES_US, ULP_BUCKET_EDGES,
 };
-pub use sink::{render_jsonl, JsonlSink, MemorySink, NoopSink, Sink};
+pub use sink::{render_jsonl, MemorySink};
 pub use telemetry::TelemetryConfig;
 pub use trace::{Scope, Trace};

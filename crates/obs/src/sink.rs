@@ -1,29 +1,13 @@
-//! Where recorded events go: nowhere, memory, or a JSONL writer.
+//! Where a trace's events go: a memory buffer, rendered as JSON Lines once
+//! the run is over.
 
 use crate::event::Event;
-use std::io::Write;
 use std::sync::Mutex;
 
-/// A destination for recorded events. Implementations must be
-/// thread-safe: scopes on different threads may share one sink.
-pub trait Sink: Send + Sync {
-    /// Accept one event.
-    fn record(&self, event: Event);
-}
-
-/// Discards everything. The disabled-trace path: one virtual call that
-/// does nothing (and [`crate::Scope`] short-circuits before even building
-/// the event, so the field vectors are never allocated).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl Sink for NoopSink {
-    fn record(&self, _event: Event) {}
-}
-
-/// Buffers events in memory — the test sink, and the deterministic
-/// post-processing sink (buffer per thread, concatenate in a fixed order,
-/// then serialize).
+/// Buffers events in memory — the one place an enabled [`crate::Trace`]
+/// records to. Scopes on different threads may share it; deterministic
+/// output comes from buffering, concatenating in a fixed order, and only
+/// then serializing with [`render_jsonl`].
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<Event>>,
@@ -43,102 +27,12 @@ impl MemorySink {
         }
     }
 
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        match self.events.lock() {
-            Ok(guard) => guard.len(),
-            Err(poisoned) => poisoned.into_inner().len(),
-        }
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Sink for MemorySink {
-    fn record(&self, event: Event) {
+    /// Append one event.
+    pub fn record(&self, event: Event) {
         match self.events.lock() {
             Ok(mut guard) => guard.push(event),
             Err(poisoned) => poisoned.into_inner().push(event),
         }
-    }
-}
-
-/// Streams each event as one JSON line to a writer. Write errors cannot be
-/// surfaced through [`Sink::record`]; they are remembered and queryable
-/// via [`JsonlSink::had_error`] instead of panicking mid-trace.
-///
-/// The writer is flushed on drop (and on [`JsonlSink::flush`] /
-/// [`JsonlSink::into_inner`]), so a short-lived CLI process that exits
-/// right after tracing cannot lose buffered tail events.
-pub struct JsonlSink<W: Write + Send> {
-    // `Option` so `into_inner` can move the writer out while the drop-flush
-    // impl still runs on `self` afterwards (it sees `None` and does nothing).
-    inner: Mutex<(Option<W>, bool)>,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wrap a writer.
-    pub fn new(writer: W) -> Self {
-        Self {
-            inner: Mutex::new((Some(writer), false)),
-        }
-    }
-
-    fn with_inner<R>(&self, f: impl FnOnce(&mut (Option<W>, bool)) -> R) -> R {
-        match self.inner.lock() {
-            Ok(mut guard) => f(&mut guard),
-            Err(poisoned) => f(&mut poisoned.into_inner()),
-        }
-    }
-
-    /// Whether any write or flush failed since construction.
-    pub fn had_error(&self) -> bool {
-        self.with_inner(|(_, failed)| *failed)
-    }
-
-    /// Flush the underlying writer now. Failures are remembered in
-    /// [`JsonlSink::had_error`], same as write failures.
-    pub fn flush(&self) {
-        self.with_inner(|(writer, failed)| {
-            if let Some(w) = writer.as_mut() {
-                if w.flush().is_err() {
-                    *failed = true;
-                }
-            }
-        });
-    }
-
-    /// Flush and return the writer.
-    pub fn into_inner(self) -> W {
-        let mut w = self
-            .with_inner(|(writer, _)| writer.take())
-            .expect("writer is present until into_inner");
-        let _ = w.flush();
-        w
-    }
-}
-
-impl<W: Write + Send> Drop for JsonlSink<W> {
-    fn drop(&mut self) {
-        // Best-effort: nothing left to report the error to during drop,
-        // but buffered tail events must reach the file/pipe.
-        self.flush();
-    }
-}
-
-impl<W: Write + Send> Sink for JsonlSink<W> {
-    fn record(&self, event: Event) {
-        let line = event.to_json();
-        self.with_inner(|(writer, failed)| {
-            if let Some(w) = writer.as_mut() {
-                if writeln!(w, "{line}").is_err() {
-                    *failed = true;
-                }
-            }
-        });
     }
 }
 
@@ -173,86 +67,8 @@ mod tests {
         let sink = MemorySink::new();
         sink.record(event(0));
         sink.record(event(1));
-        assert_eq!(sink.len(), 2);
         let events = sink.drain();
-        assert_eq!(events.len(), 2);
-        assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
-        let sink = JsonlSink::new(Vec::<u8>::new());
-        sink.record(event(0));
-        sink.record(event(1));
-        assert!(!sink.had_error());
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.ends_with('\n'));
-    }
-
-    /// A writer that holds everything in a private buffer until `flush`
-    /// moves it into the shared output — so the test can observe whether a
-    /// flush actually happened.
-    struct BufferedProbe {
-        pending: Vec<u8>,
-        flushed: std::sync::Arc<Mutex<Vec<u8>>>,
-    }
-
-    impl Write for BufferedProbe {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.pending.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            self.flushed
-                .lock()
-                .unwrap()
-                .extend_from_slice(&self.pending);
-            self.pending.clear();
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn jsonl_sink_flushes_on_drop() {
-        let flushed = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let sink = JsonlSink::new(BufferedProbe {
-            pending: Vec::new(),
-            flushed: flushed.clone(),
-        });
-        sink.record(event(0));
-        assert!(
-            flushed.lock().unwrap().is_empty(),
-            "probe must buffer until flushed"
-        );
-        drop(sink);
-        let text = String::from_utf8(flushed.lock().unwrap().clone()).unwrap();
-        assert_eq!(text.lines().count(), 1, "drop did not flush: {text:?}");
-    }
-
-    #[test]
-    fn jsonl_sink_explicit_flush_pushes_buffered_lines() {
-        let flushed = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let sink = JsonlSink::new(BufferedProbe {
-            pending: Vec::new(),
-            flushed: flushed.clone(),
-        });
-        sink.record(event(0));
-        sink.record(event(1));
-        sink.flush();
-        assert!(!sink.had_error());
-        let text = String::from_utf8(flushed.lock().unwrap().clone()).unwrap();
-        assert_eq!(text.lines().count(), 2);
-    }
-
-    #[test]
-    fn render_jsonl_matches_jsonl_sink_output() {
-        let events = vec![event(0), event(1)];
-        let sink = JsonlSink::new(Vec::<u8>::new());
-        for e in &events {
-            sink.record(e.clone());
-        }
-        let streamed = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(render_jsonl(&events), streamed);
+        assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), [0, 1]);
+        assert!(sink.drain().is_empty());
     }
 }

@@ -1,17 +1,15 @@
 //! Trace configuration and per-subsystem recording scopes.
 
 use crate::event::{Event, Value};
-use crate::sink::{MemorySink, NoopSink, Sink};
+use crate::sink::MemorySink;
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// A trace: shared configuration (enabled flag, wall-clock column) plus
-/// the sink every scope feeds. Cheap to clone conceptually — scopes hold
-/// their own `Arc` to the sink.
+/// A trace: the memory buffer every scope feeds (none when disabled) plus
+/// the wall-clock switch. Scopes hold their own `Arc` to the buffer.
 pub struct Trace {
-    sink: Arc<dyn Sink>,
+    sink: Option<Arc<MemorySink>>,
     wall_clock: bool,
-    enabled: bool,
 }
 
 impl Trace {
@@ -19,9 +17,8 @@ impl Trace {
     /// building them (near-zero overhead at every instrumentation point).
     pub fn disabled() -> Self {
         Trace {
-            sink: Arc::new(NoopSink),
+            sink: None,
             wall_clock: false,
-            enabled: false,
         }
     }
 
@@ -31,21 +28,11 @@ impl Trace {
         let sink = Arc::new(MemorySink::new());
         (
             Trace {
-                sink: sink.clone(),
+                sink: Some(sink.clone()),
                 wall_clock: false,
-                enabled: true,
             },
             sink,
         )
-    }
-
-    /// A trace feeding an existing sink.
-    pub fn to_sink(sink: Arc<dyn Sink>) -> Self {
-        Trace {
-            sink,
-            wall_clock: false,
-            enabled: true,
-        }
     }
 
     /// Toggle the optional wall-clock column. Off by default: wall time is
@@ -58,7 +45,7 @@ impl Trace {
 
     /// Whether scopes derived from this trace record anything.
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.sink.is_some()
     }
 
     /// Open a recording scope for one subsystem. The scope owns the
@@ -71,21 +58,19 @@ impl Trace {
             next_seq: 0,
             sink: self.sink.clone(),
             wall_clock: self.wall_clock,
-            enabled: self.enabled,
         }
     }
 }
 
 /// One subsystem's recording handle: a name, a monotone logical clock,
-/// and the trace's sink. Deliberately `&mut self` — a scope belongs to one
+/// and the trace's buffer. Deliberately `&mut self` — a scope belongs to one
 /// thread; cross-thread determinism comes from one-scope-per-thread plus
 /// deterministic concatenation, never from interleaving.
 pub struct Scope {
     sub: String,
     next_seq: u64,
-    sink: Arc<dyn Sink>,
+    sink: Option<Arc<MemorySink>>,
     wall_clock: bool,
-    enabled: bool,
 }
 
 impl Scope {
@@ -99,7 +84,7 @@ impl Scope {
     /// construction can branch on this; plain sites just call
     /// [`Scope::event`], which short-circuits anyway.
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.sink.is_some()
     }
 
     /// The subsystem name.
@@ -108,11 +93,12 @@ impl Scope {
     }
 
     /// Record one event: the next logical timestamp is assigned and the
-    /// event goes to the sink. No-op (fields dropped) when disabled.
+    /// event goes to the trace's buffer. No-op (fields dropped) when
+    /// disabled.
     pub fn event(&mut self, kind: &str, fields: Vec<(String, Value)>) {
-        if !self.enabled {
+        let Some(sink) = &self.sink else {
             return;
-        }
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
         let wall_us = if self.wall_clock {
@@ -125,7 +111,7 @@ impl Scope {
         } else {
             None
         };
-        self.sink.record(Event {
+        sink.record(Event {
             sub: self.sub.clone(),
             seq,
             kind: kind.to_string(),
@@ -141,7 +127,7 @@ impl Scope {
     /// `obs/noop` bench entry.
     #[inline]
     pub fn event_with(&mut self, kind: &str, fields: impl FnOnce() -> Vec<(String, Value)>) {
-        if !self.enabled {
+        if !self.enabled() {
             return;
         }
         self.event(kind, fields());
@@ -175,8 +161,8 @@ mod tests {
         let mut scope = Scope::disabled();
         assert!(!scope.enabled());
         scope.event("x", vec![f("n", 1u64)]);
-        // Nothing to observe: the sink is a NoopSink; the assertion is that
-        // this neither panics nor allocates a growing buffer anywhere.
+        // Nothing to observe: a disabled scope holds no buffer; the
+        // assertion is that this neither panics nor records anywhere.
     }
 
     #[test]

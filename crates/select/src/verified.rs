@@ -7,8 +7,10 @@
 //! tolerance, escalates to the next costlier operator and tries again —
 //! a runtime embodiment of the paper's reproducibility definition
 //! ("closeness of agreement among repeated simulation results under the
-//! same initial conditions"). PR terminates the ladder: its two runs agree
-//! bitwise by construction.
+//! same initial conditions"). Runs that share their bits agree under every
+//! budget, so PR terminates the ladder: its two runs agree bitwise by
+//! construction on finite input, and on non-finite input both return the
+//! canonical NaN or the same infinity.
 //!
 //! The price is honest too: every verification pass costs a second
 //! reduction, so this mode suits validation runs and selector calibration
@@ -26,7 +28,8 @@ pub struct VerifiedOutcome {
     /// The algorithm that passed verification.
     pub algorithm: Algorithm,
     /// Observed |disagreement| between the two runs of each tried
-    /// algorithm, in escalation order (last entry passed).
+    /// algorithm, in escalation order (last entry passed). Runs with the
+    /// same bits read 0, even where both are infinite or NaN.
     pub disagreements: Vec<(Algorithm, f64)>,
 }
 
@@ -37,9 +40,7 @@ pub struct VerifiedOutcome {
 /// use repro_select::{Tolerance, VerifiedReducer};
 ///
 /// let values: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-/// let outcome = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-9), 1)
-///     .reduce(&values)
-///     .unwrap();
+/// let outcome = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-9), 1).reduce(&values);
 /// assert_eq!(outcome.sum, 5050.0);
 /// assert_eq!(outcome.algorithm.abbrev(), "ST"); // benign data passes rung 1
 /// ```
@@ -56,12 +57,10 @@ impl VerifiedReducer {
         Self { tolerance, seed }
     }
 
-    /// Reduce with verification. Returns `None` only if even the last
-    /// ladder entry, PR, disagrees with itself beyond the tolerance. PR's
-    /// two runs agree bitwise, so that takes a spread budget and a result
-    /// that is not finite (a NaN or an infinity in the input), whose
-    /// difference is NaN.
-    pub fn reduce(&self, values: &[f64]) -> Option<VerifiedOutcome> {
+    /// Reduce with verification: the first ladder entry whose two runs
+    /// fit the tolerance wins. Two runs with the same bits fit every
+    /// tolerance, so the walk stops at PR at the latest.
+    pub fn reduce(&self, values: &[f64]) -> VerifiedOutcome {
         let mut rng = DetRng::seed_from_u64(self.seed);
         let mut shuffled = values.to_vec();
         let mut disagreements = Vec::new();
@@ -70,25 +69,31 @@ impl VerifiedReducer {
             let first = run(alg, values);
             rng.shuffle(&mut shuffled);
             let second = run(alg, &shuffled);
-            let disagreement = (first - second).abs();
-            disagreements.push((alg, disagreement));
-            let ok = match self.tolerance {
-                Tolerance::Bitwise => first.to_bits() == second.to_bits(),
-                Tolerance::AbsoluteSpread(t) => disagreement <= t,
-                Tolerance::RelativeSpread(r) => {
-                    let scale = first.abs().max(second.abs());
-                    scale == 0.0 || disagreement <= r * scale
-                }
+            let same_bits = first.to_bits() == second.to_bits();
+            let disagreement = if same_bits {
+                0.0
+            } else {
+                (first - second).abs()
             };
+            disagreements.push((alg, disagreement));
+            let ok = same_bits
+                || match self.tolerance {
+                    Tolerance::Bitwise => false,
+                    Tolerance::AbsoluteSpread(t) => disagreement <= t,
+                    Tolerance::RelativeSpread(r) => {
+                        let scale = first.abs().max(second.abs());
+                        scale == 0.0 || disagreement <= r * scale
+                    }
+                };
             if ok {
-                return Some(VerifiedOutcome {
+                return VerifiedOutcome {
                     sum: first,
                     algorithm: alg,
                     disagreements,
-                });
+                };
             }
         }
-        None
+        unreachable!("PR's two runs share their bits on every input")
     }
 }
 
@@ -106,7 +111,7 @@ mod tests {
     fn benign_data_passes_on_the_first_rung() {
         let values: Vec<f64> = (1..=1000).map(|i| i as f64).collect();
         let r = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-9), 1);
-        let out = r.reduce(&values).unwrap();
+        let out = r.reduce(&values);
         assert_eq!(out.algorithm, Algorithm::Standard);
         assert_eq!(out.sum, 500_500.0);
         assert_eq!(out.disagreements.len(), 1);
@@ -116,7 +121,7 @@ mod tests {
     fn hostile_data_escalates_past_standard() {
         let values = repro_gen::zero_sum_with_range(20_000, 32, 3);
         let r = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-10), 2);
-        let out = r.reduce(&values).unwrap();
+        let out = r.reduce(&values);
         assert!(
             out.algorithm.cost_rank() > Algorithm::Standard.cost_rank(),
             "chose {}",
@@ -133,7 +138,7 @@ mod tests {
     fn bitwise_tolerance_reaches_pr() {
         let values = repro_gen::zero_sum_with_range(5_000, 32, 7);
         let r = VerifiedReducer::new(Tolerance::Bitwise, 9);
-        let out = r.reduce(&values).unwrap();
+        let out = r.reduce(&values);
         assert!(out.algorithm.is_reproducible() || out.disagreements.last().unwrap().1 == 0.0);
         // PR's self-disagreement is exactly zero.
         let (last_alg, last_d) = *out.disagreements.last().unwrap();
@@ -141,26 +146,29 @@ mod tests {
         assert_eq!(last_d, 0.0);
     }
 
+    /// One NaN gives both runs of every rung the same NaN, and runs with
+    /// the same bits agree under every budget.
     #[test]
-    fn nan_input_fails_every_rung() {
+    fn nan_input_passes_the_first_rung() {
         let mut values = repro_gen::zero_sum_with_range(2_000, 16, 5);
         values[700] = f64::NAN;
-        let r = VerifiedReducer::new(Tolerance::AbsoluteSpread(1.0), 4);
-        assert!(
-            r.reduce(&values).is_none(),
-            "a NaN disagreement fits no budget"
-        );
+        for tolerance in [
+            Tolerance::Bitwise,
+            Tolerance::AbsoluteSpread(0.0),
+            Tolerance::RelativeSpread(0.0),
+        ] {
+            let out = VerifiedReducer::new(tolerance, 4).reduce(&values);
+            assert_eq!(out.algorithm, Algorithm::Standard, "{tolerance:?}");
+            assert!(out.sum.is_nan());
+            assert_eq!(out.disagreements, [(Algorithm::Standard, 0.0)]);
+        }
     }
 
     #[test]
     fn deterministic_per_seed() {
         let values = repro_gen::zero_sum_with_range(2_000, 16, 11);
-        let a = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-12), 42)
-            .reduce(&values)
-            .unwrap();
-        let b = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-12), 42)
-            .reduce(&values)
-            .unwrap();
+        let a = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-12), 42).reduce(&values);
+        let b = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-12), 42).reduce(&values);
         assert_eq!(a.sum.to_bits(), b.sum.to_bits());
         assert_eq!(a.algorithm, b.algorithm);
     }

@@ -38,7 +38,7 @@ fn main() {
         ]);
         for (name, values) in &workloads {
             let reducer = VerifiedReducer::new(tolerance, 2015);
-            let outcome = reducer.reduce(values).expect("PR terminates the ladder");
+            let outcome = reducer.reduce(values);
             let climbed = outcome
                 .disagreements
                 .iter()

@@ -3,7 +3,7 @@
 # scale, validate the BENCH JSON schema, and prove the harness itself is
 # deterministic — two same-seed runs must agree byte-for-byte once the
 # timing fields (the only nondeterministic outputs) are stripped. Then run
-# once at default scale and compare against the committed BENCH_21/BENCH_22
+# once at default scale and compare against the committed BENCH_22/BENCH_24
 # baselines: schema, op coverage, seed, and n must match, and the ns/elem
 # deltas are rendered as a table (to $GITHUB_STEP_SUMMARY when set). No
 # wall-clock thresholds anywhere: CI runners share cores, so asserting on
@@ -71,7 +71,7 @@ ns_of() { # $1 = file, $2 = op — empty when the op is absent
   sed -nE 's|.*"op": "'"$2"'", "n": [0-9]+, "ns_per_elem": ([0-9]+(\.[0-9]+)?).*|\1|p' "$1"
 }
 
-baseline=BENCH_22.json
+baseline=BENCH_24.json
 [ -f "$baseline" ] || { echo "committed baseline $baseline is missing" >&2; exit 1; }
 
 grep -q '"schema": "repro-bench-throughput-v1"' "$baseline" \
@@ -107,14 +107,16 @@ table="$BENCH_DIR/baseline-delta.md"
 {
   echo "### Bench vs committed baselines (ns/elem)"
   echo ""
-  echo "| op | BENCH_21 | BENCH_22 | this run | Δ vs 22 |"
+  echo "| op | BENCH_22 | BENCH_24 | this run | Δ vs 24 |"
   echo "|---|---|---|---|---|"
   while read -r op; do
-    b21=$(ns_of BENCH_21.json "$op"); b22=$(ns_of "$baseline" "$op")
+    b22=$(ns_of BENCH_22.json "$op"); b24=$(ns_of "$baseline" "$op")
     now=$(ns_of "$BENCH_DIR/bench-default.json" "$op")
-    delta=$(awk -v a="$b22" -v b="$now" \
-      'BEGIN { if (a == "" || b == "") print "n/a"; else printf "%+.1f%%", (b - a) / a * 100 }')
-    echo "| $op | ${b21:-–} | ${b22:-–} | ${now:-–} | $delta |"
+    # A baseline that rounds to 0.0000 (obs/noop) has no relative delta;
+    # gawk would abort on the division.
+    delta=$(awk -v a="$b24" -v b="$now" \
+      'BEGIN { if (a == "" || b == "" || a + 0 == 0) print "n/a"; else printf "%+.1f%%", (b - a) / a * 100 }')
+    echo "| $op | ${b22:-–} | ${b24:-–} | ${now:-–} | $delta |"
   done < <(ops_of "$baseline")
 } > "$table"
 cat "$table"

@@ -58,6 +58,23 @@ grep -q "survivor reference (PR fold=3): OK (bitwise)" "$TRACE_DIR/chaos-a.jsonl
 grep -q '"kind":"decision"' "$TRACE_DIR/chaos-a.jsonl" \
   || { echo "traced chaos run carried no selector decision record" >&2; exit 1; }
 
+echo "== seeded postmortem, twice: the kill's dump replays byte-identically =="
+# A fault-plane kill dumps the flight recorder under REPRO_POSTMORTEM. Both
+# runs share one dump directory, because the embedded manifest records the
+# variable; each dump is moved aside before the next run writes its own.
+PM_ARGS=(trace chaos --ranks 6 --n 2048 --dr 12 --seed 2015 --kill 1)
+PM_DIR="$TRACE_DIR/postmortem"
+rm -rf "$PM_DIR"
+for side in a b; do
+  REPRO_POSTMORTEM="$PM_DIR" run "${PM_ARGS[@]}" > /dev/null
+  [ -f "$PM_DIR/postmortem.jsonl" ] \
+    || { echo "seeded kill left no postmortem.jsonl" >&2; exit 1; }
+  mv "$PM_DIR/postmortem.jsonl" "$TRACE_DIR/postmortem-$side.jsonl"
+  run trace check --file "$TRACE_DIR/postmortem-$side.jsonl"
+done
+diff "$TRACE_DIR/postmortem-a.jsonl" "$TRACE_DIR/postmortem-b.jsonl" \
+  || { echo "seeded postmortem failed to replay byte-identically" >&2; exit 1; }
+
 echo "== telemetry off by default (no node events) =="
 grep -q '"kind":"node"' "$TRACE_DIR/chaos-a.jsonl" \
   && { echo "untelemetried trace leaked node events" >&2; exit 1; }

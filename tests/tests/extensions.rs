@@ -55,18 +55,14 @@ fn interval_enclosures_bracket_adaptive_results() {
 #[test]
 fn verified_and_heuristic_selection_are_consistent() {
     let benign: Vec<f64> = (1..=10_000).map(|i| i as f64).collect();
-    let verified = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-6), 1)
-        .reduce(&benign)
-        .unwrap();
+    let verified = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-6), 1).reduce(&benign);
     let (heuristic_choice, _) =
         AdaptiveReducer::heuristic(Tolerance::AbsoluteSpread(1e-6)).choose(&benign);
     assert_eq!(verified.algorithm, heuristic_choice);
     assert_eq!(verified.sum, repro_core::fp::exact_sum(&benign));
 
     let hostile = repro_core::gen::zero_sum_with_range(10_000, 32, 9);
-    let out = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-10), 2)
-        .reduce(&hostile)
-        .unwrap();
+    let out = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-10), 2).reduce(&hostile);
     let err = repro_core::fp::abs_error(out.sum, &hostile);
     assert!(err <= 1e-9, "verified result error {err:e}");
 }

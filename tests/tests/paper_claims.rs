@@ -220,8 +220,8 @@ fn section_6_conclusions_hold() {
     //    the verified reducer finds a cheaper-than-PR operator for the
     //    benign set and climbs higher for the hostile one.
     let v = repro_core::select::VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-10), 4);
-    let easy = v.reduce(&benign).unwrap().algorithm;
-    let hard = v.reduce(&values).unwrap().algorithm;
+    let easy = v.reduce(&benign).algorithm;
+    let hard = v.reduce(&values).algorithm;
     assert!(easy.cost_rank() < hard.cost_rank());
 }
 
