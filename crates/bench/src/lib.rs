@@ -493,7 +493,8 @@ pub mod throughput {
             ));
         }
         // The observability tax, one event per element so `ns_per_elem`
-        // *is* the per-event cost: a disabled scope (the price of leaving
+        // *is* the per-event cost: a disabled scope, through `black_box`
+        // so its branch runs per element (the price of leaving
         // instrumentation in a hot path — `event_with` skips field
         // construction entirely, so this is a branch, not an allocation),
         // `FlightRecorder::record_with` on a private recorder with the
@@ -507,6 +508,7 @@ pub mod throughput {
                 let trace = Trace::disabled();
                 let mut scope = trace.scope("bench");
                 for (i, &x) in v.iter().enumerate() {
+                    let scope = std::hint::black_box(&mut scope);
                     scope.event_with("e", || vec![f("i", i as u64), f("x", x)]);
                 }
                 v.len() as f64

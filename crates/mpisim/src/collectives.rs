@@ -1,5 +1,8 @@
 //! Collectives: barrier, broadcast, allreduce-max, and accumulator
 //! reduction with pluggable topologies.
+//!
+//! Every reduce and broadcast, plain or self-healing, walks a
+//! [`HealedTree`]: over every rank, or over a healing round's survivors.
 
 use crate::comm::Comm;
 use crate::fault::{ConfigError, FaultError};
@@ -7,7 +10,7 @@ use repro_fp::rng::DetRng;
 use repro_runtime::{MergeOrder, ReductionPlan, Runtime};
 use repro_select::{DataProfile, HeuristicSelector, Selector, Tolerance, EXACT};
 use repro_sum::{Accumulator, AlgoAccumulator, Algorithm};
-use repro_tree::topology::{heal, HealedTree};
+use repro_tree::HealedTree;
 use std::any::Any;
 use std::time::{Duration, Instant};
 
@@ -99,11 +102,117 @@ impl ReduceConfig {
     }
 }
 
-fn apply_jitter(cfg: &ReduceConfig, rank: usize) {
+/// A reduce's first step on every rank: check `cfg`, then sleep this
+/// rank's seeded jitter. The plain collectives have no error channel and
+/// panic with the error.
+fn validate_and_jitter(cfg: &ReduceConfig, rank: usize) -> Result<(), ConfigError> {
+    cfg.validate()?;
     if cfg.jitter_us > 0 {
         let mut rng =
             DetRng::seed_from_u64(cfg.jitter_seed ^ (rank as u64).wrapping_mul(0x9E3779B97F4A7C15));
         std::thread::sleep(Duration::from_micros(rng.random_range(0..cfg.jitter_us)));
+    }
+    Ok(())
+}
+
+/// How a [`Walk`] moves its messages: the plain collectives' blocking
+/// `send`/`recv`/`recv_any`, which panic rather than fail, or a healing
+/// round's `try_send`/`recv_timeout` and, from any source, `recv_deadline`
+/// up to the given instant.
+#[derive(Clone, Copy)]
+enum Link {
+    Blocking,
+    Timed(Instant),
+}
+
+/// One collective's walk over a [`HealedTree`], the only source of the
+/// collectives' tree links: the root is `tree.rank_of(0)`, and every
+/// parent and child comes from the tree. A reduce walks up, a broadcast
+/// down.
+struct Walk {
+    tree: HealedTree,
+    link: Link,
+    tag: u64,
+}
+
+const BLOCKING: &str = "blocking links do not fail";
+
+impl Walk {
+    /// A plain collective's walk: blocking links over every rank under a
+    /// fresh op tag. Panics, before any message moves, if `root` is not a
+    /// rank.
+    fn plain(comm: &mut Comm, root: usize) -> Self {
+        let tree = HealedTree::new(&(0..comm.size()).collect::<Vec<_>>(), root);
+        let (link, tag) = (Link::Blocking, comm.next_op_tag());
+        Walk { tree, link, tag }
+    }
+
+    fn send<T: Any + Send>(&self, comm: &mut Comm, to: usize, v: T) -> Result<(), FaultError> {
+        if let Link::Timed(_) = self.link {
+            return comm.try_send(to, self.tag, v);
+        }
+        comm.send(to, self.tag, v);
+        Ok(())
+    }
+
+    /// Receive from `from`, or from whichever rank comes first if `None`.
+    fn recv<T: Any + Send>(&self, comm: &mut Comm, from: Option<usize>) -> Result<T, FaultError> {
+        match (self.link, from) {
+            (Link::Blocking, Some(from)) => Ok(comm.recv(from, self.tag)),
+            (Link::Blocking, None) => Ok(comm.recv_any(self.tag).1),
+            (Link::Timed(_), Some(from)) => comm.recv_timeout(from, self.tag),
+            (Link::Timed(until), None) => comm.recv_deadline(None, self.tag, until).map(|r| r.1),
+        }
+    }
+
+    /// Fold each child's partial into `acc` in the tree's child order (a
+    /// `FlatArrival` root: every other rank's, in arrival order), then send
+    /// the result to the parent. Returns `Some` on the root.
+    fn up<T: Any + Send>(
+        &self,
+        comm: &mut Comm,
+        topology: ReduceTopology,
+        mut acc: T,
+        mut merge: impl FnMut(&mut T, T),
+    ) -> Result<Option<T>, FaultError> {
+        let (rank, tree) = (comm.rank(), &self.tree);
+        let root = tree.rank_of(0);
+        // `None` is whichever child arrives first.
+        let children: Vec<Option<usize>> = match topology {
+            ReduceTopology::Binomial => {
+                tree.binomial_children(rank).into_iter().map(Some).collect()
+            }
+            ReduceTopology::Chain => tree.chain_child(rank).map(Some).into_iter().collect(),
+            ReduceTopology::FlatArrival if rank == root => vec![None; tree.len() - 1],
+            ReduceTopology::FlatArrival => Vec::new(),
+        };
+        for child in children {
+            let partial = self.recv(comm, child)?;
+            merge(&mut acc, partial);
+        }
+        let parent = match topology {
+            ReduceTopology::Binomial => tree.binomial_parent(rank),
+            ReduceTopology::Chain => tree.chain_parent(rank),
+            ReduceTopology::FlatArrival => (rank != root).then_some(root),
+        };
+        match parent {
+            Some(parent) => self.send(comm, parent, acc).map(|()| None),
+            None => Ok(Some(acc)),
+        }
+    }
+
+    /// Receive from the binomial parent (the root holds `v`), then send to
+    /// the children in reverse, the largest subtree first.
+    fn down<T: Any + Send + Clone>(&self, comm: &mut Comm, v: Option<T>) -> Result<T, FaultError> {
+        let rank = comm.rank();
+        let v = match self.tree.binomial_parent(rank) {
+            Some(parent) => self.recv(comm, Some(parent))?,
+            None => v.expect("root must supply the broadcast value"),
+        };
+        for child in self.tree.binomial_children(rank).into_iter().rev() {
+            self.send(comm, child, v.clone())?;
+        }
+        Ok(v)
     }
 }
 
@@ -125,79 +234,32 @@ pub fn barrier(comm: &mut Comm) {
     }
 }
 
-/// Broadcast `value` from `root` to every rank (binomial tree).
+/// Broadcast `value` from `root` to every rank (binomial tree). Panics on
+/// every rank, before any message moves, when `root` is not a rank.
 pub fn broadcast<T: Any + Send + Clone>(comm: &mut Comm, root: usize, value: Option<T>) -> T {
-    let tag = comm.next_op_tag();
-    let size = comm.size();
-    // Rotate so the root is virtual rank 0.
-    let vrank = (comm.rank() + size - root) % size;
-    let mut have: Option<T> = if vrank == 0 {
-        Some(value.expect("root must supply the broadcast value"))
-    } else {
-        None
-    };
-    // MPICH-style binomial broadcast over virtual ranks: receive from the
-    // parent at the lowest set bit, then forward to children below it.
-    let mut mask = 1usize;
-    while mask < size {
-        if vrank & mask != 0 {
-            let src = (vrank - mask + root) % size;
-            have = Some(comm.recv(src, tag));
-            break;
-        }
-        mask <<= 1;
-    }
-    mask >>= 1;
-    while mask > 0 {
-        let child = vrank + mask;
-        if child < size {
-            let v = have.clone().expect("value present before forwarding");
-            comm.send((child + root) % size, tag, v);
-        }
-        mask >>= 1;
-    }
-    have.expect("broadcast did not reach this rank")
+    Walk::plain(comm, root).down(comm, value).expect(BLOCKING)
 }
 
-/// The binomial up-sweep to `root`: the stride-doubling tree of
-/// [`repro_sum::lanes::merge_tree`] laid over virtual ranks, with `root` as
-/// virtual rank 0. At mask `s`, virtual rank `v + s` sends its partial to
-/// `v`, which folds it in with `merge`. Returns `Some` on the root and
-/// `None` on every other rank once it has sent.
-fn binomial_up<T: Any + Send>(
-    comm: &mut Comm,
-    tag: u64,
-    root: usize,
-    mut acc: T,
-    mut merge: impl FnMut(&mut T, T),
-) -> Option<T> {
-    let size = comm.size();
-    let v = (comm.rank() + size - root) % size;
-    let mut mask = 1usize;
-    while mask < size {
-        if v & mask != 0 {
-            comm.send((v - mask + root) % size, tag, acc);
-            return None;
-        }
-        if v + mask < size {
-            merge(&mut acc, comm.recv((v + mask + root) % size, tag));
-        }
-        mask <<= 1;
-    }
-    Some(acc)
+/// Binomial reduce to rank 0, then broadcast back: every rank returns the
+/// merged value.
+fn allreduce<T: Any + Send + Clone>(comm: &mut Comm, value: T, merge: impl FnMut(&mut T, T)) -> T {
+    let merged = Walk::plain(comm, 0)
+        .up(comm, ReduceTopology::Binomial, value, merge)
+        .expect(BLOCKING);
+    broadcast(comm, 0, merged)
 }
 
 /// Allreduce-max of one scalar: reduce to rank 0 over the binomial tree,
 /// then broadcast back. Exact (max is associative/commutative), so
 /// topology does not matter for the value.
 pub fn allreduce_max(comm: &mut Comm, x: f64) -> f64 {
-    let tag = comm.next_op_tag();
-    let max = binomial_up(comm, tag, 0, x, |a, b| *a = a.max(b));
-    broadcast(comm, 0, max)
+    allreduce(comm, x, |a, b| *a = a.max(b))
 }
 
 /// Reduce per-rank accumulators to `root` with the configured topology.
-/// Returns `Some(merged)` on the root, `None` elsewhere.
+/// Returns `Some(merged)` on the root, `None` elsewhere. Panics on every
+/// rank, before any message moves, when `root` is not a rank or `cfg` is
+/// out of range.
 pub fn reduce_accumulator<A>(
     comm: &mut Comm,
     local: A,
@@ -207,43 +269,10 @@ pub fn reduce_accumulator<A>(
 where
     A: Accumulator + Any,
 {
-    let tag = comm.next_op_tag();
-    let size = comm.size();
-    let rank = comm.rank();
-    apply_jitter(cfg, rank);
-    match cfg.topology {
-        ReduceTopology::FlatArrival => {
-            if rank == root {
-                let mut acc = local;
-                for _ in 0..size - 1 {
-                    let (_, partial): (usize, A) = comm.recv_any(tag);
-                    acc.merge(&partial);
-                }
-                Some(acc)
-            } else {
-                comm.send(root, tag, local);
-                None
-            }
-        }
-        ReduceTopology::Chain => {
-            // Virtual chain with root at position 0.
-            let vrank = (rank + size - root) % size;
-            let mut acc = local;
-            if vrank + 1 < size {
-                let src = (vrank + 1 + root) % size;
-                let upstream: A = comm.recv(src, tag);
-                acc.merge(&upstream);
-            }
-            if vrank > 0 {
-                let dst = (vrank - 1 + root) % size;
-                comm.send(dst, tag, acc);
-                None
-            } else {
-                Some(acc)
-            }
-        }
-        ReduceTopology::Binomial => binomial_up(comm, tag, root, local, |a, b: A| a.merge(&b)),
-    }
+    let walk = Walk::plain(comm, root);
+    validate_and_jitter(cfg, comm.rank()).unwrap_or_else(|e| panic!("{e}"));
+    walk.up(comm, cfg.topology, local, |a, b| a.merge(&b))
+        .expect(BLOCKING)
 }
 
 /// Allreduce: reduce the accumulators to rank 0, broadcast the finalized
@@ -307,9 +336,7 @@ pub fn adaptive_reduce_sum(
     // 1. Profile locally (chunk-parallel on the runtime pool);
     // 2. allreduce the profile (binomial up, bcast down).
     let local = repro_select::profile_parallel(local_values);
-    let tag = comm.next_op_tag();
-    let merged = binomial_up(comm, tag, 0, local, |a: &mut DataProfile, b| a.merge(&b));
-    let global: DataProfile = broadcast(comm, 0, merged);
+    let global = allreduce(comm, local, |a, b| a.merge(&b));
     // 3. Same profile + same deterministic selector = same choice everywhere.
     let algorithm = HeuristicSelector::default().choose(&global, tolerance);
     // 4. Reduce with the chosen operator, local chunk on the runtime pool.
@@ -407,65 +434,12 @@ pub struct FtOutcome<T> {
     pub rounds: u64,
 }
 
-/// One attempt at reducing over the healed tree. A `Timeout` error means a
-/// link on this rank's path died mid-round (round failure, root will
-/// re-plan); other errors are terminal for this rank.
-fn reduce_round<A>(
-    comm: &mut Comm,
-    tree: &HealedTree,
-    local: A,
-    topology: ReduceTopology,
-    tag: u64,
-    budget: Duration,
-) -> Result<Option<A>, FaultError>
-where
-    A: Accumulator + Any,
-{
-    let rank = comm.rank();
-    let m = tree.len();
-    let v = tree.vrank_of(rank).expect("caller verified membership");
-    let mut acc = local;
-    match topology {
-        ReduceTopology::FlatArrival => {
-            if v == 0 {
-                let deadline = Instant::now() + budget.saturating_mul(2);
-                for _ in 1..m {
-                    let (_, partial): (usize, A) = comm.recv_deadline(None, tag, deadline)?;
-                    acc.merge(&partial);
-                }
-                Ok(Some(acc))
-            } else {
-                comm.try_send(tree.rank_of(0), tag, acc)?;
-                Ok(None)
-            }
-        }
-        ReduceTopology::Chain => {
-            if v + 1 < m {
-                let upstream: A = comm.recv_timeout(tree.rank_of(v + 1), tag)?;
-                acc.merge(&upstream);
-            }
-            if v > 0 {
-                comm.try_send(tree.rank_of(v - 1), tag, acc)?;
-                Ok(None)
-            } else {
-                Ok(Some(acc))
-            }
-        }
-        ReduceTopology::Binomial => {
-            let mut mask = 1usize;
-            while mask < m {
-                if v & mask != 0 {
-                    comm.try_send(tree.rank_of(v & !mask), tag, acc)?;
-                    return Ok(None);
-                }
-                let child = v | mask;
-                if child < m {
-                    let partial: A = comm.recv_timeout(tree.rank_of(child), tag)?;
-                    acc.merge(&partial);
-                }
-                mask <<= 1;
-            }
-            Ok(Some(acc))
+impl<T> FtOutcome<T> {
+    fn map<U>(self, f: impl FnOnce(T) -> U) -> FtOutcome<U> {
+        FtOutcome {
+            value: self.value.map(f),
+            survivors: self.survivors,
+            rounds: self.rounds,
         }
     }
 }
@@ -498,19 +472,11 @@ pub fn ft_reduce_accumulator<A>(
 where
     A: Accumulator + Any,
 {
-    cfg.validate()?;
     let base = comm.next_op_tag();
     let size = comm.size();
     let rank = comm.rank();
     assert!(root < size, "root must be a valid rank");
-    apply_jitter(cfg, rank);
-    if size == 1 {
-        return Ok(FtOutcome {
-            value: Some(local),
-            survivors: vec![rank],
-            rounds: 1,
-        });
-    }
+    validate_and_jitter(cfg, rank)?;
     let budget = comm.link_budget();
     for round in 0..MAX_HEAL_ROUNDS {
         let t_ping = phase_tag(base, round, 0);
@@ -561,8 +527,12 @@ where
         // Phase 3: reduce over the healed tree, restarting from the
         // original local accumulator so the final association depends only
         // on the final survivor set.
-        let tree = heal(&survivors, root);
-        let attempt = match reduce_round(comm, &tree, local.clone(), cfg.topology, t_part, budget) {
+        let walk = Walk {
+            tree: HealedTree::new(&survivors, root),
+            link: Link::Timed(Instant::now() + budget.saturating_mul(2)),
+            tag: t_part,
+        };
+        let attempt = match walk.up(comm, cfg.topology, local.clone(), |a, b| a.merge(&b)) {
             Ok(v) => Some(v),
             Err(FaultError::Timeout { .. }) => None,
             Err(e) => return Err(e),
@@ -630,12 +600,7 @@ pub fn ft_reduce_sum(
     cfg: &ReduceConfig,
 ) -> Result<FtOutcome<f64>, FaultError> {
     let acc = local_accumulate(local_values, algorithm);
-    let out = ft_reduce_accumulator(comm, acc, root, cfg)?;
-    Ok(FtOutcome {
-        value: out.value.map(|a| a.finalize()),
-        survivors: out.survivors,
-        rounds: out.rounds,
-    })
+    Ok(ft_reduce_accumulator(comm, acc, root, cfg)?.map(|a| a.finalize()))
 }
 
 /// Self-healing allreduce: reduce to rank 0, then flat-broadcast the
@@ -697,12 +662,7 @@ pub fn ft_adaptive_reduce_sum(
     cfg: &ReduceConfig,
 ) -> Result<FtOutcome<(f64, Algorithm)>, FaultError> {
     if tolerance == Tolerance::Bitwise {
-        let out = ft_reduce_sum(comm, local_values, EXACT, root, cfg)?;
-        return Ok(FtOutcome {
-            value: out.value.map(|sum| (sum, EXACT)),
-            survivors: out.survivors,
-            rounds: out.rounds,
-        });
+        return Ok(ft_reduce_sum(comm, local_values, EXACT, root, cfg)?.map(|sum| (sum, EXACT)));
     }
     cfg.validate()?;
     let profile = repro_select::profile_parallel(local_values);
@@ -742,12 +702,7 @@ pub fn ft_adaptive_reduce_sum(
         }
     };
     let acc = local_accumulate(local_values, algorithm);
-    let out = ft_reduce_accumulator(comm, acc, root, cfg)?;
-    Ok(FtOutcome {
-        value: out.value.map(|a| (a.finalize(), algorithm)),
-        survivors: out.survivors,
-        rounds: out.rounds,
-    })
+    Ok(ft_reduce_accumulator(comm, acc, root, cfg)?.map(|a| (a.finalize(), algorithm)))
 }
 
 /// The paper's Section IV-C pattern in one call: each rank reduces its local
@@ -900,6 +855,7 @@ pub fn reduce_sum_telemetry(
 mod tests {
     use super::*;
     use crate::comm::World;
+    use repro_obs::Value;
     use repro_sum::BinnedSum;
 
     fn chunks(values: &[f64], size: usize, rank: usize) -> &[f64] {
@@ -1156,6 +1112,9 @@ mod tests {
         let err = ReduceConfig::validated(ReduceTopology::Chain, MAX_JITTER_US + 1, 0);
         assert!(err.is_err());
         assert!(err.unwrap_err().0.contains("jitter_us"));
+        // The plain path has no error channel: every rank panics instead
+        // of sleeping past the cap.
+        assert!(reduce_panics(ReduceTopology::Chain, MAX_JITTER_US + 1, 0));
     }
 
     #[test]
@@ -1520,4 +1479,82 @@ mod tests {
             (repro_fp::exact_sum(&values).to_bits(), EXACT)
         );
     }
+
+    /// Whether a plain 4-rank `reduce_sum` panics (and so cannot hang).
+    fn reduce_panics(topology: ReduceTopology, jitter_us: u64, root: usize) -> bool {
+        let cfg = ReduceConfig {
+            topology,
+            jitter_us,
+            jitter_seed: 0,
+        };
+        let reduce = || {
+            World::run(4, |c| {
+                reduce_sum(c, &[1.0], Algorithm::Standard, root, &cfg)
+            })
+        };
+        std::panic::catch_unwind(reduce).is_err()
+    }
+
+    /// A root outside the world panics on every rank before any message
+    /// moves, so `World::run` reports it rather than hanging or handing the
+    /// result to another rank.
+    #[test]
+    fn a_root_outside_the_world_panics_instead_of_hanging() {
+        for topology in [
+            ReduceTopology::Binomial,
+            ReduceTopology::FlatArrival,
+            ReduceTopology::Chain,
+        ] {
+            assert!(reduce_panics(topology, 0, 4), "{topology:?}");
+        }
+        let bcast = || World::run(4, |c| broadcast(c, 4, Some(1.0)));
+        assert!(std::panic::catch_unwind(bcast).is_err());
+    }
+
+    /// Each rank's ordered `(to, tag)` sends of a plain reduce, an
+    /// allreduce and a fault-free healing reduce, on 7 ranks with root 3:
+    /// the message pattern of the tree walk, tags in hex.
+    #[test]
+    fn tree_walk_send_sequence_is_pinned() {
+        let values = repro_gen::zero_sum_with_range(700, 12, 3);
+        let plan = crate::fault::FaultPlan::new(0);
+        let mut text = String::new();
+        for topology in [ReduceTopology::Binomial, ReduceTopology::Chain] {
+            let cfg = ReduceConfig::validated(topology, 0, 0).unwrap();
+            let (_, events) = World::run_report_traced(7, &plan, true, |c| {
+                let mine = chunks(&values, c.size(), c.rank());
+                reduce_sum(c, mine, Algorithm::Standard, 3, &cfg);
+                allreduce_sum_acc(c, local_accumulate(mine, Algorithm::Standard), &cfg);
+                ft_reduce_sum(c, mine, Algorithm::Standard, 3, &cfg)
+            })
+            .unwrap();
+            let mut sends = std::collections::BTreeMap::<&str, String>::new();
+            for e in events.iter().filter(|e| e.kind == "send") {
+                if let [(_, Value::UInt(to)), (_, Value::UInt(tag)), ..] = &e.fields[..] {
+                    *sends.entry(&e.sub).or_default() += &format!(" {to}@{tag:x}");
+                }
+            }
+            for (sub, line) in sends {
+                text += &format!("{topology:?} {sub}:{line}\n");
+            }
+        }
+        assert_eq!(text, PINNED_SENDS);
+    }
+
+    const PINNED_SENDS: &str = "\
+Binomial rank0: 3@8000000000000001 4@8000000000000003 2@8000000000000003 1@8000000000000003 3@8000000000000004 3@8000002000000004
+Binomial rank1: 0@8000000000000001 0@8000000000000002 3@8000000000000004 0@8000002000000004
+Binomial rank2: 0@8000000000000001 0@8000000000000002 3@8000000000000003 3@8000000000000004 0@8000002000000004
+Binomial rank3: 2@8000000000000002 0@8000001000000004 1@8000001000000004 2@8000001000000004 4@8000001000000004 5@8000001000000004 6@8000001000000004 0@8000003000000004 1@8000003000000004 2@8000003000000004 4@8000003000000004 5@8000003000000004 6@8000003000000004
+Binomial rank4: 3@8000000000000001 0@8000000000000002 6@8000000000000003 5@8000000000000003 3@8000000000000004 3@8000002000000004
+Binomial rank5: 3@8000000000000001 4@8000000000000002 3@8000000000000004 3@8000002000000004
+Binomial rank6: 5@8000000000000001 4@8000000000000002 3@8000000000000004 5@8000002000000004
+Chain rank0: 6@8000000000000001 4@8000000000000003 2@8000000000000003 1@8000000000000003 3@8000000000000004 6@8000002000000004
+Chain rank1: 0@8000000000000001 0@8000000000000002 3@8000000000000004 0@8000002000000004
+Chain rank2: 1@8000000000000001 1@8000000000000002 3@8000000000000003 3@8000000000000004 1@8000002000000004
+Chain rank3: 2@8000000000000002 0@8000001000000004 1@8000001000000004 2@8000001000000004 4@8000001000000004 5@8000001000000004 6@8000001000000004 0@8000003000000004 1@8000003000000004 2@8000003000000004 4@8000003000000004 5@8000003000000004 6@8000003000000004
+Chain rank4: 3@8000000000000001 3@8000000000000002 6@8000000000000003 5@8000000000000003 3@8000000000000004 3@8000002000000004
+Chain rank5: 4@8000000000000001 4@8000000000000002 3@8000000000000004 4@8000002000000004
+Chain rank6: 5@8000000000000001 5@8000000000000002 3@8000000000000004 5@8000002000000004
+";
 }

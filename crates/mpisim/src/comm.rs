@@ -107,11 +107,6 @@ impl Comm {
         self.size
     }
 
-    /// Whether this rank is recording observability events.
-    pub fn tracing(&self) -> bool {
-        self.obs.enabled()
-    }
-
     /// Record a custom event into this rank's scope (no-op untraced).
     /// Communication scripts use this to narrate application-level steps —
     /// merges, heals, checkpoints — alongside the transport's own
@@ -146,13 +141,6 @@ impl Comm {
             Some(ctx) => ctx.plan.link_budget(),
             None => FaultPlan::default().link_budget(),
         }
-    }
-
-    /// Whether the fault plan has killed this rank.
-    pub fn is_killed(&self) -> bool {
-        self.fault
-            .as_ref()
-            .is_some_and(|ctx| ctx.killed_at.is_some())
     }
 
     /// Count one communication operation against this rank's kill point.

@@ -22,7 +22,7 @@
 //!   [`World::run_report`] reaps dead ranks into a structured
 //!   [`WorldReport`], and the `ft_*` collectives **self-heal** — they
 //!   re-plan the reduction tree over the sorted survivor set
-//!   ([`repro_tree::topology::heal`]) so reproducible operators stay
+//!   ([`repro_tree::HealedTree`]) so reproducible operators stay
 //!   bitwise identical to a fault-free run over the same survivors.
 
 #![forbid(unsafe_code)]

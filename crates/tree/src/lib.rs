@@ -39,5 +39,5 @@ pub mod tree;
 pub use permute::{apply_permutation, random_permutation};
 pub use reduce::{reduce, reduce_with};
 pub use shape::TreeShape;
-pub use topology::{heal, topology_aware_tree, HealedTree, Machine};
+pub use topology::{topology_aware_tree, HealedTree, Machine};
 pub use tree::ReductionTree;

@@ -330,11 +330,6 @@ impl HealedTree {
         self.survivors.is_empty()
     }
 
-    /// The sorted survivor set this tree was planned over.
-    pub fn survivors(&self) -> &[usize] {
-        &self.survivors
-    }
-
     /// Virtual rank of a survivor (root ↦ 0), or `None` if `rank` is not a
     /// survivor.
     pub fn vrank_of(&self, rank: usize) -> Option<usize> {
@@ -353,10 +348,7 @@ impl HealedTree {
     /// Parent of `rank` in the binomial tree over survivors (`None` for
     /// the root): clear the lowest set bit of the virtual rank.
     pub fn binomial_parent(&self, rank: usize) -> Option<usize> {
-        let v = self.vrank_of(rank)?;
-        if v == 0 {
-            return None;
-        }
+        let v = self.vrank_of(rank).filter(|&v| v > 0)?;
         Some(self.rank_of(v & (v - 1)))
     }
 
@@ -366,49 +358,28 @@ impl HealedTree {
         let Some(v) = self.vrank_of(rank) else {
             return Vec::new();
         };
-        let m = self.survivors.len();
-        let mut children = Vec::new();
-        let mut mask = 1usize;
-        while mask < m {
-            if v & mask != 0 {
-                break;
-            }
-            let child = v | mask;
-            if child < m {
-                children.push(self.rank_of(child));
-            }
-            mask <<= 1;
-        }
-        children
+        // Child `v | mask` for each mask below the lowest set bit of `v`
+        // (every mask at the root), while it names a survivor.
+        (0..usize::BITS)
+            .map(|k| 1usize << k)
+            .take_while(|&mask| v & mask == 0 && v | mask < self.len())
+            .map(|mask| self.rank_of(v | mask))
+            .collect()
     }
 
     /// Downstream neighbour in the survivor chain (toward the root), or
     /// `None` for the root.
     pub fn chain_parent(&self, rank: usize) -> Option<usize> {
-        let v = self.vrank_of(rank)?;
-        if v == 0 {
-            None
-        } else {
-            Some(self.rank_of(v - 1))
-        }
+        let v = self.vrank_of(rank).filter(|&v| v > 0)?;
+        Some(self.rank_of(v - 1))
     }
 
     /// Upstream neighbour in the survivor chain (the rank whose partial
     /// this rank merges), or `None` at the far end.
     pub fn chain_child(&self, rank: usize) -> Option<usize> {
-        let v = self.vrank_of(rank)?;
-        if v + 1 < self.survivors.len() {
-            Some(self.rank_of(v + 1))
-        } else {
-            None
-        }
+        let v = self.vrank_of(rank).filter(|&v| v + 1 < self.len())?;
+        Some(self.rank_of(v + 1))
     }
-}
-
-/// Re-plan a reduction tree over the sorted survivor set — the healing
-/// step of the fault-tolerant collectives. See [`HealedTree`].
-pub fn heal(survivors: &[usize], root: usize) -> HealedTree {
-    HealedTree::new(survivors, root)
 }
 
 #[cfg(test)]
@@ -542,7 +513,7 @@ mod tests {
 
     #[test]
     fn healed_single_rank_tree_has_no_links() {
-        let t = heal(&[3], 3);
+        let t = HealedTree::new(&[3], 3);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
         assert_eq!(t.vrank_of(3), Some(0));
@@ -556,7 +527,7 @@ mod tests {
     fn healed_chain_is_fully_degenerate() {
         // Survivors with gaps (ranks 1 and 4 died), root mid-set.
         let survivors = [0, 2, 3, 5, 6];
-        let t = heal(&survivors, 3);
+        let t = HealedTree::new(&survivors, 3);
         // Walk the chain from the far end to the root: every survivor
         // appears exactly once — a completely unbalanced (serial) tree.
         let mut order = vec![t.rank_of(t.len() - 1)];
@@ -584,7 +555,7 @@ mod tests {
             (vec![0, 3, 4, 6, 7, 10, 12], 12),
             ((0..11).collect::<Vec<_>>(), 6),
         ] {
-            let t = heal(&survivors, root);
+            let t = HealedTree::new(&survivors, root);
             // Every non-root has exactly one parent; edges = m - 1.
             let mut edges = 0;
             for &r in &survivors {
@@ -618,8 +589,8 @@ mod tests {
 
     #[test]
     fn healed_links_depend_only_on_the_sorted_set() {
-        let a = heal(&[1, 4, 6, 9], 4);
-        let b = heal(&[1, 4, 6, 9], 4);
+        let a = HealedTree::new(&[1, 4, 6, 9], 4);
+        let b = HealedTree::new(&[1, 4, 6, 9], 4);
         assert_eq!(a, b);
         // vrank assignment is a rotation of sorted positions.
         assert_eq!(a.vrank_of(4), Some(0));
@@ -637,6 +608,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "sorted")]
     fn healed_tree_rejects_unsorted_survivors() {
-        let _ = heal(&[4, 1, 6], 4);
+        let _ = HealedTree::new(&[4, 1, 6], 4);
     }
 }
