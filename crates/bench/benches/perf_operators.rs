@@ -1,8 +1,8 @@
 //! **Microbenchmarks** — per-element cost of every operator across input
 //! sizes, plus the dot-product variants. Criterion-powered; a finer-grained
-//! view of the per-operator costs that the selector's default cost model
-//! reads from the committed `BENCH_06.json` baseline (refreshed with
-//! `repro-reduce bench`).
+//! view of the per-operator costs behind the per-call prices the
+//! selector's default cost model reads from the committed `BENCH_26.json`
+//! baseline (refreshed with `repro-reduce bench`).
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use repro_core::runtime::{MergeOrder, ReductionPlan, Runtime};

@@ -113,7 +113,8 @@ pub const USAGE: &str = "\
 repro-reduce — reproducible floating-point reductions
 
 USAGE:
-  repro-reduce sum     [--alg ST|K|N|PW|CP|DD|PR|DS] [--hex] [--file F] [VALUES...]
+  repro-reduce sum     [--alg ST|K|N|PW|CP|DD|PR|DS (default DS)] [--hex]
+                       [--file F] [VALUES...]
   repro-reduce profile [--file F] [VALUES...]
   repro-reduce select  --tolerance T [--relative|--bitwise] [--explain]
                        [--file F] [VALUES...]
@@ -595,7 +596,7 @@ fn run_values(
     match cmd {
         "sum" => {
             let values = need_values(o)?;
-            let alg = parse_algorithm(o.alg.as_deref().unwrap_or("PR"))?;
+            let alg = parse_algorithm(o.alg.as_deref().unwrap_or("DS"))?;
             let result = alg.sum(values);
             let rendered = if o.hex {
                 repro_core::fp::format_hex(result)
@@ -1335,7 +1336,7 @@ fn run_simd(rest: &[String]) -> Result<String, CliError> {
 /// at the current `REPRO_SCALE` and write the fixed-schema `BENCH_*.json`
 /// document — the repo's perf trajectory, one comparable point per PR.
 /// `--out -` prints the JSON (plus `#` summary lines) instead of writing;
-/// the default target is `BENCH_24.json` in the working directory.
+/// the default target is `BENCH_26.json` in the working directory.
 fn run_bench(o: &Opts) -> Result<String, CliError> {
     use repro_bench::throughput;
     let entries = throughput::run_suite();
@@ -1351,7 +1352,7 @@ fn run_bench(o: &Opts) -> Result<String, CliError> {
         entries.first().map(|e| e.seed).unwrap_or(0),
         entries.first().map(|e| e.git_rev.as_str()).unwrap_or("?"),
     );
-    let out = o.out.as_deref().unwrap_or("BENCH_24.json");
+    let out = o.out.as_deref().unwrap_or("BENCH_26.json");
     if out == "-" {
         Ok(format!("{json}{summary}"))
     } else {
@@ -1973,7 +1974,7 @@ mod tests {
         std::env::set_var("REPRO_SCALE", "quick");
         let out = run_cmd(&["bench", "--out", "-"]).unwrap();
         assert!(
-            out.contains("\"schema\": \"repro-bench-throughput-v1\""),
+            out.contains("\"schema\": \"repro-bench-throughput-v2\""),
             "{out}"
         );
         for op in [
@@ -2200,10 +2201,19 @@ mod tests {
     }
 
     #[test]
-    fn sum_defaults_to_pr() {
+    fn sum_defaults_to_ds() {
         let out = run_cmd(&["sum", "1e16", "1", "-1e16"]).unwrap();
         assert!(out.starts_with("1.0"), "{out}");
-        assert!(out.contains("PR(fold=3)"));
+        assert!(
+            out.contains("# algorithm: DS (exact superaccumulator summation)"),
+            "{out}"
+        );
+        assert!(out.contains("\"algorithm\":\"DS\""), "{out}");
+        // The default is `--alg DS`, byte for byte.
+        assert_eq!(
+            out,
+            run_cmd(&["sum", "--alg", "DS", "1e16", "1", "-1e16"]).unwrap()
+        );
     }
 
     #[test]

@@ -274,6 +274,17 @@ impl Cascade {
         if lo == 0x7ff {
             return Some(Cascade { a: 0, parts: 2 }); // zeros only
         }
+        Self::for_exponents(lo, hi)
+    }
+
+    /// The plan of a block of finite values whose smallest nonzero
+    /// magnitude has a predecessor of biased exponent `lo` and whose
+    /// largest magnitude has biased exponent `hi` (`lo <= hi <= 0x7fe`), or
+    /// `None` where the block needs more than [`MAX_PARTS`] parts or its top
+    /// constant would overflow. [`Cascade::plan`] applies it to each block's
+    /// scan; the selector's cost model applies it to a profile's exponent
+    /// extremes, to price the exact sum by the parts it will run.
+    pub fn for_exponents(lo: u32, hi: u32) -> Option<Cascade> {
         let a = lo.max(1) - 1;
         let top = hi + 52;
         let parts = (top - a).div_ceil(LEVEL_BITS).max(2) as usize;

@@ -984,15 +984,21 @@ mod tests {
         );
         assert!(repro_fp::abs_error(sum, &values) <= 1e-9);
 
-        // Benign data keeps the cheap operator.
-        let benign: Vec<f64> = (1..=20_000).map(|i| i as f64).collect();
-        let out = World::run(8, |c| {
-            let mine = chunks(&benign, c.size(), c.rank());
-            adaptive_reduce_sum(c, mine, Tolerance::AbsoluteSpread(1e-4), 0, &cfg)
-        });
-        let (sum, alg) = out[0].unwrap();
-        assert_eq!(alg, Algorithm::Standard);
-        assert_eq!(sum, repro_fp::exact_sum(&benign));
+        // Benign data keeps the cheapest operator that fits: ST below DS's
+        // break-even, the exact sum from twice that size on.
+        let n = repro_select::CostModel::default()
+            .break_even(2)
+            .expect("DS undercuts ST on two parts");
+        for (len, cheapest) in [(n - 1, Algorithm::Standard), (2 * n, EXACT)] {
+            let benign: Vec<f64> = (1..=len).map(|i| i as f64).collect();
+            let out = World::run(8, |c| {
+                let mine = chunks(&benign, c.size(), c.rank());
+                adaptive_reduce_sum(c, mine, Tolerance::AbsoluteSpread(1e-4), 0, &cfg)
+            });
+            let (sum, alg) = out[0].unwrap();
+            assert_eq!(alg, cheapest);
+            assert_eq!(sum, repro_fp::exact_sum(&benign));
+        }
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub struct RunManifest {
     /// Selected algorithm (abbreviation, e.g. `PR`).
     pub algorithm: String,
     /// Where the selector's cost model came from (`CostModel::source`,
-    /// e.g. `BENCH_06.json@avx2`).
+    /// e.g. `BENCH_26.json@avx2`).
     pub cost_source: String,
     /// Active SIMD dispatch tier label.
     pub simd_tier: String,

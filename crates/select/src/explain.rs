@@ -3,7 +3,7 @@
 //!
 //! Runtime selection only earns trust if its decisions can be audited; an
 //! [`Explanation`] records the tolerance budget, every candidate's
-//! predicted spread and relative cost, and which constraint eliminated the
+//! predicted spread and price, and which constraint eliminated the
 //! cheaper candidates. The CLI's `select --explain` and the examples render
 //! these. An explanation is *faithful* by construction: it records the
 //! same ladder walk [`HeuristicSelector::choose`](crate::Selector::choose)
@@ -20,7 +20,11 @@ pub struct CandidateVerdict {
     pub algorithm: Algorithm,
     /// Predicted absolute spread across reduction orders on this profile.
     pub predicted_spread: f64,
-    /// Relative cost (1.0 = recursive summation).
+    /// Price in ns of one call on the profiled values
+    /// ([`crate::cost::CostModel::price_on`]).
+    pub price_ns: f64,
+    /// The price relative to ST's at the same `n` (1.0 = recursive
+    /// summation).
     pub relative_cost: f64,
     /// Whether the predicted spread fit the tolerance budget.
     pub fits: bool,
@@ -40,7 +44,7 @@ pub struct Explanation {
     /// The decision.
     pub chosen: Algorithm,
     /// Which cost numbers ranked the candidates
-    /// ([`crate::cost::CostModel::source`], e.g. `BENCH_06.json@avx2`).
+    /// ([`crate::cost::CostModel::source`], e.g. `BENCH_26.json@avx2`).
     pub cost_source: String,
 }
 
@@ -55,8 +59,9 @@ impl Explanation {
         out.push_str(&format!("cost model: {}\n", self.cost_source));
         for c in &self.candidates {
             out.push_str(&format!(
-                "  {:<12} cost {:>5.1}x  predicted spread {:>12.3e}  {}\n",
+                "  {:<12} cost {:>9.1} ns {:>5.1}x  predicted spread {:>12.3e}  {}\n",
                 c.algorithm.to_string(),
+                c.price_ns,
                 c.relative_cost,
                 c.predicted_spread,
                 if c.algorithm == self.chosen {

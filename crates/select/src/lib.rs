@@ -34,18 +34,24 @@
 //!    exactly at the top.
 //!
 //! ```
-//! use repro_select::{AdaptiveReducer, Tolerance};
+//! use repro_select::{AdaptiveReducer, CostModel, Tolerance};
 //!
-//! // A benign workload: all positive, one decade. ST is fine.
-//! let benign: Vec<f64> = (1..1000).map(|i| 1.0 + (i % 10) as f64).collect();
+//! // A benign workload: all positive, one decade, two cascade parts per
+//! // value. Below the size at which the exact sum undercuts ST, ST is fine.
+//! let n = CostModel::default().break_even(2).unwrap() - 1;
+//! let benign: Vec<f64> = (1..=n).map(|i| 1.0 + (i % 10) as f64).collect();
 //! let reducer = AdaptiveReducer::heuristic(Tolerance::AbsoluteSpread(1e-10));
 //! let outcome = reducer.reduce(&benign);
 //! assert_eq!(outcome.algorithm.abbrev(), "ST");
 //!
 //! // The same tolerance on a hostile workload escalates the operator.
-//! let hostile = repro_gen::zero_sum_with_range(1000, 32, 7);
+//! let hostile = repro_gen::zero_sum_with_range(n, 32, 7);
 //! let outcome = reducer.reduce(&hostile);
 //! assert!(outcome.algorithm.cost_rank() > repro_sum::Algorithm::Standard.cost_rank());
+//!
+//! // Past the break-even the exact sum is the cheapest rung, and it fits.
+//! let benign: Vec<f64> = (1..=2 * n).map(|i| 1.0 + (i % 10) as f64).collect();
+//! assert_eq!(reducer.reduce(&benign).algorithm.abbrev(), "DS");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -344,7 +350,9 @@ mod tests {
 
     #[test]
     fn recommendations_cover_the_ladder() {
-        let benign: Vec<f64> = (1..1000).map(|i| i as f64 * 1e-3).collect();
+        // Below DS's break-even the loosest budget takes ST.
+        let n = CostModel::default().break_even(2).unwrap();
+        let benign: Vec<f64> = (1..n).map(|i| i as f64 * 1e-3).collect();
         let report = recommendations(&benign);
         assert_eq!(report.len(), 5);
         assert_eq!(report[0].algorithm, Algorithm::Standard);
@@ -363,8 +371,10 @@ mod tests {
 
     #[test]
     fn fused_reduce_matches_unfused_pipeline_bitwise() {
-        // Benign data takes ST, hostile data escalates and re-reduces.
-        let benign: Vec<f64> = (1..1000).map(|i| 1.0 + (i % 10) as f64).collect();
+        // Benign data below DS's break-even takes ST, hostile data
+        // escalates and re-reduces.
+        let n = CostModel::default().break_even(2).unwrap();
+        let benign: Vec<f64> = (1..n).map(|i| 1.0 + (i % 10) as f64).collect();
         let hostile = repro_gen::zero_sum_with_range(5_000, 32, 7);
         for (values, expect_st) in [(&benign, true), (&hostile, false)] {
             let r = AdaptiveReducer::heuristic(Tolerance::AbsoluteSpread(1e-10));
@@ -444,24 +454,24 @@ mod tests {
             r#""k":999999730689.2627,"dr_binades":56,"max_abs":6382121768.268746,"#,
             r#""abs_sum":999999730689.2627,"sum_estimate":1,"#,
             r#""tolerance":"RelativeSpread(1e-14)","budget":0.00000000000001,"#,
+            r#""DS_spread":0,"DS_cost":0.8893528183716076,"DS_fits":true,"#,
             r#""ST_spread":0.007105425444033121,"ST_cost":1,"ST_fits":false,"#,
             r#""CP_spread":0.000000000000000050487084337427187,"#,
-            r#""CP_cost":2.14474386339381,"CP_fits":true,"#,
-            r#""K_spread":0.00022204454512603504,"K_cost":3.8916755602988253,"#,
+            r#""CP_cost":2.187891440501044,"CP_fits":true,"#,
+            r#""K_spread":0.00022204454512603504,"K_cost":4.025946913212049,"#,
             r#""K_fits":false,"#,
-            r#""DS_spread":0,"DS_cost":30.618596584845246,"DS_fits":true,"#,
-            r#""cost_source":"BENCH_06.json@TIER","chosen":"CP"}"#,
+            r#""cost_source":"BENCH_26.json@TIER","chosen":"DS"}"#,
             "\n",
         );
         const RENDER: &str = "\
 tolerance: RelativeSpread(1e-14)
 budget (absolute spread): 1e-14
-cost model: BENCH_06.json@TIER
-  ST           cost   1.0x  predicted spread     7.105e-3  exceeds budget
-  CP           cost   2.1x  predicted spread    5.049e-17  <- CHOSEN (cheapest that fits)
-  K            cost   3.9x  predicted spread     2.220e-4  exceeds budget
-  DS           cost  30.6x  predicted spread      0.000e0  fits (but costlier)
-chosen: CP
+cost model: BENCH_26.json@TIER
+  DS           cost    2442.9 ns   0.9x  predicted spread      0.000e0  <- CHOSEN (cheapest that fits)
+  ST           cost    2746.8 ns   1.0x  predicted spread     7.105e-3  exceeds budget
+  CP           cost    6009.7 ns   2.2x  predicted spread    5.049e-17  fits (but costlier)
+  K            cost   11058.4 ns   4.0x  predicted spread     2.220e-4  exceeds budget
+chosen: DS
 ";
         let at_tier = format!("@{}", repro_fp::simd::active_tier());
         let values = repro_gen::grid_cell(4096, 1e12, 16, 2015, 1e16);

@@ -12,6 +12,7 @@
 //! exact, a profile assembled from chunk partials is bit-identical to the
 //! profile of the whole dataset no matter how the partials were grouped.
 
+use repro_fp::simd::{Cascade, MAX_PARTS};
 use repro_fp::ulp::exponent;
 use repro_fp::Superaccumulator;
 
@@ -75,6 +76,27 @@ impl DataProfile {
     pub fn dr_decades(&self) -> i32 {
         // binade → decade: log10(2) ≈ 0.30103
         (self.dr_binades as f64 * std::f64::consts::LOG10_2).round() as i32
+    }
+
+    /// Parts per value of DS's extraction cascade on a block holding this
+    /// profile's exponent extremes ([`Cascade::for_exponents`]), or
+    /// [`MAX_PARTS`]` + 1` where the plan refuses such a block and
+    /// `add_slice` adds its values one by one: a NaN or an infinity, or a
+    /// span past the cap. The profile keeps the exponent of its smallest
+    /// nonzero magnitude, not of that magnitude's predecessor, which lies
+    /// one binade lower for a power of two; taking the lower one, the count
+    /// is never below the plan's for a block holding both extremes.
+    pub fn cascade_parts(&self) -> usize {
+        let refused = MAX_PARTS + 1;
+        if self.sum_estimate.is_nan() || self.max_abs.is_infinite() {
+            return refused;
+        }
+        if self.min_exp > self.max_exp {
+            return 2; // no nonzero value: zeros plan two parts
+        }
+        let biased = |e: i32| (e + 1023).max(0) as u32;
+        Cascade::for_exponents(biased(self.min_exp - 1), biased(self.max_exp))
+            .map_or(refused, Cascade::parts)
     }
 
     /// The profile of an empty dataset (the identity for [`DataProfile::merge`]).
@@ -267,6 +289,39 @@ mod tests {
         let again = profile_parallel(&values);
         assert_eq!(par.sum_estimate.to_bits(), again.sum_estimate.to_bits());
         assert_eq!(par.k.to_bits(), again.k.to_bits());
+    }
+
+    /// A block's profile prices it at the parts `Cascade::plan` gives it:
+    /// exactly where its smallest magnitude is a power of two or
+    /// subnormal, at most one part more otherwise (the profile does not see
+    /// the predecessor's binade), and one past the cap where the plan
+    /// refuses the block.
+    #[test]
+    fn cascade_parts_follow_the_plan() {
+        use repro_fp::simd::active_tier;
+        let plan =
+            |v: &[f64]| Cascade::plan(active_tier(), v).map_or(MAX_PARTS + 1, Cascade::parts);
+        let pow2 = |e: i32| 2f64.powi(e / 2) * 2f64.powi(e - e / 2);
+        for span in 0..400 {
+            for mantissa in [1.0, 1.5, 1.99] {
+                for base in [-1074, -1030, -20, 0, 600] {
+                    let block = [mantissa * pow2(base), -1.25 * pow2((base + span).min(1023))];
+                    let min = block[0].abs().min(block[1].abs());
+                    let exact = min < f64::MIN_POSITIVE || min.to_bits() << 12 == 0;
+                    let (got, want) = (profile(&block).cascade_parts(), plan(&block));
+                    assert!(
+                        got == want || (!exact && got == want + 1),
+                        "{block:?}: profile {got}, plan {want}"
+                    );
+                }
+            }
+        }
+        assert_eq!(profile(&[]).cascade_parts(), 2);
+        assert_eq!(profile(&[0.0, -0.0]).cascade_parts(), plan(&[0.0, -0.0]));
+        for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(profile(&[1.0, special]).cascade_parts(), MAX_PARTS + 1);
+            assert_eq!(plan(&[1.0, special]), MAX_PARTS + 1);
+        }
     }
 
     #[test]

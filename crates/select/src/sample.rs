@@ -410,9 +410,12 @@ mod tests {
                 let Some(sampled_choice) = choose_sampled(&sel, tol, &s, &cfg) else {
                     continue; // loose bounds: fallback path, nothing to check
                 };
-                let full_choice = sel.choose(&profile(&values), tol);
+                // Both priced on the full profile, whose cheapest fit the
+                // full choice is.
+                let full = profile(&values);
+                let full_choice = sel.choose(&full, tol);
                 assert!(
-                    costs.cost(sampled_choice) >= costs.cost(full_choice),
+                    costs.price_on(sampled_choice, &full) >= costs.price_on(full_choice, &full),
                     "sampled {sampled_choice} cheaper than full {full_choice} at t={t:e}"
                 );
             }

@@ -78,9 +78,10 @@ impl std::str::FromStr for Tolerance {
 pub const EXACT: Algorithm = Algorithm::Distill;
 
 /// The serving ladder: the paper's ST, K and CP, and [`EXACT`] as the
-/// reproducible rung. [`HeuristicSelector`] walks it cheapest first under
-/// its cost model, for a choice and for its audit
-/// ([`crate::explain::explain`]) alike. PR stays in
+/// reproducible rung. [`HeuristicSelector`] walks it cheapest first at
+/// each profile's prices ([`CostModel::price_on`]), for a choice and for
+/// its audit ([`crate::explain::explain`]) alike, so DS comes first
+/// wherever its per-call price undercuts the others. PR stays in
 /// [`Algorithm::PAPER_SET`] for the figures and the oracle tests, but no
 /// selector serves it: the exact sum is more reproducible and, measured,
 /// cheaper on every data shape.
@@ -98,7 +99,8 @@ pub trait Selector {
     fn choose(&self, profile: &DataProfile, tolerance: Tolerance) -> Algorithm;
 }
 
-/// Analytic selector: closed-form variability predictors per algorithm.
+/// Analytic selector: the cheapest rung whose closed-form predicted
+/// spread fits the budget.
 ///
 /// Predicted spread across reduction orders (absolute):
 ///
@@ -113,7 +115,7 @@ pub trait Selector {
 /// calibrated selector replaces them with measurements.
 #[derive(Clone, Debug, Default)]
 pub struct HeuristicSelector {
-    /// Cost model used to order candidates (defaults to the calibrated
+    /// The prices that order the candidates (defaults to the committed
     /// baseline, see [`CostModel::default`]).
     pub costs: CostModel,
 }
@@ -132,27 +134,31 @@ pub fn predicted_spread(alg: Algorithm, p: &DataProfile) -> f64 {
 }
 
 impl HeuristicSelector {
-    /// The ladder walk: every rung of [`LADDER`], cheapest first under
-    /// [`HeuristicSelector::costs`], with its predicted spread and whether
-    /// it fits `tolerance`'s budget (under no budget, only a reproducible
-    /// rung fits). The ladder is ranked on the stack on each call, so the
-    /// walk allocates nothing. [`Selector::choose`] stops at the first rung
-    /// that fits; [`HeuristicSelector::explain`] records every rung.
+    /// The ladder walk: every rung of [`LADDER`], cheapest first at its
+    /// price for one call on `profile`'s values, with its predicted spread
+    /// and whether it fits `tolerance`'s budget (under no budget, only a
+    /// reproducible rung fits). The ladder is ranked on the stack on each
+    /// call, so the walk allocates nothing. [`Selector::choose`] stops at
+    /// the first rung that fits; [`HeuristicSelector::explain`] records
+    /// every rung.
     fn walk<'a>(
         &'a self,
         profile: &'a DataProfile,
         tolerance: Tolerance,
     ) -> impl Iterator<Item = CandidateVerdict> + 'a {
         let budget = tolerance.budget(profile.sum_estimate);
+        let (n, parts) = (profile.n, profile.cascade_parts());
+        let st = self.costs.price(Algorithm::Standard, n, parts);
         self.costs
-            .by_cost(LADDER)
+            .by_price(LADDER, n, parts)
             .into_iter()
-            .map(move |algorithm| {
+            .map(move |(algorithm, price_ns)| {
                 let spread = predicted_spread(algorithm, profile);
                 CandidateVerdict {
                     algorithm,
                     predicted_spread: spread,
-                    relative_cost: self.costs.cost(algorithm),
+                    price_ns,
+                    relative_cost: price_ns / st,
                     fits: match budget {
                         Some(b) => spread <= b,
                         None => algorithm.is_reproducible(),
@@ -187,9 +193,10 @@ impl Selector for HeuristicSelector {
 
 /// Empirical selector: nearest calibrated `(k, dr)` cell, cheapest
 /// algorithm whose **measured** spread fits the budget (scaled by `n`
-/// relative to the calibration size for the n-sensitive algorithms).
-/// Reproducible table entries are skipped: where no other entry fits, the
-/// selector returns [`EXACT`].
+/// relative to the calibration size for the n-sensitive algorithms), at
+/// the same per-call prices the heuristic walk ranks by. Reproducible
+/// table entries are skipped for [`EXACT`], which fits every budget and
+/// is chosen wherever no cheaper entry fits.
 #[derive(Clone, Debug)]
 pub struct CalibratedSelector {
     table: CalibrationTable,
@@ -219,15 +226,18 @@ impl Selector for CalibratedSelector {
             return EXACT;
         };
         let cell = self.table.nearest(profile.k, profile.dr_decades());
+        let price = |alg| self.costs.price_on(alg, profile);
         // The cheapest entry that fits; among equal prices, the first in
-        // table order.
+        // table order, and a table entry before the exact rung.
         cell.spread
             .iter()
             .filter(|&&(alg, measured)| {
                 !alg.is_reproducible() && self.rescale(measured, profile.n) <= budget
             })
-            .min_by(|a, b| self.costs.cost(a.0).total_cmp(&self.costs.cost(b.0)))
-            .map_or(EXACT, |&(alg, _)| alg)
+            .map(|&(alg, _)| alg)
+            .chain([EXACT])
+            .min_by(|a, b| price(*a).total_cmp(&price(*b)))
+            .unwrap_or(EXACT)
     }
 }
 
@@ -235,7 +245,9 @@ impl Selector for CalibratedSelector {
 mod tests {
     use super::*;
     use crate::calibrate::{calibrate, CalibrationConfig};
+    use crate::cost::tests::dear_ds;
     use crate::profile::profile;
+    use repro_fp::simd::MAX_PARTS;
 
     #[test]
     fn bitwise_always_selects_the_exact_rung() {
@@ -249,16 +261,28 @@ mod tests {
 
     #[test]
     fn the_ladder_is_cost_ordered_and_ends_at_the_exact_rung() {
+        // At every size and part count the walk holds each rung once, in
+        // price order. A one-value call pays DS's fixed term, so the walk
+        // ends at the exact rung; past its break-even DS undercuts ST.
         let costs = CostModel::default();
-        let walk = costs.by_cost(LADDER);
-        assert_eq!(walk.len(), LADDER.len());
-        assert!(LADDER.iter().all(|alg| walk.contains(alg)));
-        assert!(walk
-            .windows(2)
-            .all(|w| costs.cost(w[0]) <= costs.cost(w[1])));
-        assert_eq!(walk.last(), Some(&EXACT));
+        for parts in 2..=MAX_PARTS + 1 {
+            for n in [1, 256, 1024, 4096, 1 << 20] {
+                let walk = costs.by_price(LADDER, n, parts);
+                assert!(LADDER.iter().all(|alg| walk.iter().any(|(a, _)| a == alg)));
+                assert!(walk
+                    .iter()
+                    .all(|&(a, price)| price == costs.price(a, n, parts)));
+                assert!(walk.windows(2).all(|w| w[0].1 <= w[1].1));
+            }
+            assert_eq!(costs.by_price(LADDER, 1, parts).last().unwrap().0, EXACT);
+            if let Some(n) = costs.break_even(parts) {
+                let walk = costs.by_price(LADDER, 2 * n, parts);
+                let at = |alg| walk.iter().position(|(a, _)| *a == alg);
+                assert!(at(EXACT) < at(Algorithm::Standard), "{parts} parts");
+            }
+        }
         // The exact rung is the only reproducible one a selector serves.
-        assert!(walk.iter().all(|a| a.is_reproducible() == (*a == EXACT)));
+        assert!(LADDER.iter().all(|a| a.is_reproducible() == (*a == EXACT)));
     }
 
     /// Every algorithm a serving selector can return has a
@@ -316,30 +340,53 @@ mod tests {
         assert_eq!(Tolerance::RelativeSpread(1e-9).budget(-0.0), None);
     }
 
+    /// 1, 2, …, n: benign data, two parts per value.
+    fn benign(n: usize) -> DataProfile {
+        profile(&(1..=n).map(|i| i as f64).collect::<Vec<_>>())
+    }
+
     #[test]
     fn loose_tolerance_selects_st_on_benign_data() {
-        let values: Vec<f64> = (1..=1000).map(|i| i as f64).collect();
-        let p = profile(&values);
-        let alg = HeuristicSelector::default().choose(&p, Tolerance::AbsoluteSpread(1e-6));
-        assert_eq!(alg, Algorithm::Standard);
+        // Below DS's break-even ST is the cheapest rung, and a loose budget
+        // takes it; past the break-even the exact sum is cheaper and fits.
+        let sel = HeuristicSelector::default();
+        let n = sel
+            .costs
+            .break_even(2)
+            .expect("DS undercuts ST on two parts");
+        let loose = Tolerance::AbsoluteSpread(1e-6);
+        assert_eq!(sel.choose(&benign(n - 1), loose), Algorithm::Standard);
+        assert_eq!(sel.choose(&benign(2 * n), loose), EXACT);
     }
 
     #[test]
     fn tightening_tolerance_escalates_monotonically() {
+        // Tightening the budget only removes rungs, so the price of the
+        // choice never falls. Under prices that put DS last, the walk
+        // passes through CP on its way to the exact rung.
         let values = repro_gen::zero_sum_with_range(10_000, 16, 3);
         let p = profile(&values);
-        let sel = HeuristicSelector::default();
-        let mut last_rank = 0u8;
-        for t in [1e-3, 1e-8, 1e-11, 1e-14, 1e-17, 0.0] {
-            let alg = sel.choose(&p, Tolerance::AbsoluteSpread(t));
-            assert!(
-                alg.cost_rank() >= last_rank,
-                "tolerance {t:e} de-escalated to {alg}"
+        for (sel, through_cp) in [
+            (HeuristicSelector::default(), false),
+            (HeuristicSelector { costs: dear_ds() }, true),
+        ] {
+            let mut last_price = 0.0;
+            let mut chosen = Vec::new();
+            for t in [1e-3, 1e-8, 1e-11, 1e-14, 1e-17, 0.0] {
+                let alg = sel.choose(&p, Tolerance::AbsoluteSpread(t));
+                let price = sel.costs.price_on(alg, &p);
+                assert!(price >= last_price, "tolerance {t:e} de-escalated to {alg}");
+                last_price = price;
+                chosen.push(alg);
+            }
+            assert_eq!(
+                chosen.contains(&Algorithm::Composite),
+                through_cp,
+                "{chosen:?}"
             );
-            last_rank = alg.cost_rank();
+            // The zero-tolerance end must be the exact rung.
+            assert_eq!(chosen.last(), Some(&EXACT));
         }
-        // The zero-tolerance end must be the exact rung.
-        assert_eq!(sel.choose(&p, Tolerance::AbsoluteSpread(0.0)), EXACT);
     }
 
     #[test]
@@ -360,19 +407,31 @@ mod tests {
             algorithms: Algorithm::PAPER_SET.to_vec(),
             seed: 7,
         });
-        let sel = CalibratedSelector::new(table);
-        // Benign cell, generous budget: cheapest algorithm.
-        let benign: Vec<f64> = (1..=256).map(|i| i as f64).collect();
-        assert_eq!(
-            sel.choose(&profile(&benign), Tolerance::AbsoluteSpread(1.0)),
-            Algorithm::Standard
-        );
+        let sel = CalibratedSelector::new(table.clone());
+        // Benign cell, generous budget: the cheapest entry below DS's
+        // break-even, and the exact rung past it, where it costs less.
+        let n = sel
+            .costs
+            .break_even(2)
+            .expect("DS undercuts ST on two parts");
+        let generous = Tolerance::AbsoluteSpread(1.0);
+        assert_eq!(sel.choose(&benign(n - 1), generous), Algorithm::Standard);
+        assert_eq!(sel.choose(&benign(2 * n), generous), EXACT);
+        // Under prices that put DS last, the table's cheapest fitting
+        // entry wins at any size.
+        let dear = CalibratedSelector {
+            table,
+            costs: dear_ds(),
+        };
+        assert_eq!(dear.choose(&benign(2 * n), generous), Algorithm::Standard);
         // Hostile cell, zero budget: the table's PR entry (measured spread
         // 0) is skipped for the exact rung.
         let hostile = repro_gen::zero_sum_with_range(256, 16, 1);
         let p = profile(&hostile);
-        assert_eq!(sel.choose(&p, Tolerance::AbsoluteSpread(0.0)), EXACT);
-        assert_eq!(sel.choose(&p, Tolerance::Bitwise), EXACT);
+        for sel in [&sel, &dear] {
+            assert_eq!(sel.choose(&p, Tolerance::AbsoluteSpread(0.0)), EXACT);
+            assert_eq!(sel.choose(&p, Tolerance::Bitwise), EXACT);
+        }
     }
 
     #[test]

@@ -128,7 +128,8 @@ impl<S: Selector> SubtreeAdaptive<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selector::HeuristicSelector;
+    use crate::cost::tests::dear_ds;
+    use crate::selector::{HeuristicSelector, EXACT};
 
     /// Mixed workload: mostly benign chunks with a few hostile regions.
     fn mixed_workload() -> Vec<f64> {
@@ -147,12 +148,15 @@ mod tests {
 
     #[test]
     fn hostile_chunks_get_stronger_operators() {
+        // Under the committed prices every 1,024-value chunk takes DS, the
+        // cheapest rung that fits; under prices that put DS last, the
+        // benign chunks keep ST and only the hostile ones escalate.
         let values = mixed_workload();
-        let reducer = SubtreeAdaptive::new(
-            HeuristicSelector::default(),
-            Tolerance::AbsoluteSpread(1e-10),
-            1024,
-        );
+        let tolerance = Tolerance::AbsoluteSpread(1e-10);
+        let outcome =
+            SubtreeAdaptive::new(HeuristicSelector::default(), tolerance, 1024).reduce(&values);
+        assert!(outcome.chunks.iter().all(|c| c.algorithm == EXACT));
+        let reducer = SubtreeAdaptive::new(HeuristicSelector { costs: dear_ds() }, tolerance, 1024);
         let outcome = reducer.reduce(&values);
         assert_eq!(outcome.chunks.len(), 16);
         let hist = outcome.choice_histogram();
@@ -196,12 +200,13 @@ mod tests {
     #[test]
     fn cheaper_than_global_selection_on_mixed_data() {
         // Global profiling sees the hostile regions and escalates everything;
-        // subtree profiling pays only where needed.
+        // subtree profiling pays only where needed. Under prices that put
+        // DS last, so that escalation costs something.
         let values = mixed_workload();
         let tolerance = Tolerance::AbsoluteSpread(1e-10);
-        let global = crate::AdaptiveReducer::heuristic(tolerance);
-        let (global_alg, _) = global.choose(&values);
-        let subtree = SubtreeAdaptive::new(HeuristicSelector::default(), tolerance, 1024);
+        let selector = HeuristicSelector { costs: dear_ds() };
+        let global_alg = selector.choose(&profile(&values), tolerance);
+        let subtree = SubtreeAdaptive::new(selector, tolerance, 1024);
         let outcome = subtree.reduce(&values);
         let cheapest_used = outcome
             .chunks

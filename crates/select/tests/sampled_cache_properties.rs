@@ -90,10 +90,11 @@ proptest! {
                 "sampled chose {choice}, full profile predicts {:e} > budget {:e}",
                 predicted_spread(choice, &full), t
             );
-            // And it is never cheaper than what the full profile demands.
+            // And, priced on the full profile, it is never cheaper than
+            // what the full profile demands.
             let costs = CostModel::default();
             prop_assert!(
-                costs.cost(choice) >= costs.cost(full_choice),
+                costs.price_on(choice, &full) >= costs.price_on(full_choice, &full),
                 "sampled {choice} undercuts full-profile {full_choice}"
             );
         }

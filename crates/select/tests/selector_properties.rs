@@ -77,26 +77,26 @@ proptest! {
 
     /// No cheaper rung of the serving ladder than the chosen one would also
     /// satisfy the model (the "cheapest acceptable" property). "Cheaper" is
-    /// the calibrated cost model's verdict, not the static `cost_rank`
-    /// order: the measured baseline prices CP under K, and the selector
-    /// must be faithful to the prices it actually ranks by.
+    /// the cost model's per-call price on this profile, not the static
+    /// `cost_rank` order: the selector must be faithful to the prices it
+    /// actually ranks by.
     #[test]
     fn choice_is_cheapest_acceptable(values in workload(), t_exp in -20i32..0) {
         let t = 10f64.powi(t_exp);
         let p = profile(&values);
         let sel = HeuristicSelector::default();
-        let costs = repro_select::CostModel::default();
         let alg = sel.choose(&p, Tolerance::AbsoluteSpread(t));
         prop_assert!(LADDER.contains(&alg), "{alg} is not on the serving ladder");
         for candidate in LADDER {
-            if costs.cost(candidate) < costs.cost(alg) {
+            if sel.costs.price_on(candidate, &p) < sel.costs.price_on(alg, &p) {
                 prop_assert!(predicted_spread(candidate, &p) > t,
                     "{candidate} (cheaper than {alg}) also fits budget {:e}", t);
             }
         }
     }
 
-    /// Tolerance monotonicity: loosening the budget never escalates.
+    /// Tolerance monotonicity: loosening the budget never makes the choice
+    /// dearer on the same profile.
     #[test]
     fn looser_budgets_never_escalate(values in workload(), a in -20i32..0, b in -20i32..0) {
         let (lo, hi) = (a.min(b), a.max(b));
@@ -104,8 +104,72 @@ proptest! {
         let sel = HeuristicSelector::default();
         let tight = sel.choose(&p, Tolerance::AbsoluteSpread(10f64.powi(lo)));
         let loose = sel.choose(&p, Tolerance::AbsoluteSpread(10f64.powi(hi)));
-        prop_assert!(loose.cost_rank() <= tight.cost_rank(),
+        prop_assert!(sel.costs.price_on(loose, &p) <= sel.costs.price_on(tight, &p),
             "loose budget chose {loose}, tight chose {tight}");
+    }
+
+    /// On profiles of 1 to 2^20 values whose exponent spans plan 2 to 9
+    /// cascade parts, under absolute, relative and `Bitwise` budgets: the
+    /// walk lists every rung once at its price, in price order; the
+    /// choice is the cheapest rung that fits; and DS is returned wherever
+    /// no cheaper rung fits.
+    #[test]
+    fn choice_is_the_cheapest_priced_rung_that_fits(
+        parts in 2usize..=repro_fp::simd::MAX_PARTS + 1,
+        n in 1usize..=1 << 20,
+        seed in any::<u64>(),
+        tolerance in prop_oneof![
+            (-20i32..2).prop_map(|e| Tolerance::AbsoluteSpread(10f64.powi(e))),
+            (-20i32..2).prop_map(|e| Tolerance::RelativeSpread(10f64.powi(e))),
+            Just(Tolerance::Bitwise),
+        ],
+    ) {
+        // 64 values spanning the binades of `parts` parts, as the
+        // `rung/DS/p*` workloads do, profiled as a call of `n` values.
+        let span = 42 * parts as i32 - 74;
+        let mut rng = repro_fp::rng::DetRng::seed_from_u64(seed);
+        let values: Vec<f64> = (0..64)
+            .map(|i| {
+                let e = match i {
+                    0 => 0,
+                    1 => span,
+                    _ => rng.below(span as u64 + 1) as i32,
+                };
+                let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+                sign * (1.0 + rng.next_f64()) * 2f64.powi(e - span / 2)
+            })
+            .collect();
+        let mut p = profile(&values);
+        prop_assert_eq!(p.cascade_parts(), parts);
+        p.n = n;
+
+        let sel = HeuristicSelector::default();
+        let e = repro_select::explain(&p, tolerance);
+        let price = |alg| sel.costs.price_on(alg, &p);
+        let fits = |alg| match tolerance.budget(p.sum_estimate) {
+            Some(b) => predicted_spread(alg, &p) <= b,
+            None => alg == repro_select::EXACT,
+        };
+        // The walk: every rung once, each at its price, in price order.
+        prop_assert_eq!(e.candidates.len(), LADDER.len());
+        for c in &e.candidates {
+            prop_assert_eq!(c.price_ns.to_bits(), price(c.algorithm).to_bits());
+            prop_assert_eq!(c.fits, fits(c.algorithm));
+            prop_assert_eq!(c.relative_cost, c.price_ns / price(repro_sum::Algorithm::Standard));
+        }
+        prop_assert!(e.candidates.windows(2).all(|w| w[0].price_ns <= w[1].price_ns));
+        // The choice: the cheapest rung that fits, the one `choose` makes.
+        let chosen = sel.choose(&p, tolerance);
+        prop_assert_eq!(chosen, e.chosen);
+        prop_assert!(fits(chosen));
+        for alg in LADDER {
+            prop_assert!(!fits(alg) || price(chosen) <= price(alg), "{alg} fits for less than {chosen}");
+        }
+        // DS wherever no rung that costs no more fits.
+        let undercut = LADDER
+            .into_iter()
+            .any(|alg| alg != repro_select::EXACT && fits(alg) && price(alg) <= price(repro_select::EXACT));
+        prop_assert_eq!(chosen == repro_select::EXACT, !undercut);
     }
 
     /// Bitwise tolerance always lands on a reproducible operator, and the

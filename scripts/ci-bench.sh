@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Throughput-harness smoke: run the deterministic bench suite at quick
-# scale, validate the BENCH JSON schema, and prove the harness itself is
-# deterministic — two same-seed runs must agree byte-for-byte once the
-# timing fields (the only nondeterministic outputs) are stripped. Then run
-# once at default scale and compare against the committed BENCH_22/BENCH_24
-# baselines: schema, op coverage, seed, and n must match, and the ns/elem
-# deltas are rendered as a table (to $GITHUB_STEP_SUMMARY when set). No
-# wall-clock thresholds anywhere: CI runners share cores, so asserting on
-# absolute ns/elem would only manufacture flakes. Artifacts land in
-# target/bench/ so CI uploads them for offline comparison.
+# scale, validate the BENCH JSON schema (repro-bench-throughput-v2: each
+# entry's unit, rep count, and min/median/p90 ns per unit), and prove the
+# harness itself is deterministic — two same-seed runs must agree
+# byte-for-byte once the timing fields (the only nondeterministic outputs)
+# are stripped. Then run once at default scale and compare against the
+# committed BENCH_26 baseline: schema, op coverage, units, seed, and n must
+# match, and the median deltas are rendered as a table (to
+# $GITHUB_STEP_SUMMARY when set). No wall-clock thresholds anywhere: CI
+# runners share cores, so asserting on absolute timings would only
+# manufacture flakes. Artifacts land in target/bench/ so CI uploads them
+# for offline comparison.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -26,9 +28,12 @@ REPRO_SCALE=quick run bench --out "$BENCH_DIR/bench-a.json"
 REPRO_SCALE=quick run bench --out "$BENCH_DIR/bench-b.json"
 
 echo "== schema check =="
-grep -q '"schema": "repro-bench-throughput-v1"' "$BENCH_DIR/bench-a.json" \
+grep -q '"schema": "repro-bench-throughput-v2"' "$BENCH_DIR/bench-a.json" \
   || { echo "bench output lacks the schema marker" >&2; exit 1; }
 required_ops=(sum/ST sum/PW sum/K sum/N sum/CP sum/DD sum/PR sum/DS
+              rung/ST rung/K rung/CP rung/DS/call
+              rung/DS/p2 rung/DS/p3 rung/DS/p4 rung/DS/p5 rung/DS/p6
+              rung/DS/p7 rung/DS/p8 rung/DS/p9
               superacc/scalar superacc/batched superacc/wide simd/scalar
               select/profile
               select/sampled_profile select/cache_hit select/cache_miss
@@ -47,17 +52,17 @@ for op in "${required_ops[@]}"; do
   grep -q "\"op\": \"$op\"" "$BENCH_DIR/bench-a.json" \
     || { echo "bench output is missing op $op" >&2; exit 1; }
 done
-grep -Eq '"ns_per_elem": [0-9]+(\.[0-9]+)?' "$BENCH_DIR/bench-a.json" \
-  || { echo "bench output lacks ns_per_elem readings" >&2; exit 1; }
+grep -Eq '"unit": "(elem|call|event|update)", "reps": [0-9]+, "min_ns": [0-9]+(\.[0-9]+)?, "median_ns": [0-9]+(\.[0-9]+)?, "p90_ns": [0-9]+(\.[0-9]+)?' "$BENCH_DIR/bench-a.json" \
+  || { echo "bench output lacks unit/reps/min/median/p90 readings" >&2; exit 1; }
 grep -Eq '"git_rev": "[0-9a-f]{12}|unknown"' "$BENCH_DIR/bench-a.json" \
   || { echo "bench output lacks a git revision" >&2; exit 1; }
 
 echo "== harness determinism (byte-for-byte modulo timing fields) =="
 strip_timing() {
-  # ns_per_elem is {:.4}-formatted today, but tolerate a bare integer too —
-  # an earlier version of this strip missed integer readings and let a
-  # "deterministic" diff compare live timings.
-  sed -E 's/"ns_per_elem": [0-9]+(\.[0-9]+)?/"ns_per_elem": X/; s/"bytes_per_sec": [0-9]+/"bytes_per_sec": X/' "$1"
+  # Every v2 timing field, formatted {:.4} today; a bare integer is
+  # tolerated too — an earlier version of this strip missed integer
+  # readings and let a "deterministic" diff compare live timings.
+  sed -E 's/"(min|median|p90)_ns": [0-9]+(\.[0-9]+)?/"\1_ns": X/g' "$1"
 }
 diff <(strip_timing "$BENCH_DIR/bench-a.json") <(strip_timing "$BENCH_DIR/bench-b.json") \
   || { echo "same-seed bench runs diverged outside the timing fields" >&2; exit 1; }
@@ -67,14 +72,17 @@ run bench --out "$BENCH_DIR/bench-default.json"
 
 ops_of() { sed -nE 's|.*"op": "([^"]+)".*|\1|p' "$1"; }
 field_of() { sed -nE 's|.*"'"$2"'": ([0-9]+).*|\1|p' "$1" | sort -u; }
-ns_of() { # $1 = file, $2 = op — empty when the op is absent
-  sed -nE 's|.*"op": "'"$2"'", "n": [0-9]+, "ns_per_elem": ([0-9]+(\.[0-9]+)?).*|\1|p' "$1"
+unit_of() { # $1 = file, $2 = op — empty when the op is absent
+  sed -nE 's|.*"op": "'"$2"'", "n": [0-9]+, "unit": "([a-z]+)".*|\1|p' "$1"
+}
+median_of() { # $1 = file, $2 = op — empty when the op is absent
+  sed -nE 's|.*"op": "'"$2"'", .*"median_ns": ([0-9]+(\.[0-9]+)?).*|\1|p' "$1"
 }
 
-baseline=BENCH_24.json
+baseline=BENCH_26.json
 [ -f "$baseline" ] || { echo "committed baseline $baseline is missing" >&2; exit 1; }
 
-grep -q '"schema": "repro-bench-throughput-v1"' "$baseline" \
+grep -q '"schema": "repro-bench-throughput-v2"' "$baseline" \
   || { echo "$baseline lacks the schema marker" >&2; exit 1; }
 for f in seed n; do
   a=$(field_of "$baseline" "$f"); b=$(field_of "$BENCH_DIR/bench-default.json" "$f")
@@ -100,23 +108,25 @@ done < <(ops_of "$baseline")
 while read -r op; do
   ops_of "$baseline" | grep -qx "$op" \
     || { echo "op $op is not in $baseline — refresh the committed baseline" >&2; exit 1; }
+  a=$(unit_of "$baseline" "$op"); b=$(unit_of "$BENCH_DIR/bench-default.json" "$op")
+  [ "$a" = "$b" ] || { echo "$op unit mismatch vs $baseline: baseline=$a run=$b" >&2; exit 1; }
 done < <(ops_of "$BENCH_DIR/bench-default.json")
 
 # Delta table: informational only (shared CI cores), but it rides every run.
 table="$BENCH_DIR/baseline-delta.md"
 {
-  echo "### Bench vs committed baselines (ns/elem)"
+  echo "### Bench vs committed baseline (median ns per unit)"
   echo ""
-  echo "| op | BENCH_22 | BENCH_24 | this run | Δ vs 24 |"
+  echo "| op | unit | BENCH_26 | this run | Δ vs 26 |"
   echo "|---|---|---|---|---|"
   while read -r op; do
-    b22=$(ns_of BENCH_22.json "$op"); b24=$(ns_of "$baseline" "$op")
-    now=$(ns_of "$BENCH_DIR/bench-default.json" "$op")
-    # A baseline that rounds to 0.0000 (obs/noop) has no relative delta;
-    # gawk would abort on the division.
-    delta=$(awk -v a="$b24" -v b="$now" \
+    b26=$(median_of "$baseline" "$op")
+    now=$(median_of "$BENCH_DIR/bench-default.json" "$op")
+    # A baseline that rounds to 0.0000 has no relative delta; gawk would
+    # abort on the division.
+    delta=$(awk -v a="$b26" -v b="$now" \
       'BEGIN { if (a == "" || b == "" || a + 0 == 0) print "n/a"; else printf "%+.1f%%", (b - a) / a * 100 }')
-    echo "| $op | ${b22:-–} | ${b24:-–} | ${now:-–} | $delta |"
+    echo "| $op | $(unit_of "$baseline" "$op") | ${b26:-–} | ${now:-–} | $delta |"
   done < <(ops_of "$baseline")
 } > "$table"
 cat "$table"

@@ -39,7 +39,7 @@ for tier in scalar sse2 avx2; do
 
   echo "== tier $tier: fixed-seed bench digest (quick scale) =="
   REPRO_SIMD="$tier" REPRO_SCALE=quick run bench --out "$SIMD_DIR/bench-$tier.json"
-  sed -E 's/"ns_per_elem": [0-9]+(\.[0-9]+)?/"ns_per_elem": X/; s/"bytes_per_sec": [0-9]+/"bytes_per_sec": X/' \
+  sed -E 's/"(min|median|p90)_ns": [0-9]+(\.[0-9]+)?/"\1_ns": X/g' \
     "$SIMD_DIR/bench-$tier.json" > "$SIMD_DIR/digest-$tier.json"
 
   echo "== tier $tier: fixed-seed numeric digest (CLI sums + exact error) =="
@@ -61,8 +61,8 @@ for tier in scalar sse2 avx2; do
     --batch-len 256 --seed 2015 | grep -E '^(agg|digest) ' >> "$SIMD_DIR/numeric-$tier.txt"
   # The selector's decision record on each reduce-small shape carries the
   # exact profile: Σx and Σ|x| (so k) from the pair pass, and the
-  # magnitude extremes. The rung prices and their source are per tier, so
-  # the `*_cost` and `cost_source` fields are stripped.
+  # magnitude extremes. The `cost_source` field names the tier, so it is
+  # stripped, with the `*_cost` prices it labels.
   for shape in 1:0 1e4:8 1e12:16 inf:16; do
     REPRO_SIMD="$tier" run trace reduce --n 4096 --k "${shape%:*}" --dr "${shape#*:}" \
       --seed 2015 | grep '"kind":"decision"' \

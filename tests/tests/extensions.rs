@@ -54,7 +54,11 @@ fn interval_enclosures_bracket_adaptive_results() {
 /// tolerance (checked against the exact oracle).
 #[test]
 fn verified_and_heuristic_selection_are_consistent() {
-    let benign: Vec<f64> = (1..=10_000).map(|i| i as f64).collect();
+    // Below DS's break-even, where the heuristic's cheapest fit is ST too.
+    let n = repro_core::select::CostModel::default()
+        .break_even(2)
+        .expect("DS undercuts ST on two parts");
+    let benign: Vec<f64> = (1..n).map(|i| i as f64).collect();
     let verified = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-6), 1).reduce(&benign);
     let (heuristic_choice, _) =
         AdaptiveReducer::heuristic(Tolerance::AbsoluteSpread(1e-6)).choose(&benign);
@@ -71,18 +75,23 @@ fn verified_and_heuristic_selection_are_consistent() {
 /// boundaries and machine enclosures compose without losing the budget.
 #[test]
 fn subtree_selection_composes_with_generators() {
+    // Chunks below DS's break-even, where benign ones keep ST.
+    let chunk = repro_core::select::CostModel::default()
+        .break_even(2)
+        .expect("DS undercuts ST on two parts")
+        - 1;
     let mut values = Vec::new();
     for block in 0..8 {
         if block % 4 == 1 {
-            values.extend(repro_core::gen::zero_sum_with_range(512, 24, block));
+            values.extend(repro_core::gen::zero_sum_with_range(chunk, 24, block));
         } else {
-            values.extend(repro_core::gen::grid_cell(512, 1.0, 2, block, 1e16));
+            values.extend(repro_core::gen::grid_cell(chunk, 1.0, 2, block, 1e16));
         }
     }
     let reducer = SubtreeAdaptive::new(
         repro_core::select::HeuristicSelector::default(),
         Tolerance::AbsoluteSpread(1e-9),
-        512,
+        chunk,
     );
     let outcome = reducer.reduce(&values);
     assert!(repro_core::fp::abs_error(outcome.sum, &values) <= 1e-9);

@@ -101,19 +101,21 @@ fn section_4b_cancellation_does_not_predict_error() {
 /// §IV-C: the robust algorithms cost more than ST, with PR the most
 /// expensive (the paper's measured ST < … < PR frame; the K/CP middle pair
 /// is hardware-dependent, see EXPERIMENTS.md). Checked against the
-/// committed baseline costs the selector loads, not timed inside the test
-/// run, so parallel test load cannot reorder them.
+/// committed baseline prices the selector loads, per value at 4,096 values
+/// a call, not timed inside the test run, so parallel test load cannot
+/// reorder them.
 #[test]
 fn section_4c_cost_ordering() {
     let model = repro_core::select::CostModel::baseline(repro_core::fp::simd::active_tier())
         .expect("the committed bench baseline parses");
-    let st = model.cost(Algorithm::Standard);
+    let cost = |alg| model.price(alg, 4096, 2);
+    let st = cost(Algorithm::Standard);
     for alg in [Algorithm::Kahan, Algorithm::Composite, Algorithm::PR] {
-        assert!(model.cost(alg) > st, "{alg} should cost more than ST");
+        assert!(cost(alg) > st, "{alg} should cost more than ST");
     }
     assert!(
-        model.cost(Algorithm::PR) > model.cost(Algorithm::Kahan)
-            && model.cost(Algorithm::PR) > model.cost(Algorithm::Composite),
+        cost(Algorithm::PR) > cost(Algorithm::Kahan)
+            && cost(Algorithm::PR) > cost(Algorithm::Composite),
         "PR tops the ladder"
     );
 }
@@ -172,28 +174,81 @@ fn section_5c_k_dominates_dr() {
     );
 }
 
+/// A selector on an inline price document in which DS costs 23 ns per
+/// value, as the expansion kernel it once ran on measured: dearer than
+/// every other rung at every `n`, as reproducibility was in 2015.
+fn dear_ds_selector() -> repro_core::select::HeuristicSelector {
+    let entry = |op: &str, unit: &str, n: usize, ns: f64| {
+        format!(r#"{{"op": "{op}", "n": {n}, "unit": "{unit}", "median_ns": {ns}}}"#)
+    };
+    let mut entries = vec![
+        entry("rung/ST", "elem", 4096, 0.75),
+        entry("rung/K", "elem", 4096, 3.0),
+        entry("rung/CP", "elem", 4096, 1.6),
+        entry("rung/DS/call", "call", 256, 23.0 * 256.0 + 140.0),
+    ];
+    entries.extend((2..=9).map(|p| entry(&format!("rung/DS/p{p}"), "elem", 4096, 23.0)));
+    entries
+        .extend(["PW", "N", "DD", "PR"].map(|op| entry(&format!("sum/{op}"), "elem", 4096, 5.0)));
+    let doc = format!(
+        r#"{{"schema": "repro-bench-throughput-v2", "entries": [{}]}}"#,
+        entries.join(", ")
+    );
+    let tier = repro_core::fp::simd::active_tier();
+    repro_core::select::HeuristicSelector {
+        costs: repro_core::select::CostModel::from_baseline_json(&doc, "inline", tier)
+            .expect("inline prices parse"),
+    }
+}
+
 /// §V-D (Figure 12): tightening the tolerance escalates the chosen
-/// algorithm monotonically, and the hostile corner escalates first.
+/// algorithm monotonically, and the hostile corner escalates first. Under
+/// the paper's premise that reproducibility costs a multiple of ST (DS
+/// priced last), the hostile cell climbs through CP; under the committed
+/// prices every choice is the cheapest fit, so the price of the choice
+/// never falls as the budget tightens.
 #[test]
 fn section_5d_selection_escalates() {
-    let hostile = repro_core::gen::grid_cell(4_096, 1e12, 32, 9, 1e16);
-    let benign = repro_core::gen::grid_cell(4_096, 1.0, 0, 9, 1e16);
-    let reducer = |t: f64| AdaptiveReducer::heuristic(Tolerance::AbsoluteSpread(t));
+    use repro_core::select::{profile, HeuristicSelector, Selector};
+    let hostile = profile(&repro_core::gen::grid_cell(4_096, 1e12, 32, 9, 1e16));
+    let benign = profile(&repro_core::gen::grid_cell(4_096, 1.0, 0, 9, 1e16));
+    let dear = dear_ds_selector();
+    let mut hostile_choices = Vec::new();
     let mut last_rank = 0;
     for t in [1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 0.0] {
-        let (alg, _) = reducer(t).choose(&hostile);
+        let tol = Tolerance::AbsoluteSpread(t);
+        let alg = dear.choose(&hostile, tol);
         assert!(alg.cost_rank() >= last_rank, "de-escalated at t = {t:e}");
         last_rank = alg.cost_rank();
+        hostile_choices.push(alg);
         // At every threshold, the benign cell never needs a costlier
         // operator than the hostile cell.
-        let (b, _) = reducer(t).choose(&benign);
-        assert!(b.cost_rank() <= alg.cost_rank());
+        assert!(dear.choose(&benign, tol).cost_rank() <= alg.cost_rank());
+    }
+    assert!(
+        hostile_choices.contains(&Algorithm::Composite),
+        "{hostile_choices:?}"
+    );
+    // The committed prices: the choice's price never falls as the budget
+    // tightens.
+    let sel = HeuristicSelector::default();
+    for p in [&hostile, &benign] {
+        let mut last_price = 0.0;
+        for t in [1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 0.0] {
+            let price = sel
+                .costs
+                .price_on(sel.choose(p, Tolerance::AbsoluteSpread(t)), p);
+            assert!(price >= last_price, "de-escalated at t = {t:e}");
+            last_price = price;
+        }
     }
     // A zero budget ends at the exact rung, which returns the exact sum.
-    assert_eq!(reducer(0.0).choose(&hostile).0, repro_core::select::EXACT);
+    let values = repro_core::gen::grid_cell(4_096, 1e12, 32, 9, 1e16);
+    let reducer = AdaptiveReducer::heuristic(Tolerance::AbsoluteSpread(0.0));
+    assert_eq!(reducer.choose(&values).0, repro_core::select::EXACT);
     assert_eq!(
-        reducer(0.0).reduce(&hostile).sum.to_bits(),
-        repro_core::fp::exact_sum(&hostile).to_bits()
+        reducer.reduce(&values).sum.to_bits(),
+        repro_core::fp::exact_sum(&values).to_bits()
     );
 }
 
