@@ -39,12 +39,7 @@ fn operator_sums_pooled(c: &mut Criterion) {
     for alg in Algorithm::ALL {
         group.bench_with_input(BenchmarkId::new(alg.abbrev(), n), &values, |b, values| {
             b.iter(|| {
-                Runtime::global().reduce_planned(
-                    values,
-                    &plan,
-                    || alg.new_accumulator(),
-                    MergeOrder::Plan,
-                )
+                Runtime::global().reduce(values, &plan, || alg.new_accumulator(), MergeOrder::Plan)
             })
         });
     }

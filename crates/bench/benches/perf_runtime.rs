@@ -1,13 +1,12 @@
 //! **Runtime engine benchmark** — the pooled work-stealing engine against
 //! the old spawn-per-call executor, across worker counts, for a cheap
-//! operator (ST) and a reproducible one (PR). Also measures the multi-lane
-//! chunk kernels against the scalar loop. The acceptance bar for the
+//! operator (ST) and a reproducible one (PR). The acceptance bar for the
 //! runtime: at 1M elements and ≥4 workers the persistent pool must beat
 //! spawning threads per call.
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
-use repro_core::runtime::{spawn_reduce, ChunkKernel, MergeOrder, ReductionPlan, Runtime};
-use repro_core::sum::{BinnedSum, StandardSum};
+use repro_core::runtime::{spawn_reduce, MergeOrder, ReductionPlan, Runtime};
+use repro_core::sum::{Accumulator, BinnedSum, StandardSum};
 
 const N: usize = 1 << 20; // 1M elements
 
@@ -22,9 +21,7 @@ fn pooled_vs_spawn(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("pooled/ST", workers),
             &values,
-            |b, values| {
-                b.iter(|| rt.reduce_planned(values, &plan, StandardSum::new, MergeOrder::Arrival))
-            },
+            |b, values| b.iter(|| rt.reduce(values, &plan, StandardSum::new, MergeOrder::Arrival)),
         );
         group.bench_with_input(
             BenchmarkId::new("spawn/ST", workers),
@@ -37,9 +34,7 @@ fn pooled_vs_spawn(c: &mut Criterion) {
             BenchmarkId::new("pooled/PR", workers),
             &values,
             |b, values| {
-                b.iter(|| {
-                    rt.reduce_planned(values, &plan, || BinnedSum::new(3), MergeOrder::Arrival)
-                })
+                b.iter(|| rt.reduce(values, &plan, || BinnedSum::new(3), MergeOrder::Arrival))
             },
         );
         group.bench_with_input(
@@ -53,59 +48,18 @@ fn pooled_vs_spawn(c: &mut Criterion) {
     group.finish();
 }
 
-fn lane_kernels(c: &mut Criterion) {
-    let values = repro_core::gen::zero_sum_with_range(N, 8, 43);
-    let rt = Runtime::new(4);
-    let plan = ReductionPlan::for_len(N);
-    let mut group = c.benchmark_group("kernels");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(N as u64));
-    for (label, kernel) in [
-        ("scalar", ChunkKernel::Scalar),
-        ("lanes4", ChunkKernel::Lanes(4)),
-        ("lanes8", ChunkKernel::Lanes(8)),
-    ] {
-        group.bench_function(BenchmarkId::new("ST", label), |b| {
-            b.iter(|| {
-                rt.reduce_stats(&values, &plan, StandardSum::new, MergeOrder::Plan, kernel)
-                    .0
-            })
-        });
-        group.bench_function(BenchmarkId::new("PR", label), |b| {
-            b.iter(|| {
-                rt.reduce_stats(
-                    &values,
-                    &plan,
-                    || BinnedSum::new(3),
-                    MergeOrder::Plan,
-                    kernel,
-                )
-                .0
-            })
-        });
-    }
-    group.finish();
-}
-
 fn stats_snapshot() {
     let values = repro_core::gen::zero_sum_with_range(N, 8, 44);
     let rt = Runtime::new(4);
     let plan = ReductionPlan::for_len(N);
-    let (sum, stats) = rt.reduce_stats(
-        &values,
-        &plan,
-        || BinnedSum::new(3),
-        MergeOrder::Plan,
-        ChunkKernel::Scalar,
-    );
+    let (acc, stats) = rt.accumulate(&values, &plan, || BinnedSum::new(3), MergeOrder::Plan);
     println!("runtime stats (PR, 1M, 4 workers): {stats}");
-    black_box(sum);
+    black_box(acc.finalize());
 }
 
 fn main() {
     let mut c = Criterion::default().configure_from_args();
     pooled_vs_spawn(&mut c);
-    lane_kernels(&mut c);
     stats_snapshot();
     c.final_summary();
 }

@@ -72,11 +72,12 @@ fn main() {
         }
 
         // 3. Real thread nondeterminism (arrival-order merges).
-        use repro_core::tree::executor::{parallel_reduce, MergeOrder};
+        use repro_core::runtime::{MergeOrder, ReductionPlan, Runtime};
+        let plan = ReductionPlan::with_chunk_count(values.len(), 8);
         for _ in 0..3 {
-            let got = parallel_reduce(
+            let got = Runtime::global().reduce(
                 &values,
-                8,
+                &plan,
                 || repro_core::sum::BinnedSum::new(3),
                 MergeOrder::Arrival,
             );

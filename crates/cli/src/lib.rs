@@ -108,6 +108,20 @@ pub fn check_dispatch_env() -> Result<(), CliError> {
         .map_err(|e| err(e.to_string()))
 }
 
+/// Validate `REPRO_RUNTIME_WORKERS`: `Ok` when it is unset or names a
+/// worker count [`repro_core::runtime::parse_workers`] accepts, `Err`
+/// naming the value otherwise. The binary calls this next to
+/// [`check_dispatch_env`], so a typo or an out-of-range count is a startup
+/// diagnostic instead of a silent fallback to the machine's parallelism.
+pub fn check_runtime_env() -> Result<(), CliError> {
+    match std::env::var_os("REPRO_RUNTIME_WORKERS") {
+        Some(v) => repro_core::runtime::parse_workers(&v.to_string_lossy())
+            .map(|_| ())
+            .map_err(err),
+        None => Ok(()),
+    }
+}
+
 /// Usage text.
 pub const USAGE: &str = "\
 repro-reduce — reproducible floating-point reductions
@@ -188,7 +202,8 @@ batches) of at most 134217728 (2^27) values (--batch-len).
 
 Exit codes: 0 = success; 1 = failure or numerical divergence ('trace
 diff' divergent nodes, 'replay' mismatch); 2 = parse/schema error
-(malformed trace or manifest, unsupported schema, invalid REPRO_SIMD).";
+(malformed trace or manifest, unsupported schema, invalid REPRO_SIMD or
+REPRO_RUNTIME_WORKERS).";
 
 /// Walks `--flag [value]` arguments. Each command matches the flags it
 /// accepts, one arm per flag, and reads a flag's value through
@@ -348,8 +363,9 @@ const MIN_GENERATED: u64 = 2;
 /// window must stay within 10^±280.
 const MAX_GENERATED_DR: u64 = 560;
 /// The most ranks (`--ranks`; a `chaos` manifest's `workers`) or agg
-/// workers (`--workers`; an `agg` manifest's `workers`): each is a thread.
-const MAX_THREADS: u64 = 1024;
+/// workers (`--workers`; an `agg` manifest's `workers`): each is a thread,
+/// so the bound is the runtime's pool bound.
+const MAX_THREADS: u64 = repro_core::runtime::MAX_WORKERS as u64;
 /// The most batches an agg schedule holds (aggregates × clients × batches).
 const MAX_AGG_BATCHES: u64 = 1 << 24;
 /// The most values in one agg batch (`--batch-len`).

@@ -23,7 +23,9 @@ fn main() {
     // Validate the SIMD dispatch environment before any kernel can consult
     // it: an invalid REPRO_SIMD is a clean diagnostic + nonzero exit here,
     // never a library panic (and never a silent fallback mid-benchmark).
-    if let Err(e) = repro_cli::check_dispatch_env() {
+    // The same for the shared pool's size, before any command can start it.
+    let env = repro_cli::check_dispatch_env().and_then(|()| repro_cli::check_runtime_env());
+    if let Err(e) = env {
         eprintln!("error: {e}");
         std::process::exit(2);
     }

@@ -15,7 +15,7 @@
 //! | [`sum`] | ST / Kahan / Neumaier / pairwise / CP / PR as mergeable reduction operators |
 //! | [`stats`] | boxplots, grids, histograms, tables |
 //! | [`gen`] | `(n, k, dr)`-targeted workload generators |
-//! | [`tree`] | reduction-tree shapes, permutations, threaded executor |
+//! | [`tree`] | reduction-tree shapes, permutations, evaluators, error attribution |
 //! | [`cancel`] | CESTAC stochastic arithmetic, cancellation tracking |
 //! | [`mpisim`] | message-passing runtime with reduction collectives |
 //! | [`obs`] | deterministic observability: logical-clock events, metrics, JSONL traces |

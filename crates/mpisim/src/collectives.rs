@@ -21,12 +21,14 @@ use std::time::{Duration, Instant};
 /// source on top of the message schedule.
 fn local_accumulate(values: &[f64], algorithm: Algorithm) -> AlgoAccumulator {
     let plan = ReductionPlan::for_len(values.len());
-    Runtime::global().accumulate_planned(
-        values,
-        &plan,
-        || algorithm.new_accumulator(),
-        MergeOrder::Plan,
-    )
+    Runtime::global()
+        .accumulate(
+            values,
+            &plan,
+            || algorithm.new_accumulator(),
+            MergeOrder::Plan,
+        )
+        .0
 }
 
 /// The communication pattern of a reduction.

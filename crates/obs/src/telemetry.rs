@@ -9,7 +9,7 @@
 //! to an uninstrumented run, preserving the trace-replay contract.
 //!
 //! The config lives here (rather than in the runtime) because every
-//! instrumented layer — thread-pool engine, tree executor, simulated
+//! instrumented layer — the thread-pool engine and the simulated
 //! collectives — shares the same policy vocabulary.
 
 /// Which numerical telemetry a traced reduction emits. Off by default.

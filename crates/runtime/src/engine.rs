@@ -4,7 +4,7 @@ use crate::plan::{MergeOrder, ReductionPlan};
 use crate::pool::{PoolCounters, ThreadPool};
 use crate::stats::RuntimeStats;
 use repro_fp::Superaccumulator;
-use repro_sum::lanes::{accumulate_lanes, chunk_len, merge_in_lane_order, merge_tree};
+use repro_sum::lanes::{chunk_len, merge_in_lane_order, merge_tree};
 use repro_sum::Accumulator;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,32 +103,12 @@ impl<'r> NodeObserver<'r> {
     }
 }
 
-/// Which per-chunk kernel the workers run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChunkKernel {
-    /// `Accumulator::add_slice` — the operator's natural sequential loop.
-    Scalar,
-    /// [`repro_sum::lanes::accumulate_lanes`] with this many contiguous
-    /// lane chunks, merged through the fixed stride-doubling lane order —
-    /// the same decomposition/merge shape as [`crate::ReductionPlan`]
-    /// (bitwise identical to [`ChunkKernel::Scalar`] for reproducible
-    /// operators).
-    Lanes(usize),
-}
-
-impl ChunkKernel {
-    fn run<A, F>(self, make: &F, chunk: &[f64]) -> A
-    where
-        A: Accumulator,
-        F: Fn() -> A,
-    {
-        // One lane is the scalar kernel.
-        let lanes = match self {
-            ChunkKernel::Scalar => 1,
-            ChunkKernel::Lanes(lanes) => lanes,
-        };
-        accumulate_lanes(make, chunk, lanes)
-    }
+/// One chunk's partial: a fresh accumulator fed the chunk with
+/// [`Accumulator::add_slice`], the operator's natural sequential loop.
+fn reduce_chunk<A: Accumulator>(make: &impl Fn() -> A, chunk: &[f64]) -> A {
+    let mut acc = make();
+    acc.add_slice(chunk);
+    acc
 }
 
 /// Wall clock and pool counters at the start of one engine call.
@@ -238,6 +218,26 @@ pub struct Runtime {
 
 static GLOBAL: OnceLock<Runtime> = OnceLock::new();
 
+/// The most workers `REPRO_RUNTIME_WORKERS` may ask for: each is an OS
+/// thread, spawned when the shared pool starts.
+pub const MAX_WORKERS: usize = 1024;
+
+/// The worker count a `REPRO_RUNTIME_WORKERS` value names: an integer in
+/// `1..=`[`MAX_WORKERS`], or an error naming the value.
+/// [`Runtime::global`] falls back to the machine's parallelism on an
+/// error; `repro-reduce` refuses to start.
+pub fn parse_workers(value: &str) -> Result<usize, String> {
+    value
+        .parse::<usize>()
+        .ok()
+        .filter(|w| (1..=MAX_WORKERS).contains(w))
+        .ok_or_else(|| {
+            format!(
+                "REPRO_RUNTIME_WORKERS={value:?} is not a worker count (an integer from 1 to {MAX_WORKERS})"
+            )
+        })
+}
+
 impl Runtime {
     /// A runtime with its own pool of `workers` threads.
     pub fn new(workers: usize) -> Self {
@@ -247,14 +247,13 @@ impl Runtime {
     }
 
     /// The process-wide shared runtime. Worker count comes from
-    /// `REPRO_RUNTIME_WORKERS`, defaulting to the machine's available
-    /// parallelism.
+    /// `REPRO_RUNTIME_WORKERS` when [`parse_workers`] accepts it, and is
+    /// the machine's available parallelism otherwise.
     pub fn global() -> &'static Runtime {
         GLOBAL.get_or_init(|| {
             let workers = std::env::var("REPRO_RUNTIME_WORKERS")
                 .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&w| w >= 1)
+                .and_then(|v| parse_workers(&v).ok())
                 .unwrap_or_else(|| {
                     std::thread::available_parallelism()
                         .map(|n| n.get())
@@ -269,22 +268,8 @@ impl Runtime {
         self.pool.workers()
     }
 
-    /// The underlying pool (for custom scoped work).
-    pub fn pool(&self) -> &ThreadPool {
-        &self.pool
-    }
-
-    /// Reduce `values` under a default plan. See [`Runtime::reduce_planned`].
-    pub fn reduce<A, F>(&self, values: &[f64], make: F, order: MergeOrder) -> f64
-    where
-        A: Accumulator,
-        F: Fn() -> A + Sync,
-    {
-        self.reduce_planned(values, &ReductionPlan::for_len(values.len()), make, order)
-    }
-
-    /// Reduce `values` under an explicit plan with the scalar kernel.
-    pub fn reduce_planned<A, F>(
+    /// [`Runtime::accumulate`], finalized.
+    pub fn reduce<A, F>(
         &self,
         values: &[f64],
         plan: &ReductionPlan,
@@ -295,60 +280,31 @@ impl Runtime {
         A: Accumulator,
         F: Fn() -> A + Sync,
     {
-        self.reduce_stats(values, plan, make, order, ChunkKernel::Scalar)
-            .0
+        self.accumulate(values, plan, make, order).0.finalize()
     }
 
-    /// Like [`Runtime::reduce_planned`], but returns the merged
-    /// **accumulator** instead of finalizing — the local-compute building
-    /// block for distributed reductions, where the partial keeps travelling.
-    pub fn accumulate_planned<A, F>(
+    /// Reduce `values` under `plan`: each chunk is `make()` fed the chunk
+    /// with [`Accumulator::add_slice`] on the pool, and the partials merge
+    /// per `order`. Returns the merged **accumulator** instead of
+    /// finalizing it — the local-compute building block for distributed
+    /// reductions, where the partial keeps travelling — and this call's
+    /// [`RuntimeStats`].
+    ///
+    /// [`MergeOrder::Plan`] runs the walk [`Runtime::reduce_telemetry`]
+    /// narrates, with nothing recorded, so a traced call and a plain one
+    /// share their bits by construction.
+    pub fn accumulate<A, F>(
         &self,
         values: &[f64],
         plan: &ReductionPlan,
         make: F,
         order: MergeOrder,
-    ) -> A
-    where
-        A: Accumulator,
-        F: Fn() -> A + Sync,
-    {
-        self.accumulate_stats(values, plan, make, order, ChunkKernel::Scalar)
-            .0
-    }
-
-    /// Full-control reduction: explicit plan, merge order, and chunk
-    /// kernel; returns the result plus this call's [`RuntimeStats`].
-    pub fn reduce_stats<A, F>(
-        &self,
-        values: &[f64],
-        plan: &ReductionPlan,
-        make: F,
-        order: MergeOrder,
-        kernel: ChunkKernel,
-    ) -> (f64, RuntimeStats)
-    where
-        A: Accumulator,
-        F: Fn() -> A + Sync,
-    {
-        let (acc, stats) = self.accumulate_stats(values, plan, make, order, kernel);
-        (acc.finalize(), stats)
-    }
-
-    fn accumulate_stats<A, F>(
-        &self,
-        values: &[f64],
-        plan: &ReductionPlan,
-        make: F,
-        order: MergeOrder,
-        kernel: ChunkKernel,
     ) -> (A, RuntimeStats)
     where
         A: Accumulator,
         F: Fn() -> A + Sync,
     {
         let start = self.begin(plan, values);
-        let run = |_, range: Range<usize>| kernel.run(&make, &values[range]);
         let (result, chunk_time, merge_time) = match order {
             MergeOrder::Arrival => {
                 // Merge in genuine completion order, overlapping the
@@ -358,7 +314,7 @@ impl Runtime {
                 let chunk_time = self.run_chunks(
                     plan,
                     0..plan.num_chunks(),
-                    |i, range| Some(run(i, range)),
+                    |_, range| Some(reduce_chunk(&make, &values[range])),
                     |_, part| {
                         let t = Instant::now();
                         root.merge(&part);
@@ -367,12 +323,14 @@ impl Runtime {
                 );
                 (root, chunk_time, merge_time)
             }
-            MergeOrder::Plan => {
-                let (parts, chunk_time) = self.collect_chunks(plan, run);
-                let t = Instant::now();
-                let merged = merge_in_lane_order(parts).expect("plan has at least one chunk");
-                (merged, chunk_time, t.elapsed())
-            }
+            MergeOrder::Plan => self.plan_walk(
+                values,
+                plan,
+                &make,
+                &mut repro_obs::Scope::disabled(),
+                repro_obs::TelemetryConfig::off(),
+                None,
+            ),
         };
         let stats = self.stats(start, plan, chunk_time, merge_time);
         // Flight-record the reduction's plan-derived shape (never the
@@ -390,12 +348,12 @@ impl Runtime {
         (result, stats)
     }
 
-    /// Like [`Runtime::reduce_planned`] with [`MergeOrder::Plan`], but
-    /// narrating the call into an observability scope: a `reduce_begin`
-    /// event with the plan shape, one `chunk_exec` event per chunk **in
-    /// plan order** (regardless of which worker ran it when), one `merge`
-    /// event per merge step in the fixed tree order, and a `reduce_end`
-    /// event carrying the result's bit pattern.
+    /// [`Runtime::reduce`] with [`MergeOrder::Plan`], narrated into an
+    /// observability scope: a `reduce_begin` event with the plan shape, one
+    /// `chunk_exec` event per chunk **in plan order** (regardless of which
+    /// worker ran it when), one `merge` event per merge step in the fixed
+    /// tree order, and a `reduce_end` event carrying the result's bit
+    /// pattern.
     ///
     /// Because the merge order, the chunk boundaries, and the event order
     /// all derive from the plan alone, the emitted events are
@@ -403,43 +361,21 @@ impl Runtime {
     /// facts (steals, wall times) are deliberately left out of the event
     /// stream; publish the returned [`RuntimeStats`] into a
     /// [`repro_obs::Registry`] for those.
-    pub fn reduce_traced<A, F>(
-        &self,
-        values: &[f64],
-        plan: &ReductionPlan,
-        make: F,
-        scope: &mut repro_obs::Scope,
-    ) -> (f64, RuntimeStats)
-    where
-        A: Accumulator,
-        F: Fn() -> A + Sync,
-    {
-        self.reduce_telemetry(
-            values,
-            plan,
-            make,
-            scope,
-            repro_obs::TelemetryConfig::off(),
-            None,
-        )
-    }
-
-    /// [`Runtime::reduce_traced`] with numerical-accuracy telemetry: when
-    /// `telemetry` is enabled, each reduction-tree node (leaf chunks and
-    /// plan-order merges) additionally emits one `node` event right after
-    /// its `chunk_exec`/`merge` event, carrying the plan-derived node id
-    /// ([`ReductionPlan::node_id`]), the element interval, the node's
+    ///
+    /// When `telemetry` is enabled, each reduction-tree node (leaf chunks
+    /// and plan-order merges) additionally emits one `node` event right
+    /// after its `chunk_exec`/`merge` event, carrying the plan-derived node
+    /// id ([`ReductionPlan::node_id`]), the element interval, the node's
     /// partial-sum bits, and the running Higham bound `n·u·Σ|xᵢ|` over the
     /// interval. At nodes selected by
     /// [`repro_obs::TelemetryConfig::sample_exact`] (counted in plan
     /// order), the event also carries the exact ulp deviation against a
     /// [`repro_fp::Superaccumulator`] shadow reduction.
     ///
-    /// The `node` events are strictly **additive**: with
-    /// [`repro_obs::TelemetryConfig::off`] the emitted stream is
-    /// byte-identical to [`Runtime::reduce_traced`]'s, and with telemetry
-    /// on, stripping the `node` events recovers it. Either way the stream
-    /// stays worker-count-invariant — the shadow reduction and bounds are
+    /// The `node` events are strictly **additive**: stripping them from a
+    /// stream recorded with telemetry on recovers the stream recorded with
+    /// [`repro_obs::TelemetryConfig::off`]. Either way the stream stays
+    /// worker-count-invariant — the shadow reduction and bounds are
     /// computed serially in plan order after the parallel phase.
     ///
     /// With a `registry`, per-node facts aggregate into it: counters
@@ -460,22 +396,46 @@ impl Runtime {
         A: Accumulator,
         F: Fn() -> A + Sync,
     {
-        use repro_obs::f;
         let start = self.begin(plan, values);
+        let (result, chunk_time, merge_time) =
+            self.plan_walk(values, plan, &make, scope, telemetry, registry);
+        (
+            result.finalize(),
+            self.stats(start, plan, chunk_time, merge_time),
+        )
+    }
+
+    /// The plan-order reduction, written once: reduce every chunk on the
+    /// pool, then narrate the chunks and fold them along the plan's merge
+    /// tree ([`merge_tree`]) on the calling thread. Returns the root and
+    /// the chunk and merge wall times. A disabled `scope` builds no event
+    /// fields, and telemetry off builds no shadow.
+    fn plan_walk<A, F>(
+        &self,
+        values: &[f64],
+        plan: &ReductionPlan,
+        make: &F,
+        scope: &mut repro_obs::Scope,
+        telemetry: repro_obs::TelemetryConfig,
+        registry: Option<&repro_obs::Registry>,
+    ) -> (A, Duration, Duration)
+    where
+        A: Accumulator,
+        F: Fn() -> A + Sync,
+    {
+        use repro_obs::f;
         // Deliberately no worker count here: the event stream must be
         // invariant across pool sizes, and `workers` is an execution fact,
         // not a plan fact — it lives in RuntimeStats/the registry.
-        scope.event(
-            "reduce_begin",
+        scope.event_with("reduce_begin", || {
             vec![
                 f("n", values.len()),
                 f("chunks", plan.num_chunks()),
                 f("merge_depth", plan.merge_depth()),
-            ],
-        );
-        let (parts, chunk_time) = self.collect_chunks(plan, |_, range| {
-            ChunkKernel::Scalar.run(&make, &values[range])
+            ]
         });
+        let (parts, chunk_time) =
+            self.collect_chunks(plan, |_, range| reduce_chunk(make, &values[range]));
 
         // Narrate chunk completion in plan order, after the barrier: the
         // workers raced, the story must not. With telemetry on, each leaf
@@ -485,14 +445,13 @@ impl Runtime {
         let mut nodes = NodeObserver::new(telemetry, registry);
         let mut leaves = Vec::with_capacity(parts.len());
         for ((i, range), part) in plan.chunks().iter().enumerate().zip(parts) {
-            scope.event(
-                "chunk_exec",
+            scope.event_with("chunk_exec", || {
                 vec![
                     f("chunk", i),
                     f("start", range.start),
                     f("len", range.len()),
-                ],
-            );
+                ]
+            });
             let shadow = telemetry
                 .enabled()
                 .then(|| NodeShadow::over(&values[range.clone()]));
@@ -503,10 +462,10 @@ impl Runtime {
         }
 
         let t = Instant::now();
-        let mut merges = 0usize;
+        let mut step = 0usize;
         let (result, _) = merge_tree(leaves, |i, stride, left, right| {
-            scope.event("merge", vec![f("step", merges)]);
-            merges += 1;
+            scope.event_with("merge", || vec![f("step", step)]);
+            step += 1;
             left.0.merge(&right.0);
             if let (Some(shadow), Some(other)) = (&mut left.1, &right.1) {
                 shadow.absorb(other);
@@ -516,15 +475,13 @@ impl Runtime {
         .expect("plan has at least one chunk");
         let merge_time = t.elapsed();
 
-        let sum = result.finalize();
-        scope.event(
-            "reduce_end",
+        scope.event_with("reduce_end", || {
             vec![
-                f("merges", merges),
-                f("sum_bits", format!("{:016x}", sum.to_bits())),
-            ],
-        );
-        (sum, self.stats(start, plan, chunk_time, merge_time))
+                f("merges", plan.num_chunks() - 1),
+                f("sum_bits", format!("{:016x}", result.finalize().to_bits())),
+            ]
+        });
+        (result, chunk_time, merge_time)
     }
 
     /// Resumable reduction with checkpointed partials: every completed
@@ -536,7 +493,7 @@ impl Runtime {
     ///
     /// The merge always follows **plan order** over the checkpoint slots,
     /// so the result is bitwise identical to a plain
-    /// [`Runtime::accumulate_planned`] with [`MergeOrder::Plan`] for *any*
+    /// [`Runtime::accumulate`] with [`MergeOrder::Plan`] for *any*
     /// operator — interrupting, retrying, and resuming never change the
     /// association.
     pub fn accumulate_resumable<A, F>(
@@ -579,7 +536,7 @@ impl Runtime {
                     if inject.is_some_and(|f| f(i, attempt)) {
                         return None;
                     }
-                    Some(ChunkKernel::Scalar.run(&make, &values[range]))
+                    Some(reduce_chunk(&make, &values[range]))
                 },
                 |i, acc| {
                     if attempt > 0 {
@@ -776,7 +733,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repro_sum::{BinnedSum, StandardSum};
+    use repro_sum::{BinnedSum, CompositeSum, StandardSum};
 
     fn data(n: usize) -> Vec<f64> {
         // Deterministic, sign-alternating, wide-exponent data.
@@ -795,7 +752,7 @@ mod tests {
         let values = data(10_000);
         let seq: f64 = values.iter().sum();
         let plan = ReductionPlan::with_chunk_count(values.len(), 1);
-        let par = rt.reduce_planned(&values, &plan, StandardSum::new, MergeOrder::Arrival);
+        let par = rt.reduce(&values, &plan, StandardSum::new, MergeOrder::Arrival);
         assert_eq!(par.to_bits(), seq.to_bits());
     }
 
@@ -803,12 +760,11 @@ mod tests {
     fn plan_order_is_worker_count_invariant_for_any_operator() {
         let values = data(50_000);
         let plan = ReductionPlan::with_chunk_len(values.len(), 1024);
-        let reference =
-            Runtime::new(1).reduce_planned(&values, &plan, StandardSum::new, MergeOrder::Plan);
+        let reference = Runtime::new(1).reduce(&values, &plan, StandardSum::new, MergeOrder::Plan);
         for workers in [2usize, 4, 8] {
             let rt = Runtime::new(workers);
             for _ in 0..3 {
-                let got = rt.reduce_planned(&values, &plan, StandardSum::new, MergeOrder::Plan);
+                let got = rt.reduce(&values, &plan, StandardSum::new, MergeOrder::Plan);
                 assert_eq!(
                     got.to_bits(),
                     reference.to_bits(),
@@ -823,10 +779,23 @@ mod tests {
         let values = data(60_000);
         let rt = Runtime::new(8);
         let plan = ReductionPlan::with_chunk_len(values.len(), 2048);
-        let reference = rt.reduce_planned(&values, &plan, || BinnedSum::new(3), MergeOrder::Plan);
+        let reference = rt.reduce(&values, &plan, || BinnedSum::new(3), MergeOrder::Plan);
         for _ in 0..10 {
-            let got = rt.reduce_planned(&values, &plan, || BinnedSum::new(3), MergeOrder::Arrival);
+            let got = rt.reduce(&values, &plan, || BinnedSum::new(3), MergeOrder::Arrival);
             assert_eq!(got.to_bits(), reference.to_bits());
+        }
+    }
+
+    #[test]
+    fn composite_stays_accurate_under_any_arrival() {
+        let values = repro_gen::zero_sum_with_range(50_000, 16, 29);
+        let rt = Runtime::new(4);
+        let plan = ReductionPlan::with_chunk_count(values.len(), 8);
+        for _ in 0..5 {
+            let run = rt.reduce(&values, &plan, CompositeSum::new, MergeOrder::Arrival);
+            // Exact sum is 0; CP must stay within a tight absolute band.
+            let bound = repro_fp::exact_abs_sum(&values) * repro_fp::UNIT_ROUNDOFF * 4.0;
+            assert!(run.abs() <= bound, "CP error {run:e} > {bound:e}");
         }
     }
 
@@ -835,7 +804,8 @@ mod tests {
         let values = data(30_000);
         let rt = Runtime::new(4);
         let spawned = spawn_reduce(&values, 4, || BinnedSum::new(3), MergeOrder::Arrival);
-        let pooled = rt.reduce(&values, || BinnedSum::new(3), MergeOrder::Arrival);
+        let plan = ReductionPlan::for_len(values.len());
+        let pooled = rt.reduce(&values, &plan, || BinnedSum::new(3), MergeOrder::Arrival);
         assert_eq!(spawned.to_bits(), pooled.to_bits());
     }
 
@@ -848,7 +818,7 @@ mod tests {
         for w in 2..=8 {
             let spawned = spawn_reduce(&values, w, StandardSum::new, MergeOrder::Plan);
             let plan = ReductionPlan::with_chunk_count(values.len(), w);
-            let pooled = rt.reduce_planned(&values, &plan, StandardSum::new, MergeOrder::Plan);
+            let pooled = rt.reduce(&values, &plan, StandardSum::new, MergeOrder::Plan);
             assert_eq!(spawned.to_bits(), pooled.to_bits(), "workers = {w}");
         }
     }
@@ -856,8 +826,15 @@ mod tests {
     #[test]
     fn empty_input_reduces_to_identity() {
         let rt = Runtime::new(2);
-        assert_eq!(rt.reduce(&[], StandardSum::new, MergeOrder::Arrival), 0.0);
-        assert_eq!(rt.reduce(&[], StandardSum::new, MergeOrder::Plan), 0.0);
+        let plan = ReductionPlan::for_len(0);
+        assert_eq!(
+            rt.reduce(&[], &plan, StandardSum::new, MergeOrder::Arrival),
+            0.0
+        );
+        assert_eq!(
+            rt.reduce(&[], &plan, StandardSum::new, MergeOrder::Plan),
+            0.0
+        );
     }
 
     #[test]
@@ -865,13 +842,7 @@ mod tests {
         let rt = Runtime::new(4);
         let values = data(100_000);
         let plan = ReductionPlan::with_chunk_len(values.len(), 4096);
-        let (_, stats) = rt.reduce_stats(
-            &values,
-            &plan,
-            StandardSum::new,
-            MergeOrder::Plan,
-            ChunkKernel::Scalar,
-        );
+        let (_, stats) = rt.accumulate(&values, &plan, StandardSum::new, MergeOrder::Plan);
         assert_eq!(stats.workers, 4);
         assert_eq!(stats.chunks, values.len().div_ceil(4096));
         // The pool is private to this test, so the count is exact.
@@ -896,7 +867,7 @@ mod tests {
         let rt = Runtime::new(4);
         let values = data(40_000);
         let plan = ReductionPlan::with_chunk_len(values.len(), 1024);
-        let plain = rt.accumulate_planned(&values, &plan, StandardSum::new, MergeOrder::Plan);
+        let (plain, _) = rt.accumulate(&values, &plan, StandardSum::new, MergeOrder::Plan);
         let mut store = CheckpointStore::for_plan(&plan);
         let (resumed, stats) = rt
             .accumulate_resumable(&values, &plan, StandardSum::new, &mut store, None)
@@ -912,7 +883,7 @@ mod tests {
         let rt = Runtime::new(4);
         let values = data(30_000);
         let plan = ReductionPlan::with_chunk_len(values.len(), 2048);
-        let plain = rt.accumulate_planned(&values, &plan, || BinnedSum::new(3), MergeOrder::Plan);
+        let plain = rt.reduce(&values, &plan, || BinnedSum::new(3), MergeOrder::Plan);
         let mut store = CheckpointStore::for_plan(&plan);
         // Every third chunk dies on its first attempt.
         let inject = |chunk: usize, attempt: u32| attempt == 0 && chunk % 3 == 0;
@@ -925,7 +896,7 @@ mod tests {
                 Some(&inject),
             )
             .unwrap();
-        assert_eq!(resumed.finalize().to_bits(), plain.finalize().to_bits());
+        assert_eq!(resumed.finalize().to_bits(), plain.to_bits());
         let failing = plan.num_chunks().div_ceil(3) as u64;
         assert_eq!(stats.retries, failing);
         assert_eq!(stats.heals, failing);
@@ -987,17 +958,24 @@ mod tests {
 
     #[test]
     fn traced_reduce_matches_plain_and_replays_identically() {
-        use repro_obs::{render_jsonl, Trace};
+        use repro_obs::{render_jsonl, TelemetryConfig, Trace};
         let values = data(30_000);
         let plan = ReductionPlan::with_chunk_len(values.len(), 2048);
         let rt = Runtime::new(4);
-        let plain = rt.reduce_planned(&values, &plan, || BinnedSum::new(3), MergeOrder::Plan);
+        let plain = rt.reduce(&values, &plan, || BinnedSum::new(3), MergeOrder::Plan);
 
         let run = |workers: usize| {
             let rt = Runtime::new(workers);
             let (trace, sink) = Trace::to_memory();
             let mut scope = trace.scope("runtime");
-            let (sum, stats) = rt.reduce_traced(&values, &plan, || BinnedSum::new(3), &mut scope);
+            let (sum, stats) = rt.reduce_telemetry(
+                &values,
+                &plan,
+                || BinnedSum::new(3),
+                &mut scope,
+                TelemetryConfig::off(),
+                None,
+            );
             assert_eq!(stats.chunks, plan.num_chunks());
             (sum, render_jsonl(&sink.drain()))
         };
@@ -1019,29 +997,22 @@ mod tests {
         let values = data(20_000);
         let plan = ReductionPlan::with_chunk_len(values.len(), 2048);
         let rt = Runtime::new(4);
-        let run = |telemetry: Option<TelemetryConfig>| {
+        let run = |telemetry: TelemetryConfig| {
             let (trace, sink) = Trace::to_memory();
             let mut scope = trace.scope("runtime");
-            match telemetry {
-                None => {
-                    rt.reduce_traced(&values, &plan, || BinnedSum::new(3), &mut scope);
-                }
-                Some(cfg) => {
-                    rt.reduce_telemetry(
-                        &values,
-                        &plan,
-                        || BinnedSum::new(3),
-                        &mut scope,
-                        cfg,
-                        None,
-                    );
-                }
-            }
+            rt.reduce_telemetry(
+                &values,
+                &plan,
+                || BinnedSum::new(3),
+                &mut scope,
+                telemetry,
+                None,
+            );
             render_jsonl(&sink.drain())
         };
-        // The telemetry entry point with the off config emits the exact
-        // bytes of the pre-telemetry path: the determinism contract.
-        assert_eq!(run(None), run(Some(TelemetryConfig::off())));
+        // With the off config, two calls emit the exact same bytes: the
+        // determinism contract.
+        assert_eq!(run(TelemetryConfig::off()), run(TelemetryConfig::off()));
         // And telemetry on is strictly additive: dropping the node lines
         // recovers the off stream, up to the logical timestamps the extra
         // events consumed.
@@ -1057,8 +1028,8 @@ mod tests {
                 .collect()
         };
         assert_eq!(
-            drop_seq(run(Some(TelemetryConfig::full()))),
-            drop_seq(run(None))
+            drop_seq(run(TelemetryConfig::full())),
+            drop_seq(run(TelemetryConfig::off()))
         );
     }
 
@@ -1141,13 +1112,7 @@ mod tests {
         let rt = Runtime::new(2);
         let values = data(10_000);
         let plan = ReductionPlan::with_chunk_len(values.len(), 1024);
-        let (_, stats) = rt.reduce_stats(
-            &values,
-            &plan,
-            StandardSum::new,
-            MergeOrder::Plan,
-            ChunkKernel::Scalar,
-        );
+        let (_, stats) = rt.accumulate(&values, &plan, StandardSum::new, MergeOrder::Plan);
         let registry = repro_obs::Registry::new();
         stats.publish(&registry, "runtime");
         let snap = registry.snapshot();
@@ -1157,12 +1122,23 @@ mod tests {
     }
 
     #[test]
+    fn worker_count_is_an_integer_from_one_to_the_bound() {
+        for bad in ["", "0", "abc", "-1", "1025", "18446744073709551616"] {
+            let e = parse_workers(bad).unwrap_err();
+            assert!(e.contains(&format!("{bad:?}")), "{e}");
+        }
+        assert_eq!(parse_workers("4"), Ok(4));
+        assert_eq!(parse_workers("1024"), Ok(MAX_WORKERS));
+    }
+
+    #[test]
     fn global_runtime_is_shared_and_alive() {
         let a = Runtime::global();
         let b = Runtime::global();
         assert!(std::ptr::eq(a, b));
         assert!(a.workers() >= 1);
-        let sum = a.reduce(&[1.0, 2.0, 3.0], StandardSum::new, MergeOrder::Plan);
+        let plan = ReductionPlan::for_len(3);
+        let sum = a.reduce(&[1.0, 2.0, 3.0], &plan, StandardSum::new, MergeOrder::Plan);
         assert_eq!(sum, 6.0);
     }
 }

@@ -7,28 +7,31 @@
 //! finish. What a runtime **can** pin down is the *plan*: chunk boundaries
 //! and the merge topology. This crate provides:
 //!
-//! - [`ThreadPool`] — a persistent work-stealing pool over `std`
-//!   primitives, replacing spawn-per-call executors as the workspace's hot
-//!   path;
 //! - [`ReductionPlan`] / [`MergeOrder`] — up-front chunk boundaries and a
 //!   fixed balanced merge tree, so partials merge either in deterministic
 //!   plan order (bitwise worker-count-invariant for *any* operator) or in
 //!   genuine arrival order (the nondeterminism knob the paper's
 //!   reproducible operators must absorb);
-//! - [`Runtime`] — the engine tying both together, with
-//!   [`RuntimeStats`] counters (tasks, steals, merge depth, per-stage wall
-//!   time) for every call;
+//! - [`Runtime`] — the engine: chunks run on a persistent work-stealing
+//!   pool, and every call reports [`RuntimeStats`] counters (tasks,
+//!   steals, merge depth, per-stage wall time). [`Runtime::accumulate`] is
+//!   the planned reduction and [`Runtime::reduce`] its finalized result;
+//!   [`Runtime::reduce_telemetry`] narrates the same plan-order walk into
+//!   a trace, [`Runtime::accumulate_resumable`] retries failed chunks from
+//!   checkpoints, and [`Runtime::map_chunks`] runs any per-chunk pass;
 //! - [`spawn_reduce`] — the old spawn-per-call reference path, kept as the
-//!   benchmark baseline.
+//!   benchmark baseline and the semantic reference the pool is tested
+//!   against.
 //!
 //! ```
-//! use repro_runtime::{MergeOrder, Runtime};
+//! use repro_runtime::{MergeOrder, ReductionPlan, Runtime};
 //! use repro_sum::BinnedSum;
 //!
 //! let values: Vec<f64> = (0..100_000).map(|i| (i as f64).sin()).collect();
 //! let rt = Runtime::new(4);
-//! let a = rt.reduce(&values, || BinnedSum::new(3), MergeOrder::Arrival);
-//! let b = rt.reduce(&values, || BinnedSum::new(3), MergeOrder::Arrival);
+//! let plan = ReductionPlan::for_len(values.len());
+//! let a = rt.reduce(&values, &plan, || BinnedSum::new(3), MergeOrder::Arrival);
+//! let b = rt.reduce(&values, &plan, || BinnedSum::new(3), MergeOrder::Arrival);
 //! assert_eq!(a.to_bits(), b.to_bits()); // reproducible under racing merges
 //! ```
 
@@ -41,9 +44,8 @@ mod pool;
 mod stats;
 
 pub use engine::{
-    spawn_reduce, CheckpointStore, ChunkFailureInjector, ChunkKernel, EngineError, Runtime,
-    MAX_CHUNK_ATTEMPTS,
+    parse_workers, spawn_reduce, CheckpointStore, ChunkFailureInjector, EngineError, Runtime,
+    MAX_CHUNK_ATTEMPTS, MAX_WORKERS,
 };
 pub use plan::{MergeOrder, ReductionPlan, DEFAULT_CHUNK_LEN};
-pub use pool::{PoolCounters, Scope, ThreadPool};
 pub use stats::RuntimeStats;

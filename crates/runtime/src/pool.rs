@@ -2,9 +2,8 @@
 //!
 //! Workers are spawned once and live for the pool's lifetime; each call
 //! submits chunk tasks into per-worker queues (round-robin) and idle workers
-//! steal from their peers. This removes the spawn-per-call cost of the old
-//! executor (`repro_tree::executor` used one OS thread per chunk per call)
-//! while keeping the *scheduling* nondeterministic — which is exactly the
+//! steal from their peers. This removes the spawn-per-call cost of
+//! [`crate::spawn_reduce`] (one OS thread per chunk per call) while keeping the *scheduling* nondeterministic — which is exactly the
 //! regime the paper's reproducible operators must absorb.
 //!
 //! The only `unsafe` in the workspace lives here: [`ThreadPool::scope`]

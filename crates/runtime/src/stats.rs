@@ -2,7 +2,8 @@
 
 use std::time::Duration;
 
-/// What one `Runtime::reduce_stats` / `map_chunks_stats` call did.
+/// What one engine call (`Runtime::accumulate`, `reduce_telemetry` or
+/// `accumulate_resumable`) did.
 ///
 /// Counter semantics: `tasks_executed` and `steals` are deltas of the
 /// pool's lifetime counters around this call, so when several reductions

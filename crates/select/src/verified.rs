@@ -7,16 +7,20 @@
 //! tolerance, escalates to the next costlier operator and tries again —
 //! a runtime embodiment of the paper's reproducibility definition
 //! ("closeness of agreement among repeated simulation results under the
-//! same initial conditions"). Runs that share their bits agree under every
-//! budget, so PR terminates the ladder: its two runs agree bitwise by
-//! construction on finite input, and on non-finite input both return the
-//! canonical NaN or the same infinity.
+//! same initial conditions"). It walks the serving ladder
+//! ([`crate::selector::LADDER`]) cheapest first at the prices
+//! [`crate::HeuristicSelector`] ranks by, so it tries the operators a
+//! selector could choose, in the selector's order. Runs that share their
+//! bits agree under every budget, so DS ([`crate::EXACT`]) ends the walk
+//! at the latest: both of its runs are the exact sum, correctly rounded.
 //!
 //! The price is honest too: every verification pass costs a second
 //! reduction, so this mode suits validation runs and selector calibration
 //! more than hot loops (the ablation benches quantify the overhead).
 
-use crate::selector::Tolerance;
+use crate::cost::CostModel;
+use crate::profile::profile;
+use crate::selector::{Tolerance, LADDER};
 use repro_fp::rng::DetRng;
 use repro_sum::{Accumulator, Algorithm};
 
@@ -51,20 +55,23 @@ pub struct VerifiedReducer {
 }
 
 impl VerifiedReducer {
-    /// New verified reducer over the paper's algorithm ladder,
-    /// [`Algorithm::PAPER_SET`], cheapest first.
+    /// New verified reducer over the serving ladder, cheapest first at
+    /// the committed prices ([`CostModel::default`]).
     pub fn new(tolerance: Tolerance, seed: u64) -> Self {
         Self { tolerance, seed }
     }
 
-    /// Reduce with verification: the first ladder entry whose two runs
-    /// fit the tolerance wins. Two runs with the same bits fit every
-    /// tolerance, so the walk stops at PR at the latest.
+    /// Reduce with verification: the first rung, in price order at the
+    /// values' `n` and cascade part count, whose two runs fit the
+    /// tolerance wins. Two runs with the same bits fit every tolerance, so
+    /// the walk stops at DS at the latest.
     pub fn reduce(&self, values: &[f64]) -> VerifiedOutcome {
+        let p = profile(values);
+        let rungs = CostModel::default().by_price(LADDER, p.n, p.cascade_parts());
         let mut rng = DetRng::seed_from_u64(self.seed);
         let mut shuffled = values.to_vec();
         let mut disagreements = Vec::new();
-        for alg in Algorithm::PAPER_SET {
+        for (alg, _) in rungs {
             // Run 1: given order. Run 2: independent random order.
             let first = run(alg, values);
             rng.shuffle(&mut shuffled);
@@ -93,7 +100,7 @@ impl VerifiedReducer {
                 };
             }
         }
-        unreachable!("PR's two runs share their bits on every input")
+        unreachable!("DS's two runs share their bits on every input")
     }
 }
 
@@ -106,15 +113,21 @@ fn run(alg: Algorithm, values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EXACT;
 
     #[test]
     fn benign_data_passes_on_the_first_rung() {
-        let values: Vec<f64> = (1..=1000).map(|i| i as f64).collect();
-        let r = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-9), 1);
-        let out = r.reduce(&values);
-        assert_eq!(out.algorithm, Algorithm::Standard);
-        assert_eq!(out.sum, 500_500.0);
-        assert_eq!(out.disagreements.len(), 1);
+        // Below DS's break-even, where ST is the cheapest rung; above it,
+        // DS is, and passes as the first rung too.
+        let n = CostModel::default().break_even(2).unwrap();
+        for (len, first) in [(n - 1, Algorithm::Standard), (2 * n, EXACT)] {
+            let values: Vec<f64> = (1..=len).map(|i| i as f64).collect();
+            let r = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-9), 1);
+            let out = r.reduce(&values);
+            assert_eq!(out.algorithm, first, "n = {len}");
+            assert_eq!(out.sum, (len * (len + 1) / 2) as f64);
+            assert_eq!(out.disagreements.len(), 1);
+        }
     }
 
     #[test]
@@ -135,15 +148,20 @@ mod tests {
     }
 
     #[test]
-    fn bitwise_tolerance_reaches_pr() {
+    fn bitwise_tolerance_reaches_ds() {
+        // Four parts: DS never undercuts ST, so the walk tries ST first,
+        // and DS before CP and K.
         let values = repro_gen::zero_sum_with_range(5_000, 32, 7);
+        assert_eq!(profile(&values).cascade_parts(), 4);
         let r = VerifiedReducer::new(Tolerance::Bitwise, 9);
         let out = r.reduce(&values);
-        assert!(out.algorithm.is_reproducible() || out.disagreements.last().unwrap().1 == 0.0);
-        // PR's self-disagreement is exactly zero.
-        let (last_alg, last_d) = *out.disagreements.last().unwrap();
-        assert_eq!(last_alg, out.algorithm);
-        assert_eq!(last_d, 0.0);
+        assert_eq!(out.algorithm, EXACT);
+        // ST's runs disagree; DS's self-disagreement is exactly zero.
+        assert_eq!(out.disagreements.len(), 2);
+        assert_eq!(out.disagreements[0].0, Algorithm::Standard);
+        assert!(out.disagreements[0].1 > 0.0);
+        assert_eq!(out.disagreements[1], (EXACT, 0.0));
+        assert_eq!(out.sum.to_bits(), repro_fp::exact_sum(&values).to_bits());
     }
 
     /// One NaN gives both runs of every rung the same NaN, and runs with

@@ -1,54 +1,21 @@
-//! Multi-lane slice kernels over contiguous chunks, and the workspace's one
-//! merge schedule.
+//! The workspace's one chunk rule and one merge schedule.
 //!
-//! A scalar `add_slice` is one stream through the operator. Splitting the
-//! slice into `L` **contiguous** chunks gives the operator `L` independent
-//! accumulators whose inner loops each run the operator's batched
-//! `add_slice` kernel at full speed, then the lanes merge through the fixed
-//! balanced binary tree of [`merge_tree`] — a purely data-dependent
-//! schedule, so the kernel is deterministic for every operator and
-//! bit-identical to the scalar kernel for reproducible operators
-//! ([`crate::BinnedSum`], [`crate::DistillSum`], the exact
-//! superaccumulator), whose results are schedule-invariant by construction.
+//! [`chunk_len`] cuts `len` elements into at most `count` contiguous
+//! chunks, and [`merge_tree`] folds parts along a fixed balanced binary
+//! tree — a purely data-dependent schedule, so a chunked reduction is
+//! deterministic for every operator.
 //!
-//! [`chunk_len`] and [`merge_tree`] are the only copies of the chunk rule and
-//! the merge tree in the workspace: the runtime's `ReductionPlan` cuts its
-//! chunks with [`chunk_len`] and merges them with [`merge_tree`], `agg`
-//! merges its shards and `mpisim` its ranks along the same stride-doubling
-//! tree. A lane result therefore equals the planned reduction a runtime with
-//! `L` workers would produce — lane count, worker count, and SIMD dispatch
-//! tier can all vary without moving a single bit of a reproducible
-//! operator's output.
-//!
-//! Contiguous chunks, not a round-robin element interleave: strided gathers
-//! forced either a per-element `add` (one long dependency chain, ~3× slower
-//! for the superaccumulator) or a scratch-buffer copy, while contiguous
-//! chunks keep every lane on the operator's fastest slice path with zero
-//! data movement.
+//! They are the only copies of the chunk rule and the merge tree in the
+//! workspace: the runtime's `ReductionPlan` cuts its chunks with
+//! [`chunk_len`] and merges them with [`merge_tree`], `agg` merges its
+//! shards and `mpisim` its ranks along the same stride-doubling tree. For
+//! reproducible operators ([`crate::BinnedSum`], [`crate::DistillSum`],
+//! the exact superaccumulator), whose results are schedule-invariant by
+//! construction, every cut merged along the tree returns the bits of the
+//! operator's sequential loop: chunk count, worker count, and SIMD
+//! dispatch tier can all vary without moving a single bit.
 
 use crate::Accumulator;
-
-/// Accumulate `values` into a fresh accumulator using `lanes` contiguous
-/// lane chunks (see module docs). `lanes <= 1` is the scalar kernel.
-pub fn accumulate_lanes<A, F>(make: F, values: &[f64], lanes: usize) -> A
-where
-    A: Accumulator,
-    F: Fn() -> A,
-{
-    if lanes <= 1 {
-        let mut acc = make();
-        acc.add_slice(values);
-        return acc;
-    }
-    let parts: Vec<A> = lane_chunks(values, lanes)
-        .map(|chunk| {
-            let mut lane = make();
-            lane.add_slice(chunk);
-            lane
-        })
-        .collect();
-    merge_in_lane_order(parts).unwrap_or_else(make)
-}
 
 /// The chunk rule: the length of each of the at most `count` contiguous
 /// chunks that cover `len` elements, `ceil(len / min(count, len))` and never
@@ -56,12 +23,6 @@ where
 /// `count` chunks (10 elements at count 8 give 5 chunks of 2).
 pub fn chunk_len(len: usize, count: usize) -> usize {
     len.div_ceil(count.max(1).min(len.max(1))).max(1)
-}
-
-/// The contiguous per-lane chunks of `values` for a given lane count, cut
-/// by [`chunk_len`].
-pub fn lane_chunks(values: &[f64], lanes: usize) -> std::slice::Chunks<'_, f64> {
-    values.chunks(chunk_len(values.len(), lanes))
 }
 
 /// The fixed stride-doubling balanced binary tree over `parts`: at stride
@@ -96,8 +57,23 @@ pub fn merge_in_lane_order<A: Accumulator>(parts: Vec<A>) -> Option<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BinnedSum, KahanSum, StandardSum};
+    use crate::{BinnedSum, StandardSum};
     use repro_fp::Superaccumulator;
+
+    /// `values` cut into at most `count` chunks by [`chunk_len`], each fed
+    /// to its own accumulator, merged along [`merge_tree`]: the planned
+    /// reduction of a `count`-worker runtime.
+    fn chunked<A: Accumulator>(make: impl Fn() -> A, values: &[f64], count: usize) -> A {
+        let parts = values
+            .chunks(chunk_len(values.len(), count))
+            .map(|chunk| {
+                let mut part = make();
+                part.add_slice(chunk);
+                part
+            })
+            .collect();
+        merge_in_lane_order(parts).unwrap_or_else(make)
+    }
 
     fn data(n: usize) -> Vec<f64> {
         (0..n)
@@ -116,7 +92,7 @@ mod tests {
             scalar.add_slice(values);
             let reference = scalar.finalize().to_bits();
             for lanes in [1usize, 2, 4, 5, 8, 16] {
-                let acc = accumulate_lanes(&make, values, lanes);
+                let acc = chunked(&make, values, lanes);
                 assert_eq!(
                     acc.finalize().to_bits(),
                     reference,
@@ -145,21 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_layout_is_deterministic_per_width() {
-        // Non-reproducible operators may differ from scalar, but the same
-        // width must always give the same bits.
-        let values = data(10_001);
-        for lanes in [4usize, 8] {
-            let a = accumulate_lanes(StandardSum::new, &values, lanes).finalize();
-            let b = accumulate_lanes(StandardSum::new, &values, lanes).finalize();
-            assert_eq!(a.to_bits(), b.to_bits());
-            let k1 = accumulate_lanes(KahanSum::new, &values, lanes).finalize();
-            let k2 = accumulate_lanes(KahanSum::new, &values, lanes).finalize();
-            assert_eq!(k1.to_bits(), k2.to_bits());
-        }
-    }
-
-    #[test]
     fn lane_chunks_match_plan_boundaries() {
         // Boundary formula pinned against the runtime plan's documented
         // shape: chunk_len = ceil(len / min(count, len)), last chunk short.
@@ -174,9 +135,12 @@ mod tests {
             (4099, 16),
         ] {
             let values = data(n);
+            let got: Vec<usize> = values
+                .chunks(chunk_len(n, lanes))
+                .map(|c| c.len())
+                .collect();
             let count = lanes.max(1).min(n.max(1));
             let chunk_len = n.div_ceil(count).max(1);
-            let got: Vec<usize> = lane_chunks(&values, lanes).map(|c| c.len()).collect();
             let mut expect = Vec::new();
             let mut start = 0;
             while start < n {
@@ -225,7 +189,7 @@ mod tests {
         // Integer-valued data: every layout sums exactly.
         let values: Vec<f64> = (1..=97).map(|i| i as f64).collect();
         for lanes in [1usize, 2, 4, 8, 13] {
-            let acc = accumulate_lanes(StandardSum::new, &values, lanes);
+            let acc = chunked(StandardSum::new, &values, lanes);
             assert_eq!(acc.finalize(), 97.0 * 98.0 / 2.0);
         }
     }

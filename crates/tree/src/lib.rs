@@ -16,20 +16,19 @@
 //! * [`permute`] — seeded leaf-assignment permutations (the paper's "100
 //!   distinct reduction trees with the same shape but randomly permuted
 //!   assignments of the values to leaves");
-//! * [`executor`] — a threaded reduction whose merge order is genuine
-//!   run-time arrival order: real nondeterminism, used to demonstrate that
-//!   PR is bitwise stable under it while ST is not;
 //! * [`tree`] — explicit [`tree::ReductionTree`] structures with ASCII
 //!   rendering and **exact per-node error attribution** (which internal
 //!   nodes destroyed the bits);
 //! * [`topology`] — hierarchical machine models and topology-aware
 //!   reduction trees (the paper's §II-B motivation: performant trees follow
 //!   the machine, and the machine fluctuates).
+//!
+//! Threaded reductions, chunked and merged in plan or genuine arrival
+//! order, are `repro_runtime::Runtime`'s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod executor;
 pub mod permute;
 pub mod reduce;
 pub mod shape;

@@ -7,8 +7,7 @@
 //! a balanced tree exercises the operator exactly the way an MPI custom
 //! reduction would.
 
-use crate::shape::{prev_power_of_two, split_at, TreeShape};
-use repro_fp::rng::DetRng;
+use crate::shape::{Splitter, TreeShape};
 use repro_sum::{Accumulator, Algorithm};
 
 /// Reduce `values` over a tree of the given shape with a runtime-selected
@@ -35,64 +34,26 @@ pub fn reduce(values: &[f64], shape: TreeShape, algorithm: Algorithm) -> f64 {
 /// Reduce `values` over a tree of the given shape, with accumulators built
 /// by `make` (generic; zero dispatch inside the hot recursion).
 pub fn reduce_with<A: Accumulator>(values: &[f64], shape: TreeShape, make: &impl Fn() -> A) -> f64 {
-    if values.is_empty() {
-        return make().finalize();
+    if values.is_empty() || shape == TreeShape::Serial {
+        // The left spine is the operator's natural loop.
+        let mut acc = make();
+        acc.add_slice(values);
+        return acc.finalize();
     }
-    match shape {
-        TreeShape::Balanced => eval_split(values, make, &|n| n / 2).finalize(),
-        TreeShape::Serial => {
-            let mut acc = make();
-            acc.add_slice(values);
-            acc.finalize()
-        }
-        TreeShape::Binomial => eval_split(values, make, &|n| {
-            let p = prev_power_of_two(n);
-            if p == n {
-                n / 2
-            } else {
-                p
-            }
-        })
-        .finalize(),
-        TreeShape::Skewed { ratio } => eval_split(values, make, &|n| split_at(n, ratio)).finalize(),
-        TreeShape::Random { seed } => {
-            let mut rng = DetRng::seed_from_u64(seed);
-            eval_random(values, make, &mut rng).finalize()
-        }
-    }
+    eval(values, make, &mut shape.splitter()).finalize()
 }
 
-/// Recursive evaluation with a deterministic split rule. Contiguous runs
-/// that a serial spine would fold are added directly (`split == 1`-free
-/// fast path at the leaves).
-fn eval_split<A: Accumulator>(
-    values: &[f64],
-    make: &impl Fn() -> A,
-    split: &impl Fn(usize) -> usize,
-) -> A {
+/// Recursive evaluation, cutting each range by the shape's split rule.
+fn eval<A: Accumulator>(values: &[f64], make: &impl Fn() -> A, cuts: &mut Splitter) -> A {
     debug_assert!(!values.is_empty());
     if values.len() == 1 {
         let mut acc = make();
         acc.add(values[0]);
         return acc;
     }
-    let mid = split(values.len());
-    debug_assert!(mid >= 1 && mid < values.len());
-    let mut left = eval_split(&values[..mid], make, split);
-    let right = eval_split(&values[mid..], make, split);
-    left.merge(&right);
-    left
-}
-
-fn eval_random<A: Accumulator>(values: &[f64], make: &impl Fn() -> A, rng: &mut DetRng) -> A {
-    if values.len() == 1 {
-        let mut acc = make();
-        acc.add(values[0]);
-        return acc;
-    }
-    let mid = rng.random_range(1..values.len());
-    let mut left = eval_random(&values[..mid], make, rng);
-    let right = eval_random(&values[mid..], make, rng);
+    let mid = cuts.split(values.len());
+    let mut left = eval(&values[..mid], make, cuts);
+    let right = eval(&values[mid..], make, cuts);
     left.merge(&right);
     left
 }

@@ -1,5 +1,7 @@
 //! Reduction-tree shapes.
 
+use repro_fp::rng::DetRng;
+
 /// The shape of a full binary reduction tree over `n` leaves.
 ///
 /// The paper studies the two ends of the spectrum — [`TreeShape::Balanced`]
@@ -35,34 +37,40 @@ impl TreeShape {
     /// Depth of the tree over `n` leaves (edges on the longest root-leaf
     /// path).
     pub fn depth(&self, n: usize) -> usize {
-        match n {
-            0 => 0,
-            1 => 0,
-            _ => match self {
-                TreeShape::Balanced => {
-                    let half = n.div_ceil(2);
-                    1 + self.depth(half).max(self.depth(n - half))
-                }
-                TreeShape::Serial => n - 1,
-                TreeShape::Binomial => {
-                    let left = prev_power_of_two(n);
-                    if left == n {
-                        1 + self.depth(n / 2)
-                    } else {
-                        1 + self.depth(left).max(self.depth(n - left))
-                    }
-                }
-                TreeShape::Skewed { ratio } => {
-                    let left = split_at(n, *ratio);
-                    1 + self.depth(left).max(self.depth(n - left))
-                }
-                TreeShape::Random { .. } => {
-                    // Depth of a random tree is itself random; report the
-                    // balanced lower bound (callers wanting the realized
-                    // depth can measure during evaluation).
-                    (usize::BITS - (n - 1).leading_zeros()) as usize
-                }
-            },
+        fn walk(cuts: &mut Splitter, n: usize) -> usize {
+            if n <= 1 {
+                return 0;
+            }
+            let left = cuts.split(n);
+            1 + walk(cuts, left).max(walk(cuts, n - left))
+        }
+        match self {
+            // The left spine in closed form: the walk would recurse n deep.
+            TreeShape::Serial => n.saturating_sub(1),
+            // Depth of a random tree is itself random; report the balanced
+            // lower bound (callers wanting the realized depth can build the
+            // tree and measure it).
+            TreeShape::Random { .. } => {
+                (usize::BITS - n.saturating_sub(1).leading_zeros()) as usize
+            }
+            _ => walk(&mut self.splitter(), n),
+        }
+    }
+
+    /// The split rule of this shape, the one copy of it: the streaming
+    /// evaluator ([`crate::reduce_with`]), the explicit builder
+    /// ([`crate::ReductionTree::build`]) and [`TreeShape::depth`] all cut
+    /// their ranges through it. A walk takes a fresh splitter and cuts in
+    /// pre-order (a range, then its left subtree, then its right), so a
+    /// random tree is a function of its seed.
+    pub(crate) fn splitter(self) -> Splitter {
+        let seed = match self {
+            TreeShape::Random { seed } => seed,
+            _ => 0,
+        };
+        Splitter {
+            shape: self,
+            rng: DetRng::seed_from_u64(seed),
         }
     }
 
@@ -78,14 +86,45 @@ impl TreeShape {
     }
 }
 
+/// One walk's cuts through a [`TreeShape`] (see [`TreeShape::splitter`]).
+pub(crate) struct Splitter {
+    shape: TreeShape,
+    /// Draws `Random`'s cuts; unused by the other shapes.
+    rng: DetRng,
+}
+
+impl Splitter {
+    /// Where a range of `len >= 2` leaves cuts: its left child's leaf
+    /// count, in `1..len`.
+    pub(crate) fn split(&mut self, len: usize) -> usize {
+        debug_assert!(len >= 2);
+        match self.shape {
+            TreeShape::Balanced => len / 2,
+            TreeShape::Serial => len - 1,
+            // The largest power of two below the length, or half a power
+            // of two.
+            TreeShape::Binomial => {
+                let p = prev_power_of_two(len);
+                if p == len {
+                    len / 2
+                } else {
+                    p
+                }
+            }
+            TreeShape::Skewed { ratio } => split_at(len, ratio),
+            TreeShape::Random { .. } => self.rng.random_range(1..len),
+        }
+    }
+}
+
 /// Largest power of two `<= n` (`n >= 1`).
-pub(crate) fn prev_power_of_two(n: usize) -> usize {
+fn prev_power_of_two(n: usize) -> usize {
     1 << (usize::BITS - 1 - n.leading_zeros())
 }
 
 /// Split an `n`-leaf range at `ratio` thousandths, keeping both sides
 /// nonempty.
-pub(crate) fn split_at(n: usize, ratio: u16) -> usize {
+fn split_at(n: usize, ratio: u16) -> usize {
     debug_assert!(n >= 2);
     let left = (n as u128 * ratio as u128 / 1000) as usize;
     left.clamp(1, n - 1)

@@ -18,8 +18,7 @@
 //! per-node residuals; tests verify the identity against the
 //! superaccumulator.
 
-use crate::shape::{prev_power_of_two, split_at, TreeShape};
-use repro_fp::rng::DetRng;
+use crate::shape::{Splitter, TreeShape};
 use repro_fp::two_sum;
 
 /// One node of an explicit reduction tree.
@@ -52,11 +51,7 @@ impl ReductionTree {
     pub fn build(shape: TreeShape, n: usize) -> Self {
         assert!(n >= 1, "a reduction tree needs at least one leaf");
         let mut nodes = Vec::with_capacity(2 * n - 1);
-        let mut rng = match shape {
-            TreeShape::Random { seed } => Some(DetRng::seed_from_u64(seed)),
-            _ => None,
-        };
-        let root = build_range(&mut nodes, shape, &mut rng, 0, n);
+        let root = build_range(&mut nodes, &mut shape.splitter(), 0, n);
         Self {
             nodes,
             root,
@@ -235,38 +230,16 @@ impl ReductionTree {
 
 /// Build nodes covering `range` of the leaf indices `[lo, lo+len)`;
 /// returns the subtree root id.
-fn build_range(
-    nodes: &mut Vec<Node>,
-    shape: TreeShape,
-    rng: &mut Option<DetRng>,
-    lo: usize,
-    len: usize,
-) -> u32 {
+fn build_range(nodes: &mut Vec<Node>, cuts: &mut Splitter, lo: usize, len: usize) -> u32 {
     if len == 1 {
         nodes.push(Node::Leaf {
             value_index: lo as u32,
         });
         return (nodes.len() - 1) as u32;
     }
-    let split = match shape {
-        TreeShape::Balanced => len / 2,
-        TreeShape::Serial => len - 1,
-        TreeShape::Binomial => {
-            let p = prev_power_of_two(len);
-            if p == len {
-                len / 2
-            } else {
-                p
-            }
-        }
-        TreeShape::Skewed { ratio } => split_at(len, ratio),
-        TreeShape::Random { .. } => {
-            let r = rng.as_mut().expect("random shape carries an rng");
-            r.random_range(1..len)
-        }
-    };
-    let left = build_range(nodes, shape, rng, lo, split);
-    let right = build_range(nodes, shape, rng, lo + split, len - split);
+    let split = cuts.split(len);
+    let left = build_range(nodes, cuts, lo, split);
+    let right = build_range(nodes, cuts, lo + split, len - split);
     nodes.push(Node::Internal { left, right });
     (nodes.len() - 1) as u32
 }
@@ -304,6 +277,8 @@ mod tests {
             TreeShape::Serial,
             TreeShape::Binomial,
             TreeShape::Skewed { ratio: 300 },
+            TreeShape::Random { seed: 8 },
+            TreeShape::Random { seed: 77 },
         ] {
             let explicit = ReductionTree::build(shape, values.len()).evaluate(&values);
             let streaming = crate::reduce(&values, shape, repro_sum::Algorithm::Standard);

@@ -102,17 +102,4 @@ proptest! {
         let b = BinnedSum::sum_slice(&permuted, 3);
         prop_assert_eq!(a.to_bits(), b.to_bits());
     }
-
-    /// The threaded executor with chunk-index merging matches the
-    /// single-threaded chunked merge for any worker count.
-    #[test]
-    fn executor_chunk_order_is_deterministic(
-        values in values_strategy(),
-        workers in 1usize..9,
-    ) {
-        use repro_tree::executor::{parallel_reduce, MergeOrder};
-        let a = parallel_reduce(&values, workers, StandardSum::new, MergeOrder::Plan);
-        let b = parallel_reduce(&values, workers, StandardSum::new, MergeOrder::Plan);
-        prop_assert_eq!(a.to_bits(), b.to_bits());
-    }
 }

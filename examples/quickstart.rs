@@ -99,26 +99,21 @@ fn main() {
     let plan = ReductionPlan::with_chunk_len(values.len(), 8 * 1024);
     let mut arrival_bits = std::collections::HashSet::new();
     for _ in 0..10 {
-        let sum = rt.reduce_planned(&values, &plan, || BinnedSum::new(3), MergeOrder::Arrival);
+        let sum = rt.reduce(&values, &plan, || BinnedSum::new(3), MergeOrder::Arrival);
         arrival_bits.insert(sum.to_bits());
     }
-    let (sum, stats) = rt.reduce_stats(
-        &values,
-        &plan,
-        || BinnedSum::new(3),
-        MergeOrder::Plan,
-        repro_core::runtime::ChunkKernel::Lanes(4),
-    );
+    let (acc, stats) = rt.accumulate(&values, &plan, || BinnedSum::new(3), MergeOrder::Plan);
+    let sum = acc.finalize();
     println!("\npersistent runtime ({} workers):", rt.workers());
     println!(
         "  PR over 10 racing arrival-order runs: {} distinct bit pattern(s)",
         arrival_bits.len()
     );
-    println!("  plan-order + 4-lane kernel: sum = {sum:e}");
+    println!("  plan-order: sum = {sum:e}");
     println!("  {stats}");
     assert_eq!(arrival_bits.len(), 1, "PR must absorb arrival-order races");
     assert!(
         arrival_bits.contains(&sum.to_bits()),
-        "kernels must agree for PR"
+        "merge orders must agree for PR"
     );
 }

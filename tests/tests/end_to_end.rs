@@ -119,18 +119,25 @@ fn mpisim_pr_matches_sequential_bitwise() {
     assert_eq!(out[0].unwrap().to_bits(), sequential.to_bits());
 }
 
-/// Threaded executor + selector together: bitwise tolerance routes to PR,
-/// and the result is stable across repeated arrival-order runs.
+/// Pooled runtime + selector together: bitwise tolerance routes to a
+/// reproducible operator, and the result is stable across repeated
+/// arrival-order runs.
 #[test]
 fn executor_respects_bitwise_tolerance() {
-    use repro_core::tree::executor::{parallel_reduce, MergeOrder};
+    use repro_core::runtime::{MergeOrder, ReductionPlan, Runtime};
     let values = repro_core::gen::nbody::force_reduction(20_000, 0.0, 6).force_terms;
     let reducer = AdaptiveReducer::heuristic(Tolerance::Bitwise);
     let (alg, _) = reducer.choose(&values);
     assert!(alg.is_reproducible());
     let reference = alg.sum(&values);
+    let plan = ReductionPlan::with_chunk_count(values.len(), 8);
     for _ in 0..5 {
-        let r = parallel_reduce(&values, 8, || alg.new_accumulator(), MergeOrder::Arrival);
+        let r = Runtime::global().reduce(
+            &values,
+            &plan,
+            || alg.new_accumulator(),
+            MergeOrder::Arrival,
+        );
         assert_eq!(r.to_bits(), reference.to_bits());
     }
 }

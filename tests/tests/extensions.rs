@@ -65,6 +65,15 @@ fn verified_and_heuristic_selection_are_consistent() {
     assert_eq!(verified.algorithm, heuristic_choice);
     assert_eq!(verified.sum, repro_core::fp::exact_sum(&benign));
 
+    // Above it, both take DS: the cheapest rung, and one that fits.
+    let above: Vec<f64> = (1..=2 * n).map(|i| i as f64).collect();
+    let verified = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-6), 1).reduce(&above);
+    let (heuristic_choice, _) =
+        AdaptiveReducer::heuristic(Tolerance::AbsoluteSpread(1e-6)).choose(&above);
+    assert_eq!(verified.algorithm, repro_core::select::EXACT);
+    assert_eq!(verified.algorithm, heuristic_choice);
+    assert_eq!(verified.sum, repro_core::fp::exact_sum(&above));
+
     let hostile = repro_core::gen::zero_sum_with_range(10_000, 32, 9);
     let out = VerifiedReducer::new(Tolerance::AbsoluteSpread(1e-10), 2).reduce(&hostile);
     let err = repro_core::fp::abs_error(out.sum, &hostile);
