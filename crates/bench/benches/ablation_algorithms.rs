@@ -7,11 +7,11 @@
 //! this workload exercises only mildly); neither approaches CP/PR.
 
 use repro_bench::{banner, params};
-use repro_core::fp::{abs_error_vs, exact_sum_acc};
+use repro_core::fp::exact_sum_acc;
 use repro_core::stats::{descriptive::Boxplot, population_stddev, table::sci, Table};
 use repro_core::sum::Algorithm;
 use repro_core::tree::permute::PermutationStudy;
-use repro_core::tree::{reduce, TreeShape};
+use repro_core::tree::TreeShape;
 
 fn main() {
     let p = params();
@@ -33,10 +33,8 @@ fn main() {
     ]);
     let mut spreads = std::collections::HashMap::new();
     for alg in Algorithm::ALL {
-        let mut errors = Vec::new();
-        PermutationStudy::new(&values, p.fig7_perms, p.seed ^ 0xA17).for_each(|_, perm| {
-            errors.push(abs_error_vs(&exact, reduce(perm, TreeShape::Balanced, alg)));
-        });
+        let study = PermutationStudy::new(&values, p.fig7_perms, p.seed ^ 0xA17);
+        let errors = study.errors(&exact, TreeShape::Balanced, alg);
         let b = Boxplot::of(&errors);
         let sd = population_stddev(&errors);
         spreads.insert(alg.abbrev(), sd);

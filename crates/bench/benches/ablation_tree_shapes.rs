@@ -6,11 +6,11 @@
 //! shape".
 
 use repro_bench::{banner, params};
-use repro_core::fp::{abs_error_vs, exact_sum_acc};
+use repro_core::fp::exact_sum_acc;
 use repro_core::stats::{population_stddev, table::sci, Table};
 use repro_core::sum::Algorithm;
 use repro_core::tree::permute::PermutationStudy;
-use repro_core::tree::{reduce, TreeShape};
+use repro_core::tree::TreeShape;
 
 fn main() {
     let p = params();
@@ -42,11 +42,8 @@ fn main() {
     for shape in shapes {
         let mut row = vec![shape.label(), shape.depth(n).to_string()];
         for alg in Algorithm::PAPER_SET {
-            let mut errors = Vec::new();
-            PermutationStudy::new(&values, p.fig7_perms, p.seed ^ 3).for_each(|_, perm| {
-                errors.push(abs_error_vs(&exact, reduce(perm, shape, alg)));
-            });
-            row.push(sci(population_stddev(&errors)));
+            let study = PermutationStudy::new(&values, p.fig7_perms, p.seed ^ 3);
+            row.push(sci(population_stddev(&study.errors(&exact, shape, alg))));
         }
         t.row(&row);
     }

@@ -11,11 +11,11 @@
 //! ranges shrink K ≫ CP ≥ PR, with PR exactly constant.
 
 use repro_bench::{banner, params};
-use repro_core::fp::{abs_error_vs, exact_sum_acc};
+use repro_core::fp::exact_sum_acc;
 use repro_core::stats::{descriptive::Boxplot, table::sci, Table};
 use repro_core::sum::Algorithm;
 use repro_core::tree::permute::PermutationStudy;
-use repro_core::tree::{reduce, TreeShape};
+use repro_core::tree::TreeShape;
 
 fn main() {
     let p = params();
@@ -29,17 +29,13 @@ fn main() {
     let exact = exact_sum_acc(&values);
     let algorithms = [Algorithm::Kahan, Algorithm::Composite, Algorithm::PR];
 
-    let mut per_alg: Vec<(Algorithm, Vec<f64>)> = Vec::new();
-    for alg in algorithms {
-        let mut errors = Vec::new();
-        PermutationStudy::new(&values, p.fig7_perms, p.seed ^ 66).for_each(|_, permuted| {
-            errors.push(abs_error_vs(
-                &exact,
-                reduce(permuted, TreeShape::Balanced, alg),
-            ));
-        });
-        per_alg.push((alg, errors));
-    }
+    let per_alg: Vec<(Algorithm, Vec<f64>)> = algorithms
+        .into_iter()
+        .map(|alg| {
+            let study = PermutationStudy::new(&values, p.fig7_perms, p.seed ^ 66);
+            (alg, study.errors(&exact, TreeShape::Balanced, alg))
+        })
+        .collect();
 
     // (b): full view.
     let mut t = Table::new(&["algorithm", "min", "q1", "median", "q3", "max", "range"]);

@@ -2,18 +2,20 @@
 //! effect of concurrency, conditioning, and dynamic range."
 //!
 //! Figure 8 is the paper's methodology diagram, not a data figure; its
-//! reproduction is the grid-sweep engine itself (`repro_bench::sweep`,
-//! `repro_gen::grid_cell`, `repro_select::calibrate`). This bench documents
-//! the protocol and runs it end-to-end on a single demonstration cell so
-//! every stage is visible.
+//! reproduction is the one cell measurement every grid runs
+//! (`repro_select::calibrate::spreads`, over cells from
+//! `repro_gen::grid_cell` laid out by `repro_bench::sweep::grids`). This
+//! bench documents the protocol and runs it end-to-end on a single
+//! demonstration cell so every stage is visible.
 
-use repro_bench::{banner, params, sweep};
-use repro_core::fp::{abs_error_vs, exact_sum_acc};
+use repro_bench::{banner, params};
+use repro_core::fp::exact_sum_acc;
 use repro_core::gen::{grid_cell, measure};
+use repro_core::select::calibrate::spreads;
 use repro_core::stats::{population_stddev, table::sci, Table};
 use repro_core::sum::Algorithm;
 use repro_core::tree::permute::PermutationStudy;
-use repro_core::tree::{reduce, TreeShape};
+use repro_core::tree::TreeShape;
 
 fn main() {
     let p = params();
@@ -49,12 +51,11 @@ fn main() {
     );
 
     let exact = exact_sum_acc(&values);
+    let stream = p.seed ^ 0x5EED; // the grid benches' permutation stream
     let mut t = Table::new(&["algorithm", "first 3 errors ...", "stddev (cell shade)"]);
     for alg in Algorithm::PAPER_SET {
-        let mut errors = Vec::new();
-        PermutationStudy::new(&values, p.grid_perms, p.seed ^ 0x5EED).for_each(|_, perm| {
-            errors.push(abs_error_vs(&exact, reduce(perm, TreeShape::Balanced, alg)));
-        });
+        let study = PermutationStudy::new(&values, p.grid_perms, stream);
+        let errors = study.errors(&exact, TreeShape::Balanced, alg);
         t.row(&[
             alg.to_string(),
             errors
@@ -72,20 +73,10 @@ fn main() {
         t.render()
     );
 
-    // And the packaged form the other benches call:
-    let stds = sweep::cell_stddevs(
-        sweep::CellSpec {
-            n: p.grid_n,
-            k,
-            dr,
-            seed: p.seed,
-            scaling: sweep::CellScaling::UnitSum,
-        },
-        p.grid_perms,
-        &Algorithm::PAPER_SET,
-    );
+    // And the packaged form every grid calls:
+    let stds = spreads(&values, p.grid_perms, stream, &Algorithm::PAPER_SET);
     println!(
-        "packaged sweep::cell_stddevs output (same protocol): {}",
+        "packaged calibrate::spreads output (same protocol): {}",
         stds.iter().map(|s| sci(*s)).collect::<Vec<_>>().join(", ")
     );
     println!("shape check: PASS (methodology demonstration)");

@@ -7,7 +7,7 @@
 //! magnitude below ST/K everywhere (the paper renders it as "did not vary").
 
 use repro_bench::{banner, grid_axes, params, sweep};
-use repro_core::stats::Grid;
+use repro_core::gen::grid_cell;
 use repro_core::sum::Algorithm;
 
 fn main() {
@@ -20,47 +20,10 @@ fn main() {
     let ks = grid_axes::k_targets();
     let drs = grid_axes::dr_targets();
     let algorithms = [Algorithm::Standard, Algorithm::Kahan, Algorithm::Composite];
-
-    let row_labels: Vec<String> = ks.iter().map(|&k| grid_axes::k_label(k)).collect();
-    let col_labels: Vec<String> = drs.iter().map(|d| d.to_string()).collect();
-    let mut grids: Vec<Grid> = algorithms
-        .iter()
-        .map(|_| Grid::new("k", "dr", row_labels.clone(), col_labels.clone()))
-        .collect();
-
-    let specs: Vec<sweep::CellSpec> = ks
-        .iter()
-        .enumerate()
-        .flat_map(|(ri, &k)| {
-            drs.iter()
-                .enumerate()
-                .map(move |(ci, &dr)| sweep::CellSpec {
-                    n: p.grid_n,
-                    k,
-                    dr,
-                    seed: p.seed ^ ((ri as u64) << 16) ^ ci as u64,
-                    scaling: sweep::CellScaling::UnitSum,
-                })
-        })
-        .collect();
-    let all = sweep::cells_stddevs_parallel(&specs, p.grid_perms, &algorithms);
-    for (idx, stds) in all.into_iter().enumerate() {
-        let (ri, ci) = (idx / drs.len(), idx % drs.len());
-        for (g, s) in grids.iter_mut().zip(stds) {
-            g.set(ri, ci, s);
-        }
-    }
-
-    for (alg, grid) in algorithms.iter().zip(&grids) {
-        println!(
-            "\npanel {} ({}), n = {}:",
-            alg.abbrev(),
-            alg.name(),
-            p.grid_n
-        );
-        println!("{}", grid.render_heat());
-        println!("csv:\n{}", grid.to_csv());
-    }
+    let grids = sweep::grids(("k", &ks), ("dr", &drs), &algorithms, |k, dr, seed| {
+        grid_cell(p.grid_n, k, dr, seed, grid_axes::INF_ABS_SUM)
+    });
+    sweep::print_panels(&algorithms, &grids, &format!("n = {}", p.grid_n));
 
     // Shape checks.
     let st = &grids[0];

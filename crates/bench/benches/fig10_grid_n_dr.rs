@@ -8,12 +8,24 @@
 //! much less influence than the condition number (compare against the
 //! Figure 9/11 gradients).
 
-use repro_bench::{banner, grid_axes, params, sweep};
-use repro_core::stats::Grid;
+use repro_bench::{banner, grid_axes, sweep};
+use repro_core::gen::{generate, CondTarget, DatasetSpec};
 use repro_core::sum::Algorithm;
 
+/// A Figure 10 cell: `n` values at k = 1 with per-element magnitudes O(1)
+/// (`Σ|x| ≈ n`, so the n axis drives the absolute variability; see
+/// EXPERIMENTS.md "grid normalization").
+fn unit_elements(n: usize, dr: u32, seed: u64) -> Vec<f64> {
+    // Anchor the window's TOP decade at 1 and extend downward: the dominant
+    // magnitudes stay O(1) across the dr axis, so dr contributes only
+    // alignment error (the weak gradient the paper reports), not a raw
+    // scale change.
+    let mut spec = DatasetSpec::new(n, CondTarget::One, dr, seed);
+    spec.scale = -(dr as i32);
+    generate(&spec)
+}
+
 fn main() {
-    let p = params();
     banner(
         "fig10_grid_n_dr",
         "Figure 10",
@@ -22,42 +34,8 @@ fn main() {
     let ns = grid_axes::n_targets(repro_bench::scale());
     let drs = grid_axes::dr_targets();
     let algorithms = [Algorithm::Standard, Algorithm::Kahan, Algorithm::Composite];
-
-    let row_labels: Vec<String> = ns.iter().map(|n| n.to_string()).collect();
-    let col_labels: Vec<String> = drs.iter().map(|d| d.to_string()).collect();
-    let mut grids: Vec<Grid> = algorithms
-        .iter()
-        .map(|_| Grid::new("n", "dr", row_labels.clone(), col_labels.clone()))
-        .collect();
-
-    let specs: Vec<sweep::CellSpec> = ns
-        .iter()
-        .enumerate()
-        .flat_map(|(ri, &n)| {
-            drs.iter()
-                .enumerate()
-                .map(move |(ci, &dr)| sweep::CellSpec {
-                    n,
-                    k: 1.0,
-                    dr,
-                    seed: p.seed ^ ((ri as u64) << 16) ^ ci as u64,
-                    scaling: sweep::CellScaling::UnitElements,
-                })
-        })
-        .collect();
-    let all = sweep::cells_stddevs_parallel(&specs, p.grid_perms, &algorithms);
-    for (idx, stds) in all.into_iter().enumerate() {
-        let (ri, ci) = (idx / drs.len(), idx % drs.len());
-        for (g, s) in grids.iter_mut().zip(stds) {
-            g.set(ri, ci, s);
-        }
-    }
-
-    for (alg, grid) in algorithms.iter().zip(&grids) {
-        println!("\npanel {} ({}), k = 1:", alg.abbrev(), alg.name());
-        println!("{}", grid.render_heat());
-        println!("csv:\n{}", grid.to_csv());
-    }
+    let grids = sweep::grids(("n", &ns), ("dr", &drs), &algorithms, unit_elements);
+    sweep::print_panels(&algorithms, &grids, "k = 1");
 
     // Shape checks: growth along n and along dr exists for ST but is weak
     // compared to Figure 9's k-gradient.

@@ -6,14 +6,13 @@
 //! and sets of summands with high condition number" — the k-axis gradient
 //! dominates the n-axis gradient, and dwarfs Figure 10's dr gradient.
 
-use repro_bench::{banner, grid_axes, params, sweep};
-use repro_core::stats::Grid;
+use repro_bench::{banner, grid_axes, sweep};
+use repro_core::gen::grid_cell;
 use repro_core::sum::Algorithm;
 
 const FIXED_DR: u32 = 8;
 
 fn main() {
-    let p = params();
     banner(
         "fig11_grid_n_k",
         "Figure 11",
@@ -22,44 +21,10 @@ fn main() {
     let ns = grid_axes::n_targets(repro_bench::scale());
     let ks = grid_axes::k_targets();
     let algorithms = [Algorithm::Standard, Algorithm::Kahan, Algorithm::Composite];
-
-    let row_labels: Vec<String> = ns.iter().map(|n| n.to_string()).collect();
-    let col_labels: Vec<String> = ks.iter().map(|&k| grid_axes::k_label(k)).collect();
-    let mut grids: Vec<Grid> = algorithms
-        .iter()
-        .map(|_| Grid::new("n", "k", row_labels.clone(), col_labels.clone()))
-        .collect();
-
-    let specs: Vec<sweep::CellSpec> = ns
-        .iter()
-        .enumerate()
-        .flat_map(|(ri, &n)| {
-            ks.iter().enumerate().map(move |(ci, &k)| sweep::CellSpec {
-                n,
-                k,
-                dr: FIXED_DR,
-                seed: p.seed ^ ((ri as u64) << 16) ^ ci as u64,
-                scaling: sweep::CellScaling::UnitSum,
-            })
-        })
-        .collect();
-    let all = sweep::cells_stddevs_parallel(&specs, p.grid_perms, &algorithms);
-    for (idx, stds) in all.into_iter().enumerate() {
-        let (ri, ci) = (idx / ks.len(), idx % ks.len());
-        for (g, s) in grids.iter_mut().zip(stds) {
-            g.set(ri, ci, s);
-        }
-    }
-
-    for (alg, grid) in algorithms.iter().zip(&grids) {
-        println!(
-            "\npanel {} ({}), dr = {FIXED_DR}:",
-            alg.abbrev(),
-            alg.name()
-        );
-        println!("{}", grid.render_heat());
-        println!("csv:\n{}", grid.to_csv());
-    }
+    let grids = sweep::grids(("n", &ns), ("k", &ks), &algorithms, |n, k, seed| {
+        grid_cell(n, k, FIXED_DR, seed, grid_axes::INF_ABS_SUM)
+    });
+    sweep::print_panels(&algorithms, &grids, &format!("dr = {FIXED_DR}"));
 
     let st = &grids[0];
     let (rows, cols) = (st.rows(), st.cols());

@@ -14,6 +14,7 @@
 //! escalation structure is scale-invariant.
 
 use repro_bench::{banner, grid_axes, params, sweep};
+use repro_core::gen::grid_cell;
 use repro_core::stats::Table;
 use repro_core::sum::Algorithm;
 
@@ -29,30 +30,24 @@ fn main() {
     // Candidates in the paper's cost order (ST excluded, as in the figure).
     let candidates = [Algorithm::Kahan, Algorithm::Composite, Algorithm::PR];
 
-    // Measure every cell once (in parallel; cells are seeded).
-    let specs: Vec<sweep::CellSpec> = ks
-        .iter()
-        .enumerate()
-        .flat_map(|(ri, &k)| {
-            drs.iter()
-                .enumerate()
-                .map(move |(ci, &dr)| sweep::CellSpec {
-                    n: p.grid_n,
-                    k,
-                    dr,
-                    seed: p.seed ^ ((ri as u64) << 16) ^ ci as u64,
-                    scaling: sweep::CellScaling::UnitSum,
-                })
-        })
-        .collect();
-    let flat = sweep::cells_stddevs_parallel(&specs, p.grid_perms, &candidates);
-    let spread: Vec<Vec<Vec<f64>>> = flat.chunks(drs.len()).map(|row| row.to_vec()).collect(); // [ki][di][alg]
+    // Measure every cell once: one spread grid per candidate.
+    let spread = sweep::grids(("k", &ks), ("dr", &drs), &candidates, |k, dr, seed| {
+        grid_cell(p.grid_n, k, dr, seed, grid_axes::INF_ABS_SUM)
+    });
+    // The cheapest candidate whose spread at cell (r, c) fits `t`.
+    let choice = |r: usize, c: usize, t: f64| {
+        candidates
+            .iter()
+            .zip(&spread)
+            .find(|(_, grid)| grid.get(r, c) <= t)
+            .map_or("PR", |(a, _)| a.abbrev())
+    };
 
     let paper_thresholds = [5e-13, 3e-13, 2.5e-13, 1.5e-13, 5e-14];
     let wide_thresholds = [1e-8, 1e-10, 1e-12, 1e-14, 1e-16, 1e-20];
 
     let mut maps_differ = false;
-    let mut previous_map: Option<Vec<String>> = None;
+    let mut previous_map: Option<Vec<&str>> = None;
     for (label, thresholds) in [
         ("paper thresholds", &paper_thresholds[..]),
         ("wider sweep", &wide_thresholds[..]),
@@ -60,20 +55,14 @@ fn main() {
         println!("\n--- {label} ---");
         for &t in thresholds {
             let mut header = vec!["k \\ dr".to_string()];
-            header.extend(drs.iter().map(|d| d.to_string()));
+            header.extend(spread[0].col_labels().iter().cloned());
             let mut table = Table::new(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
             let mut flat = Vec::new();
-            for (&k, spread_row) in ks.iter().zip(&spread) {
-                let mut row = vec![grid_axes::k_label(k)];
-                for cell in spread_row {
-                    let choice = candidates
-                        .iter()
-                        .zip(cell)
-                        .find(|(_, s)| **s <= t)
-                        .map(|(a, _)| a.abbrev())
-                        .unwrap_or("PR");
-                    row.push(choice.to_string());
-                    flat.push(choice.to_string());
+            for (r, k_label) in spread[0].row_labels().iter().enumerate() {
+                let mut row = vec![k_label.clone()];
+                for c in 0..drs.len() {
+                    row.push(choice(r, c, t).to_string());
+                    flat.push(choice(r, c, t));
                 }
                 table.row(&row);
             }
@@ -94,19 +83,13 @@ fn main() {
         _ => 2,
     };
     let mut monotone = true;
-    for spread_row in &spread {
-        for cell in spread_row {
+    for r in 0..ks.len() {
+        for c in 0..drs.len() {
             let mut last = 0;
             for &t in wide_thresholds.iter() {
-                let choice = candidates
-                    .iter()
-                    .zip(cell)
-                    .find(|(_, s)| **s <= t)
-                    .map(|(a, _)| a.abbrev())
-                    .unwrap_or("PR");
-                let r = rank(choice);
-                monotone &= r >= last;
-                last = r;
+                let rung = rank(choice(r, c, t));
+                monotone &= rung >= last;
+                last = rung;
             }
         }
     }
@@ -114,9 +97,9 @@ fn main() {
         "  [{}] tightening the threshold only escalates (never de-escalates)",
         if monotone { "PASS" } else { "FAIL" }
     );
-    // 2. The hostile corner escalates before the benign corner.
-    let benign_escalation: f64 = spread[0][0][0]; // k=1, dr=0, Kahan spread
-    let hostile_escalation: f64 = spread[ks.len() - 1][drs.len() - 1][0];
+    // 2. The hostile corner escalates before the benign corner (K spreads).
+    let benign_escalation = spread[0].get(0, 0); // k=1, dr=0
+    let hostile_escalation = spread[0].get(ks.len() - 1, drs.len() - 1);
     let corner = hostile_escalation >= benign_escalation;
     println!(
         "  [{}] the high-k/high-dr corner is at least as hard as the benign corner\n\

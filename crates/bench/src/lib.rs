@@ -123,12 +123,32 @@ pub mod grid_axes {
     /// The "beyond every finite k" scale for zero-sum grid cells.
     pub const INF_ABS_SUM: f64 = 1e16;
 
-    /// Label for a k axis value.
-    pub fn k_label(k: f64) -> String {
-        if k.is_infinite() {
-            "inf".into()
-        } else {
-            format!("{k:.0e}")
+    /// A value on a grid axis — `n` (`usize`), `dr` (`u32`) or `k` (`f64`,
+    /// the one float axis) — and its label in a grid's header.
+    pub trait AxisValue: Copy + Sync {
+        /// The header label.
+        fn label(self) -> String;
+    }
+
+    impl AxisValue for usize {
+        fn label(self) -> String {
+            self.to_string()
+        }
+    }
+
+    impl AxisValue for u32 {
+        fn label(self) -> String {
+            self.to_string()
+        }
+    }
+
+    impl AxisValue for f64 {
+        fn label(self) -> String {
+            if self.is_infinite() {
+                "inf".into()
+            } else {
+                format!("{self:.0e}")
+            }
         }
     }
 }
@@ -147,123 +167,61 @@ pub fn banner(id: &str, paper_item: &str, what: &str) {
     println!("{}", "=".repeat(78));
 }
 
-/// The grid-cell evaluation engine shared by the Figures 9–12 benches —
-/// the machinery the paper's Figure 8 illustrates: per cell, generate a set
-/// with the cell's parameters, reduce it over many permuted balanced trees
-/// with each algorithm, and record the standard deviation of the exact
-/// errors.
+/// The grid scaffold of the Figures 9–12 benches: measure a row × column
+/// grid of generated cells, one [`repro_core::stats::Grid`] per algorithm,
+/// each cell through the paper's Figure 8 measurement
+/// ([`repro_core::select::calibrate::spreads`]).
 pub mod sweep {
-    use repro_core::fp::{abs_error_vs, exact_sum_acc};
-    use repro_core::stats::population_stddev;
+    use super::grid_axes::AxisValue;
+    use repro_core::runtime::{ReductionPlan, Runtime};
+    use repro_core::select::calibrate::spreads;
+    use repro_core::stats::Grid;
     use repro_core::sum::Algorithm;
-    use repro_core::tree::permute::PermutationStudy;
-    use repro_core::tree::{reduce, TreeShape};
 
-    /// One grid cell's coordinates.
-    #[derive(Clone, Copy, Debug)]
-    pub struct CellSpec {
-        /// Number of values.
-        pub n: usize,
-        /// Condition-number target (`f64::INFINITY` for the zero-sum row).
-        pub k: f64,
-        /// Dynamic range target (decimal decades).
-        pub dr: u32,
-        /// Cell seed.
-        pub seed: u64,
-        /// Cell scaling (the paper does not specify its normalization; each
-        /// figure's bench picks the one that makes its axes meaningful —
-        /// see EXPERIMENTS.md "grid normalization").
-        pub scaling: CellScaling,
-    }
-
-    /// How a grid cell's magnitudes are normalized across cells.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum CellScaling {
-        /// Rescale so the exact sum ≈ 1 (`Σ|x| ≈ k`): the k axis drives the
-        /// absolute variability — used by the (k, dr) and (n, k) grids
-        /// (Figures 9, 11, 12).
-        UnitSum,
-        /// Keep per-element magnitudes O(1) (`Σ|x| ≈ n`): the n axis drives
-        /// the absolute variability — used by the (n, dr) grid (Figure 10).
-        UnitElements,
-    }
-
-    /// Evaluate many cells on a scoped thread pool (cells are independent
-    /// and seeded, so parallelism changes nothing but wall time — matters
-    /// at REPRO_SCALE=full where a grid is hours single-threaded).
-    /// Results are returned in input order.
-    pub fn cells_stddevs_parallel(
-        specs: &[CellSpec],
-        perms: u64,
+    /// Measure the `rows` × `cols` grid and return one [`Grid`] per
+    /// algorithm, in `algorithms` order. Cell `(r, c)` is the set
+    /// `cell(rows[r], cols[c], seed)` with `seed = base ^ (r << 16) ^ c`
+    /// (`base` the [`super::params`] seed), and its spreads take
+    /// `grid_perms` trees from the permutation stream `seed ^ 0x5EED`.
+    /// Cells are seeded, so they run on the shared runtime pool without
+    /// moving a bit; a panicking cell re-raises here.
+    pub fn grids<R: AxisValue, C: AxisValue>(
+        (row_axis, rows): (&str, &[R]),
+        (col_axis, cols): (&str, &[C]),
         algorithms: &[Algorithm],
-    ) -> Vec<Vec<f64>> {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(specs.len().max(1));
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut out: Vec<Option<Vec<f64>>> = vec![None; specs.len()];
-        let slots: Vec<std::sync::Mutex<&mut Option<Vec<f64>>>> =
-            out.iter_mut().map(std::sync::Mutex::new).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(spec) = specs.get(i) else { return };
-                    let r = cell_stddevs(*spec, perms, algorithms);
-                    **slots[i].lock().expect("slot") = Some(r);
-                });
-            }
+        cell: impl Fn(R, C, u64) -> Vec<f64> + Sync,
+    ) -> Vec<Grid> {
+        let p = super::params();
+        let plan = ReductionPlan::with_chunk_len(rows.len() * cols.len(), 1);
+        let measured = Runtime::global().map_chunks(&plan, |i, _| {
+            let (r, c) = (i / cols.len(), i % cols.len());
+            let seed = p.seed ^ ((r as u64) << 16) ^ c as u64;
+            let values = cell(rows[r], cols[c], seed);
+            spreads(&values, p.grid_perms, seed ^ 0x5EED, algorithms)
         });
-        drop(slots);
-        out.into_iter().map(|o| o.expect("computed")).collect()
+        let row_labels: Vec<String> = rows.iter().map(|&v| v.label()).collect();
+        let col_labels: Vec<String> = cols.iter().map(|&v| v.label()).collect();
+        let mut grids: Vec<Grid> = algorithms
+            .iter()
+            .map(|_| Grid::new(row_axis, col_axis, row_labels.clone(), col_labels.clone()))
+            .collect();
+        for (i, cell_spreads) in measured.into_iter().enumerate() {
+            for (grid, s) in grids.iter_mut().zip(cell_spreads) {
+                grid.set(i / cols.len(), i % cols.len(), s);
+            }
+        }
+        grids
     }
 
-    /// Evaluate one cell: per algorithm, the stddev of the exact absolute
-    /// error across `perms` permuted balanced trees.
-    pub fn cell_stddevs(spec: CellSpec, perms: u64, algorithms: &[Algorithm]) -> Vec<f64> {
-        let values = match spec.scaling {
-            CellScaling::UnitSum => repro_core::gen::grid_cell(
-                spec.n,
-                spec.k,
-                spec.dr,
-                spec.seed,
-                super::grid_axes::INF_ABS_SUM,
-            ),
-            CellScaling::UnitElements => {
-                use repro_core::gen::{generate, CondTarget, DatasetSpec};
-                let condition = if spec.k.is_infinite() {
-                    CondTarget::Infinite
-                } else if spec.k <= 1.0 {
-                    CondTarget::One
-                } else {
-                    CondTarget::Finite(spec.k)
-                };
-                // Anchor the window's TOP decade at 1 and extend downward:
-                // the dominant magnitudes stay O(1) across the dr axis, so
-                // dr contributes only alignment error (the weak gradient the
-                // paper reports), not a raw scale change.
-                let mut ds = DatasetSpec::new(spec.n, condition, spec.dr, spec.seed);
-                ds.scale = -(spec.dr as i32);
-                generate(&ds)
-            }
-        };
-        let exact = exact_sum_acc(&values);
-        algorithms
-            .iter()
-            .map(|&alg| {
-                let mut errors = Vec::with_capacity(perms as usize);
-                PermutationStudy::new(&values, perms, spec.seed ^ 0x5EED).for_each(
-                    |_, permuted| {
-                        errors.push(abs_error_vs(
-                            &exact,
-                            reduce(permuted, TreeShape::Balanced, alg),
-                        ));
-                    },
-                );
-                population_stddev(&errors)
-            })
-            .collect()
+    /// Print the Figures 9–11 panels: per algorithm, its grid's heat map
+    /// and CSV under `panel <abbrev> (<name>), <fixed>:`, where `fixed`
+    /// names the coordinate the figure holds constant.
+    pub fn print_panels(algorithms: &[Algorithm], grids: &[Grid], fixed: &str) {
+        for (alg, grid) in algorithms.iter().zip(grids) {
+            println!("\npanel {} ({}), {fixed}:", alg.abbrev(), alg.name());
+            println!("{}", grid.render_heat());
+            println!("csv:\n{}", grid.to_csv());
+        }
     }
 }
 

@@ -449,29 +449,34 @@ impl Comm {
     }
 
     /// Claim the first matching envelope from the `tag` bucket. The bucket
-    /// map means a receive only ever scans envelopes sharing its tag, and
-    /// the claim itself is `Vec::swap_remove` — O(1) instead of shifting.
+    /// map means a receive only ever scans envelopes sharing its tag. A
+    /// bucket stays in arrival order (the claim shifts the envelopes
+    /// behind it up), so a later message from one rank on one tag never
+    /// overtakes an earlier one — MPI's non-overtaking rule.
     fn claim<T: Any + Send>(&mut self, tag: u64, from: Option<usize>) -> Option<(usize, T)> {
         let bucket = self.pending.get_mut(&tag)?;
         let idx = bucket
             .iter()
             .position(|e| from.map_or(true, |f| f == e.from) && e.payload.is::<T>())?;
-        let e = bucket.swap_remove(idx);
+        let e = bucket.remove(idx);
         let matched = match e.payload.downcast::<T>() {
             Ok(v) => Some((e.from, *v)),
             // The position() predicate already type-checked the payload, so
             // this arm is unreachable in practice — but a claim must never
             // be able to panic the rank thread (which would poison the
-            // whole world join), so the envelope goes back instead.
+            // whole world join), so the envelope goes back in its place.
             Err(payload) => {
-                bucket.push(Envelope {
-                    from: e.from,
-                    tag: e.tag,
-                    dup: e.dup,
-                    deliver_after: e.deliver_after,
-                    drop_until_retry: e.drop_until_retry,
-                    payload,
-                });
+                bucket.insert(
+                    idx,
+                    Envelope {
+                        from: e.from,
+                        tag: e.tag,
+                        dup: e.dup,
+                        deliver_after: e.deliver_after,
+                        drop_until_retry: e.drop_until_retry,
+                        payload,
+                    },
+                );
                 None
             }
         };
@@ -838,6 +843,36 @@ mod tests {
             }
         });
         assert_eq!(out[0], 6);
+    }
+
+    /// MPI's non-overtaking rule: two messages from one rank on one tag
+    /// arrive in send order, even after a receive from another rank has
+    /// taken an earlier envelope out of the same tag bucket.
+    #[test]
+    fn same_source_same_tag_messages_do_not_overtake() {
+        let out = World::run(3, |c| match c.rank() {
+            0 => {
+                c.recv::<()>(1, 1);
+                c.send(2, 5, "A1");
+                c.send(2, 5, "A2");
+                c.send(2, 9, "Z");
+                vec![]
+            }
+            1 => {
+                c.send(2, 5, "Y");
+                c.send(0, 1, ());
+                vec![]
+            }
+            _ => {
+                // Waiting for Z buffers Y, A1 and A2 in the tag-5 bucket.
+                let z: &str = c.recv(0, 9);
+                let y: &str = c.recv(1, 5);
+                let a1: &str = c.recv(0, 5);
+                let a2: &str = c.recv(0, 5);
+                vec![z, y, a1, a2]
+            }
+        });
+        assert_eq!(out[2], ["Z", "Y", "A1", "A2"]);
     }
 
     /// Regression test for the O(pending²) rescan: 10k messages received

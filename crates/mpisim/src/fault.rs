@@ -30,6 +30,11 @@ use std::time::Duration;
 /// Golden-ratio increment used to fork per-rank fault RNG streams.
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// The most retries [`FaultPlan::validate`] accepts: the attempts' waits
+/// double, so the budget's `2^(retries + 1)` factor stays far inside a
+/// `u32`.
+pub const MAX_RETRIES: u32 = 16;
+
 /// Kill a specific rank once it has performed `at_op` communication
 /// operations (sends, timed receives, fault-tolerant collective steps).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,7 +70,8 @@ pub struct FaultPlan {
     /// Base receive timeout for the first attempt of
     /// [`crate::Comm::recv_timeout`]; attempt `i` waits `base << i`.
     pub base_timeout: Duration,
-    /// Number of *additional* attempts after the first times out.
+    /// Number of *additional* attempts after the first times out (at most
+    /// [`MAX_RETRIES`]).
     pub max_retries: u32,
 }
 
@@ -176,6 +182,12 @@ impl FaultPlan {
         }
         if self.base_timeout.is_zero() {
             return Err(ConfigError("base_timeout must be non-zero".into()));
+        }
+        if self.max_retries > MAX_RETRIES {
+            return Err(ConfigError(format!(
+                "max_retries {} exceeds the cap of {MAX_RETRIES}",
+                self.max_retries
+            )));
         }
         Ok(())
     }
@@ -377,6 +389,19 @@ mod tests {
             .validate()
             .is_err());
         assert!(FaultPlan::new(1).with_drop(0.3).validate().is_ok());
+    }
+
+    #[test]
+    fn validate_bounds_the_retry_count() {
+        let base = Duration::from_millis(1);
+        let at_cap = FaultPlan::new(1).with_timeouts(base, MAX_RETRIES);
+        assert!(at_cap.validate().is_ok());
+        assert_eq!(at_cap.link_budget(), base * ((2 << MAX_RETRIES) - 1));
+        let err = FaultPlan::new(1)
+            .with_timeouts(base, MAX_RETRIES + 1)
+            .validate()
+            .unwrap_err();
+        assert!(err.0.contains("max_retries"), "{err}");
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! varies across reduction trees — then let the selector interpolate that
 //! table at run time.
 
-use repro_fp::{abs_error_vs, exact_sum_acc};
+use repro_fp::exact_sum_acc;
 use repro_gen::grid_cell;
+use repro_runtime::{ReductionPlan, Runtime};
 use repro_stats::population_stddev;
 use repro_sum::Algorithm;
 use repro_tree::permute::PermutationStudy;
-use repro_tree::{reduce, TreeShape};
+use repro_tree::TreeShape;
 
 /// What to calibrate over.
 #[derive(Clone, Debug)]
@@ -170,12 +171,10 @@ fn cell_distance(lk: f64, dr: i32, cell: &CalCell) -> f64 {
 
 /// A calibration sweep failure, pinned to the grid cell that caused it.
 ///
-/// Cell workers run generated data through every operator; a failure in
-/// one cell (a generator edge case, an operator panic) used to take the
-/// whole sweep down as a cascade of worker panics with no indication of
-/// *which* `(n, k, dr)` combination was responsible. Now the first failing
-/// cell is reported with its coordinates so the sweep is diagnosable and
-/// the caller decides whether to retry, shrink the grid, or give up.
+/// Every cell runs generated data through every operator; a failure in one
+/// cell (a generator edge case, an operator panic) is reported with the
+/// cell's coordinates, so the sweep is diagnosable and the caller decides
+/// whether to retry, shrink the grid, or give up.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CalibrationError {
     /// Values per cell the sweep was configured with.
@@ -208,19 +207,19 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        "cell worker panicked (non-string payload)".to_string()
+        "cell panicked (non-string payload)".to_string()
     }
 }
 
-/// Run the calibration sweep: for every `(k, dr)` cell, generate a set,
-/// reduce it over permuted balanced trees with every algorithm, and record
-/// the stddev of the absolute errors. Cells are independent and run on a
-/// small scoped thread pool (paper-scale grids are minutes of CPU; the
-/// parallelism is free determinism-wise because every cell is seeded).
+/// Run the calibration sweep: for every `(k, dr)` cell, generate a set and
+/// measure its [`spreads`]. Cells are independent and seeded, so they run
+/// on the shared runtime pool ([`Runtime::global`], sized by
+/// `REPRO_RUNTIME_WORKERS`) and the table's bits do not depend on the
+/// worker count.
 ///
 /// A failing cell surfaces as a [`CalibrationError`] naming its
-/// `(n, k, dr)` coordinates; the other workers finish their cells normally
-/// instead of cascading.
+/// `(n, k, dr)` coordinates (the first failing cell in grid order); the
+/// other cells finish normally instead of cascading.
 pub fn try_calibrate(cfg: &CalibrationConfig) -> Result<CalibrationTable, CalibrationError> {
     // The "beyond every finite row" scale for the zero-sum column: one
     // decade past the largest finite k probed.
@@ -231,24 +230,15 @@ pub fn try_calibrate(cfg: &CalibrationConfig) -> Result<CalibrationTable, Calibr
         .filter(|k| k.is_finite())
         .fold(1.0f64, f64::max)
         * 10.0;
-    let coords: Vec<(usize, f64, usize, u32)> = cfg
-        .k_targets
-        .iter()
-        .enumerate()
-        .flat_map(|(ki, &k)| {
-            cfg.dr_targets
-                .iter()
-                .enumerate()
-                .map(move |(di, &dr)| (ki, k, di, dr))
-        })
-        .collect();
+    let cols = cfg.dr_targets.len();
+    let cell_count = cfg.k_targets.len() * cols;
     let refuse = |message: String| CalibrationError {
         n: cfg.n,
         k: f64::NAN,
         dr: 0,
         message,
     };
-    if coords.is_empty() {
+    if cell_count == 0 {
         return Err(refuse("empty calibration grid (no k or dr targets)".into()));
     }
     if cfg.permutations < 2 {
@@ -259,61 +249,24 @@ pub fn try_calibrate(cfg: &CalibrationConfig) -> Result<CalibrationTable, Calibr
             cfg.permutations
         )));
     }
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(coords.len());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut cells: Vec<Option<Result<CalCell, CalibrationError>>> = vec![None; coords.len()];
-    let cell_slots: Vec<std::sync::Mutex<&mut Option<Result<CalCell, CalibrationError>>>> =
-        cells.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&(ki, k, di, dr)) = coords.get(i) else {
-                    return;
-                };
-                // A panic inside one cell (generator edge case, operator
-                // bug) must not poison the scope and mask the culprit:
-                // catch it, convert to a coordinate-tagged error, keep
-                // working the queue.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    calibrate_cell(cfg, ki, k, di, dr, inf_abs)
-                }))
-                .map_err(|payload| CalibrationError {
-                    n: cfg.n,
-                    k,
-                    dr,
-                    message: panic_message(payload),
-                });
-                // A neighbour's panic can still have poisoned this slot's
-                // mutex on exotic interleavings; the data is ours alone,
-                // so recover the guard instead of cascading.
-                **cell_slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome);
-            });
-        }
+    let plan = ReductionPlan::with_chunk_len(cell_count, 1);
+    let cells = Runtime::global().map_chunks(&plan, |i, _| {
+        let (ki, di) = (i / cols, i % cols);
+        // A panic inside one cell (generator edge case, operator bug)
+        // must not mask the culprit: convert it to a coordinate-tagged
+        // error.
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            calibrate_cell(cfg, ki, di, inf_abs)
+        }))
+        .map_err(|payload| CalibrationError {
+            n: cfg.n,
+            k: cfg.k_targets[ki],
+            dr: cfg.dr_targets[di],
+            message: panic_message(payload),
+        })
     });
-    drop(cell_slots);
-    let mut done = Vec::with_capacity(coords.len());
-    for (slot, &(_, k, _, dr)) in cells.into_iter().zip(&coords) {
-        match slot {
-            Some(Ok(cell)) => done.push(cell),
-            Some(Err(e)) => return Err(e),
-            None => {
-                return Err(CalibrationError {
-                    n: cfg.n,
-                    k,
-                    dr,
-                    message: "cell worker exited without reporting a result".into(),
-                })
-            }
-        }
-    }
     Ok(CalibrationTable {
-        cells: done,
+        cells: cells.into_iter().collect::<Result<_, _>>()?,
         n: cfg.n,
     })
 }
@@ -328,31 +281,39 @@ pub fn calibrate(cfg: &CalibrationConfig) -> CalibrationTable {
     }
 }
 
-/// Measure one `(k, dr)` cell.
-fn calibrate_cell(
-    cfg: &CalibrationConfig,
-    ki: usize,
-    k: f64,
-    di: usize,
-    dr: u32,
-    inf_abs: f64,
-) -> CalCell {
+/// The paper's Figure 8 cell measurement: for each of `algorithms`, the
+/// population standard deviation of the exact absolute error of `values`
+/// reduced over `permutations` balanced trees with permuted leaves (the
+/// permutation stream of `seed`). The calibration sweep and the
+/// Figures 8–12 benches measure every cell through this function.
+///
+/// Sequential by design: callers run whole cells on the runtime pool, and
+/// a cell that called back into that pool would block its worker.
+pub fn spreads(values: &[f64], permutations: u64, seed: u64, algorithms: &[Algorithm]) -> Vec<f64> {
+    let exact = exact_sum_acc(values);
+    algorithms
+        .iter()
+        .map(|&alg| {
+            let study = PermutationStudy::new(values, permutations, seed);
+            population_stddev(&study.errors(&exact, TreeShape::Balanced, alg))
+        })
+        .collect()
+}
+
+/// Measure the cell of the `ki`-th k target and the `di`-th dr target.
+fn calibrate_cell(cfg: &CalibrationConfig, ki: usize, di: usize, inf_abs: f64) -> CalCell {
+    let (k, dr) = (cfg.k_targets[ki], cfg.dr_targets[di]);
     let seed = cfg
         .seed
         .wrapping_add((ki as u64) << 32)
         .wrapping_add(di as u64);
     let values = grid_cell(cfg.n, k, dr, seed, inf_abs);
-    let exact = exact_sum_acc(&values);
-    let mut spread = Vec::with_capacity(cfg.algorithms.len());
-    for &alg in &cfg.algorithms {
-        let mut errors = Vec::with_capacity(cfg.permutations as usize);
-        PermutationStudy::new(&values, cfg.permutations, seed ^ 0xABCD).for_each(|_, permuted| {
-            let sum = reduce(permuted, TreeShape::Balanced, alg);
-            errors.push(abs_error_vs(&exact, sum));
-        });
-        spread.push((alg, population_stddev(&errors)));
+    let spread = spreads(&values, cfg.permutations, seed ^ 0xABCD, &cfg.algorithms);
+    CalCell {
+        k,
+        dr,
+        spread: cfg.algorithms.iter().copied().zip(spread).collect(),
     }
-    CalCell { k, dr, spread }
 }
 
 #[cfg(test)]
@@ -459,6 +420,33 @@ mod tests {
         );
     }
 
+    /// The methodology's numbers, pinned: any change to the generator, the
+    /// permutation stream, the tree walk, an operator or the spread
+    /// statistic moves these bytes.
+    #[test]
+    fn small_grid_csv_bytes_are_pinned() {
+        let cfg = CalibrationConfig {
+            k_targets: vec![1e6, f64::INFINITY],
+            dr_targets: vec![16],
+            n: 256,
+            permutations: 4,
+            algorithms: Algorithm::PAPER_SET.to_vec(),
+            seed: 42,
+        };
+        assert_eq!(
+            calibrate(&cfg).to_csv(),
+            "n,k,dr,algorithm,spread\n\
+             256,1e6,16,ST,8.285891071085916e-12\n\
+             256,1e6,16,K,8.680701562161127e-12\n\
+             256,1e6,16,CP,0e0\n\
+             256,1e6,16,PR(fold=3),0e0\n\
+             256,inf,16,ST,7.561396956889995e-11\n\
+             256,inf,16,K,5.5321992306485677e-11\n\
+             256,inf,16,CP,1.0716592678495065e-26\n\
+             256,inf,16,PR(fold=3),0e0\n"
+        );
+    }
+
     #[test]
     fn try_calibrate_matches_calibrate_on_a_healthy_grid() {
         let table = try_calibrate(&small_cfg()).expect("healthy grid");
@@ -470,9 +458,9 @@ mod tests {
     #[test]
     fn failing_cell_surfaces_coordinates_not_a_panic_cascade() {
         // n = 0 makes the generator's rescale factor non-finite, so every
-        // cell worker panics internally. The sweep must convert that into
-        // one coordinate-tagged error instead of crossing the thread scope
-        // as a panic.
+        // cell panics internally. The sweep must convert that into one
+        // coordinate-tagged error instead of crossing the pool scope as a
+        // panic.
         let cfg = CalibrationConfig {
             n: 0,
             ..small_cfg()

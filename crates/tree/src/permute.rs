@@ -2,7 +2,10 @@
 //! reduction trees with the same shape can yield different values ... if the
 //! assignment of operands to leaves \[differs\]".
 
+use crate::TreeShape;
 use repro_fp::rng::DetRng;
+use repro_fp::{abs_error_vs, Superaccumulator};
+use repro_sum::Algorithm;
 
 /// A uniformly random permutation of `0..n` (Fisher–Yates, seeded).
 pub fn random_permutation(n: usize, seed: u64) -> Vec<u32> {
@@ -59,6 +62,18 @@ impl<'a> PermutationStudy<'a> {
             f(self.next, &self.scratch);
             self.next += 1;
         }
+    }
+
+    /// The exact absolute error of each arrangement reduced with `alg` on
+    /// a `shape` tree, in permutation order: the per-tree errors of every
+    /// permuted-tree study. `exact` is the superaccumulated sum of the
+    /// values.
+    pub fn errors(self, exact: &Superaccumulator, shape: TreeShape, alg: Algorithm) -> Vec<f64> {
+        let mut errors = Vec::with_capacity(self.count as usize);
+        self.for_each(|_, permuted| {
+            errors.push(abs_error_vs(exact, crate::reduce(permuted, shape, alg)));
+        });
+        errors
     }
 }
 

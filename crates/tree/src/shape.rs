@@ -35,7 +35,7 @@ pub enum TreeShape {
 
 impl TreeShape {
     /// Depth of the tree over `n` leaves (edges on the longest root-leaf
-    /// path).
+    /// path); for [`TreeShape::Random`], of the tree its seed builds.
     pub fn depth(&self, n: usize) -> usize {
         fn walk(cuts: &mut Splitter, n: usize) -> usize {
             if n <= 1 {
@@ -47,12 +47,6 @@ impl TreeShape {
         match self {
             // The left spine in closed form: the walk would recurse n deep.
             TreeShape::Serial => n.saturating_sub(1),
-            // Depth of a random tree is itself random; report the balanced
-            // lower bound (callers wanting the realized depth can build the
-            // tree and measure it).
-            TreeShape::Random { .. } => {
-                (usize::BITS - n.saturating_sub(1).leading_zeros()) as usize
-            }
             _ => walk(&mut self.splitter(), n),
         }
     }

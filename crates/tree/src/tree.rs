@@ -261,8 +261,16 @@ mod tests {
 
     #[test]
     fn depths_match_shape_formulas() {
-        for shape in [TreeShape::Balanced, TreeShape::Serial, TreeShape::Binomial] {
-            for n in [2usize, 9, 64, 100] {
+        for shape in [
+            TreeShape::Balanced,
+            TreeShape::Serial,
+            TreeShape::Binomial,
+            TreeShape::Skewed { ratio: 100 },
+            TreeShape::Skewed { ratio: 900 },
+            TreeShape::Random { seed: 11 },
+            TreeShape::Random { seed: 77 },
+        ] {
+            for n in [1usize, 2, 9, 64, 100, 1024] {
                 let t = ReductionTree::build(shape, n);
                 assert_eq!(t.depth(), shape.depth(n), "{} n={n}", shape.label());
             }

@@ -10,7 +10,10 @@
 # $GITHUB_STEP_SUMMARY when set). No wall-clock thresholds anywhere: CI
 # runners share cores, so asserting on absolute timings would only
 # manufacture flakes. Artifacts land in target/bench/ so CI uploads them
-# for offline comparison.
+# for offline comparison. Last, `calibrate` and the figure benches that
+# share its permuted-tree measurement (Figs. 6-12 and two ablations) run
+# twice under different pool sizes: both runs must print the same bytes,
+# and every "shape check:" line must read PASS.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -133,5 +136,27 @@ cat "$table"
 if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
   cat "$table" >> "$GITHUB_STEP_SUMMARY"
 fi
+
+echo "== calibrate and figure benches (quick scale), at 1 and 4 pool workers =="
+for workers in 1 4; do
+  REPRO_RUNTIME_WORKERS=$workers run calibrate --n 2048 --perms 10 --seed 7 \
+    > "$BENCH_DIR/calibrate-w$workers.csv"
+done
+cmp -s "$BENCH_DIR/calibrate-w1.csv" "$BENCH_DIR/calibrate-w4.csv" \
+  || { echo "calibrate prints different bytes at 1 and 4 workers" >&2; exit 1; }
+figs=(fig06_sensitivity fig07_error_distributions fig08_grid_methodology
+      fig09_grid_k_dr fig10_grid_n_dr fig11_grid_n_k fig12_selection_map
+      ablation_tree_shapes ablation_algorithms)
+for fig in "${figs[@]}"; do
+  for workers in 1 4; do
+    REPRO_SCALE=quick REPRO_RUNTIME_WORKERS=$workers \
+      cargo bench -q -p repro-bench --bench "$fig" > "$BENCH_DIR/$fig-w$workers.txt"
+  done
+  cmp -s "$BENCH_DIR/$fig-w1.txt" "$BENCH_DIR/$fig-w4.txt" \
+    || { echo "$fig prints different bytes at 1 and 4 workers" >&2; exit 1; }
+  if grep '^shape check:' "$BENCH_DIR/$fig-w1.txt" | grep -qv '^shape check: PASS'; then
+    echo "$fig failed its shape check" >&2; exit 1
+  fi
+done
 
 echo "== bench OK =="
